@@ -6,54 +6,6 @@ below a sigmoid threshold is moved to a better-fitting group or used to seed
 a new one.  Everything is deterministic under a fixed seed.
 """
 
-from segfl.aggregation import AggregationWeights, LocalContribution, fedavg, weighted_aggregate
-from segfl.flowdata import (
-    CLASS_NAMES,
-    FEATURE_NAMES,
-    EncodingMap,
-    LabeledDataset,
-    RawFlowRecord,
-    ScalerParams,
-    default_encoding,
-    fit_encoding,
-    fit_scaler,
-    parse_flow_csv,
-    partition_workers,
-    train_test_split,
-    write_flow_csv,
-)
-from segfl.metrics import ClassScores, confusion, auroc_ovr_macro, prf1
-from segfl.nnet import (
-    LayerSpec,
-    ModelParams,
-    TrainConfig,
-    forward,
-    init_params,
-    loss_and_grad,
-    predict,
-    read_params,
-    train_local,
-    write_params,
-)
-from segfl.orchestrator import (
-    ExperimentConfig,
-    ExperimentResult,
-    GroupState,
-    RoundReport,
-    WorkerState,
-    broadcast_initial,
-    run_experiment,
-    run_round,
-)
-from segfl.resample import ResampleConfig, nearmiss3_undersample
-from segfl.segmentation import (
-    EvalScores,
-    SegmentationConfig,
-    SegmentationPlan,
-    eval_score,
-    segment,
-    threshold,
-)
-from segfl.synthgen import EnvironmentProfile, generate, make_profile, make_scenario
+from segfl.orchestrator import DataSpec, ExperimentConfig, ExperimentResult, run_experiment
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Parameter aggregation: plain averaging and the three-component update.
+"""Parameter aggregation: the three-component update of a group's global vector.
 
 A group's global vector is refreshed as a convex blend of (alpha) its former
 value, (beta) the sample-count-weighted mean of the participating workers'
@@ -39,15 +39,6 @@ def _check_same_shape(all_params: list[ModelParams]) -> None:
     for p in all_params[1:]:
         if p.spec != spec:
             raise ValueError(f"mismatched layer specs: {p.spec.dims} vs {spec.dims}")
-
-
-def fedavg(contributions: list[LocalContribution]) -> ModelParams:
-    """Unweighted coordinate-wise mean of the contributed vectors."""
-    if not contributions:
-        raise ValueError("fedavg needs at least one contribution")
-    _check_same_shape([c.params for c in contributions])
-    stacked = np.stack([c.params.flat for c in contributions])
-    return ModelParams(stacked.mean(axis=0), contributions[0].params.spec)
 
 
 def weighted_aggregate(

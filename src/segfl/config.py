@@ -32,17 +32,15 @@ import yaml
 
 from segfl.aggregation import AggregationWeights
 from segfl.nnet import TrainConfig
-from segfl.orchestrator import MODES, DataSpec, ExperimentConfig
+from segfl.orchestrator import (
+    DEFAULT_SHARD_SIZE,
+    MODES,
+    ConfigError,
+    DataSpec,
+    ExperimentConfig,
+)
 from segfl.resample import ResampleConfig
 from segfl.segmentation import SegmentationConfig
-
-
-class ConfigError(Exception):
-    """Invalid configuration; carries the file line when it is known."""
-
-    def __init__(self, message: str, line: Optional[int] = None):
-        super().__init__(message)
-        self.line = line
 
 
 _TOP_LEVEL_KEYS = {
@@ -252,7 +250,7 @@ def _build_data_spec(data_raw: dict) -> DataSpec:
     source = data_raw.get("source", "synthetic")
     if source == "synthetic":
         n_workers = int(data_raw.get("n_workers", 4))
-        sizes = data_raw.get("sizes", 8000)
+        sizes = data_raw.get("sizes", DEFAULT_SHARD_SIZE)
         if isinstance(sizes, (int, float)):
             sizes = [int(sizes)] * n_workers
         if len(sizes) != n_workers:

@@ -123,9 +123,6 @@ class EncodingMap:
         except KeyError:
             raise ValueError(f"unknown class token {token!r}") from None
 
-    def decode_label(self, code: int) -> str:
-        return CLASS_NAMES[code]
-
     def decode_protocol(self, code: int) -> str:
         return _inverse(self.protocol_codes)[code]
 
@@ -157,16 +154,6 @@ def _inverse(codes: dict[str, int]) -> dict[int, str]:
 
 def _lexicographic_codes(tokens) -> dict[str, int]:
     return {tok: code for code, tok in enumerate(sorted(set(tokens)))}
-
-
-def fit_encoding(records: list[RawFlowRecord]) -> EncodingMap:
-    """Build an EncodingMap from the tokens observed in ``records``."""
-    if not records:
-        raise ValueError("cannot fit an encoding on zero records")
-    return EncodingMap(
-        protocol_codes=_lexicographic_codes(r.protocol for r in records),
-        flags_codes=_lexicographic_codes(r.flags for r in records),
-    )
 
 
 def default_encoding() -> EncodingMap:
@@ -281,8 +268,6 @@ def parse_flow_csv(
             except (ValueError, IndexError) as exc:
                 rejects.append((line_no, str(exc)))
                 continue
-            if record is None:
-                continue
             label = row[positions[CLASS_COLUMN]].strip().lower()
             if label not in CLASS_CODES:
                 rejects.append((line_no, f"unsupported class {label!r}"))
@@ -301,7 +286,7 @@ def parse_flow_csv(
     return records
 
 
-def _coerce_row(row: list[str], positions: dict[str, int]) -> RawFlowRecord | None:
+def _coerce_row(row: list[str], positions: dict[str, int]) -> RawFlowRecord:
     try:
         duration = float(row[positions["duration"]])
     except ValueError:

@@ -2,9 +2,7 @@
 
 Zero-denominator conventions: a class never predicted has precision 0, a
 class never present has recall 0, and F1 is 0 whenever precision + recall is
-0.  Macro averages weight every class equally; micro counts every sample
-equally (for the usual single-label confusion matrix, micro precision,
-recall and F1 all equal accuracy).
+0.  The macro average weights every class equally.
 """
 
 from __future__ import annotations
@@ -37,25 +35,13 @@ def confusion(true_labels, pred_labels, n_classes: int = N_CLASSES) -> np.ndarra
 
 @dataclass(frozen=True)
 class ClassScores:
-    """Per-class and averaged precision/recall/F1 for one confusion matrix."""
+    """Per-class precision/recall/F1, accuracy and macro-F1 for one confusion matrix."""
 
     precision: np.ndarray
     recall: np.ndarray
     f1: np.ndarray
     accuracy: float
-    macro_precision: float
-    macro_recall: float
     macro_f1: float
-    micro_precision: float
-    micro_recall: float
-    micro_f1: float
-
-    def averaged(self, average: str = "macro") -> tuple[float, float, float]:
-        if average == "macro":
-            return self.macro_precision, self.macro_recall, self.macro_f1
-        if average == "micro":
-            return self.micro_precision, self.micro_recall, self.micro_f1
-        raise ValueError(f"average must be 'macro' or 'micro', got {average!r}")
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -63,7 +49,7 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def prf1(counts: np.ndarray) -> ClassScores:
-    """Precision/recall/F1 per class plus macro and micro averages."""
+    """Precision/recall/F1 per class, accuracy and macro-F1."""
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise ValueError(f"confusion matrix must be square, got {counts.shape}")
@@ -77,21 +63,12 @@ def prf1(counts: np.ndarray) -> ClassScores:
     precision = _safe_div(tp, predicted)
     recall = _safe_div(tp, actual)
     f1 = _safe_div(2 * precision * recall, precision + recall)
-
-    micro_p = float(tp.sum() / predicted.sum())
-    micro_r = float(tp.sum() / actual.sum())
-    micro_f1 = 0.0 if micro_p + micro_r == 0 else 2 * micro_p * micro_r / (micro_p + micro_r)
     return ClassScores(
         precision=precision,
         recall=recall,
         f1=f1,
         accuracy=float(tp.sum() / total),
-        macro_precision=float(precision.mean()),
-        macro_recall=float(recall.mean()),
         macro_f1=float(f1.mean()),
-        micro_precision=micro_p,
-        micro_recall=micro_r,
-        micro_f1=micro_f1,
     )
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from segfl.aggregation import AggregationWeights, LocalContribution, weighted_aggregate
 from segfl.flowdata import (
     CANONICAL_COLUMN_MAP,
+    CLASS_NAMES,
     FEATURE_NAMES,
     LabeledDataset,
     concat_datasets,
@@ -59,6 +60,17 @@ MODES = ("centralized", "fl", "segmented_fl")
 # Fraction of the undersampled training shard held out for validation.
 VALIDATION_FRACTION = 0.10
 
+# Rows per synthetic worker shard when a config gives no sizes.
+DEFAULT_SHARD_SIZE = 8000
+
+
+class ConfigError(Exception):
+    """Invalid configuration; carries the file line when it is known."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message)
+        self.line = line
+
 
 def derive_seed(master: int, *parts) -> int:
     """Stable per-purpose seed: master entropy plus structured tags."""
@@ -79,7 +91,7 @@ class DataSpec:
     # synthetic
     n_workers: int = 4
     profiles: tuple[str, ...] = ("A", "A", "B", "B")
-    sizes: tuple[int, ...] = (12000, 12000, 6000, 6000)
+    sizes: tuple[int, ...] = (DEFAULT_SHARD_SIZE,) * 4
     divergence: float = 1.0
     class_mix: Optional[tuple[float, float, float]] = None
     # files: one parsed file per worker
@@ -196,6 +208,9 @@ def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
     holds out a fixed validation slice from the result.  The undersampled
     size (before the validation holdout) is the worker's aggregation weight.
     Parameters are placeholders until ``broadcast_initial``.
+
+    Raises:
+        ConfigError: a shard cannot be split or scored, before any training.
     """
     raw_shards = _load_raw_shards(config)
     placeholder = ModelParams(
@@ -204,18 +219,22 @@ def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
     )
     workers = []
     for wid, shard in enumerate(raw_shards, start=1):
+        # The split is stratified, so every class needs a row on each side.
+        _require_classes(wid, "raw", shard, min_rows=2)
         train_raw, test_raw = train_test_split(
             shard, config.test_fraction, derive_seed(config.seed, "split", wid)
         )
+        # Scoring a shard of one class leaves AUROC or F1 meaningless mid-run.
+        _require_classes(wid, "test", test_raw, min_rows=1)
         scaler = fit_scaler(train_raw)
         train_scaled = scale_dataset(train_raw, scaler)
         test_scaled = scale_dataset(test_raw, scaler)
-        slim = nearmiss3_undersample(
-            train_scaled, config.resample, derive_seed(config.seed, "resample", wid)
-        )
+        slim = nearmiss3_undersample(train_scaled, config.resample)
         train_final, validation = train_test_split(
             slim, VALIDATION_FRACTION, derive_seed(config.seed, "val", wid)
         )
+        _require_classes(wid, "train", train_final, min_rows=1)
+        _require_classes(wid, "validation", validation, min_rows=1)
         workers.append(
             WorkerState(
                 worker_id=wid,
@@ -228,6 +247,18 @@ def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
             )
         )
     return workers
+
+
+def _require_classes(wid: int, shard_name: str, shard: LabeledDataset, min_rows: int) -> None:
+    """Reject a shard without two classes of at least ``min_rows`` rows each."""
+    counts = np.bincount(shard.labels, minlength=len(CLASS_NAMES))
+    held = counts[counts > 0]
+    if len(held) < 2 or held.min() < min_rows:
+        found = ", ".join(f"{name} {n}" for name, n in zip(CLASS_NAMES, counts))
+        raise ConfigError(
+            f"worker {wid}: the {shard_name} shard has class counts {found}; "
+            f"it needs 2 or more classes with {min_rows} or more rows each"
+        )
 
 
 def _load_raw_shards(config: ExperimentConfig) -> list[LabeledDataset]:
@@ -340,32 +371,42 @@ def run_round(
             peer_params[group.group_id], contributions, others, config.weights
         )
 
+    report = _score_round(workers, round_no)
+    _assert_partition(workers, groups)
+    return report
+
+
+def _validation_f1(worker: WorkerState, params: ModelParams) -> float:
+    """The worker's validation macro-F1 under ``params``."""
+    return macro_f1_score(worker.validation.labels, predict(params, worker.validation.features))
+
+
+def _score_round(workers: dict[int, WorkerState], round_no: int) -> RoundReport:
+    """Score every worker under its current parameters, in worker-id order.
+
+    Appends the validation macro-F1 to the worker's history and reports the
+    test-shard metrics and the training loss.
+    """
     rows = []
     for wid in sorted(workers):
         worker = workers[wid]
-        worker.val_history.append(
-            macro_f1_score(worker.validation.labels, predict(worker.params, worker.validation.features))
+        worker.val_history.append(_validation_f1(worker, worker.params))
+        probs = forward(worker.params, worker.test.features)
+        scores = prf1(confusion(worker.test.labels, np.argmax(probs, axis=1)))
+        rows.append(
+            WorkerRoundMetrics(
+                worker_id=worker.worker_id,
+                group_id=worker.group_id,
+                accuracy=scores.accuracy,
+                precision=tuple(scores.precision),
+                recall=tuple(scores.recall),
+                f1=tuple(scores.f1),
+                macro_f1=scores.macro_f1,
+                auroc=auroc_ovr_macro(worker.test.labels, probs),
+                train_loss=mean_loss(worker.params, worker.train),
+            )
         )
-        rows.append(_score_worker(worker, worker.params))
-    _assert_partition(workers, groups)
     return RoundReport(round_no=round_no, workers=tuple(rows))
-
-
-def _score_worker(worker: WorkerState, params: ModelParams) -> WorkerRoundMetrics:
-    probs = forward(params, worker.test.features)
-    preds = np.argmax(probs, axis=1)
-    scores = prf1(confusion(worker.test.labels, preds))
-    return WorkerRoundMetrics(
-        worker_id=worker.worker_id,
-        group_id=worker.group_id,
-        accuracy=scores.accuracy,
-        precision=tuple(scores.precision),
-        recall=tuple(scores.recall),
-        f1=tuple(scores.f1),
-        macro_f1=scores.macro_f1,
-        auroc=auroc_ovr_macro(worker.test.labels, probs),
-        train_loss=mean_loss(params, worker.train),
-    )
 
 
 def evaluate_and_segment(
@@ -394,10 +435,7 @@ def evaluate_and_segment(
     def cross_fit(wid: int, gid: int) -> float:
         if (wid, gid) not in fit_cache:
             params = pending_params.get(gid) or groups[gid].params
-            worker = workers[wid]
-            fit_cache[(wid, gid)] = macro_f1_score(
-                worker.validation.labels, predict(params, worker.validation.features)
-            )
+            fit_cache[(wid, gid)] = _validation_f1(workers[wid], params)
         return fit_cache[(wid, gid)]
 
     events: list[TimelineEvent] = []
@@ -606,17 +644,9 @@ def _run_centralized(
             pooled,
             replace(config.train, seed=derive_seed(config.seed, "train", 0, round_no)),
         )
-        rows = []
-        for wid in sorted(workers):
-            worker = workers[wid]
+        for worker in workers.values():
             worker.params = model.copy()
-            worker.val_history.append(
-                macro_f1_score(
-                    worker.validation.labels, predict(model, worker.validation.features)
-                )
-            )
-            rows.append(_score_worker(worker, model))
-        report = RoundReport(round_no=round_no, workers=tuple(rows))
+        report = _score_round(workers, round_no)
         reports.append(report)
         if sinks.on_round:
             sinks.on_round(report)

@@ -105,23 +105,6 @@ class TimelineWriter:
         self._fh.close()
 
 
-def write_rounds(reports, path: Path) -> None:
-    writer = RoundsWriter(path)
-    try:
-        for report in reports:
-            writer.write(report)
-    finally:
-        writer.close()
-
-
-def write_timeline(events, path: Path) -> None:
-    writer = TimelineWriter(path)
-    try:
-        writer.write(list(events))
-    finally:
-        writer.close()
-
-
 def read_rounds(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))

@@ -55,16 +55,12 @@ def _k_nearest(distances: np.ndarray, k: int) -> np.ndarray:
     return order[:, :k]
 
 
-def nearmiss3_undersample(
-    dataset: LabeledDataset, config: ResampleConfig, seed: int = 0
-) -> LabeledDataset:
+def nearmiss3_undersample(dataset: LabeledDataset, config: ResampleConfig) -> LabeledDataset:
     """Reduce the majority class toward ``target_ratio`` x the smallest class.
 
     Args:
         dataset: scaled features and labels; at least two classes present.
         config: neighbour count and target majority ratio.
-        seed: accepted for interface uniformity; the procedure has no random
-            choices (ties are broken by original row order).
 
     Returns:
         A new dataset containing every minority-class sample and the selected

@@ -108,12 +108,6 @@ class SegmentationPlan:
     moves: dict[int, int]  # worker id -> destination group id
     new_group: Optional[NewGroup]
 
-    def planned_workers(self) -> set[int]:
-        placed = set(self.stay) | set(self.moves)
-        if self.new_group is not None:
-            placed |= set(self.new_group.member_ids)
-        return placed
-
 
 def segment(
     group_id: int,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,12 @@ from pathlib import Path
 import pytest
 import yaml
 
+from segfl import orchestrator
 from segfl.cli import cmd_compare, cmd_report, cmd_run, main
 from segfl.config import ConfigError, load_config
+from segfl.orchestrator import ExperimentConfig
+
+_REPO = Path(__file__).resolve().parents[1]
 
 _QUICK = {
     "mode": "segmented_fl",
@@ -66,6 +71,7 @@ def test_load_config_applies_defaults(tmp_path):
     assert exp.data.sizes == (8000, 8000, 8000, 8000)
     assert "out_dir" not in loaded.snapshot
     assert loaded.snapshot["J"] == 15
+    assert exp == ExperimentConfig(), "an empty file and the library must agree on defaults"
 
 
 def test_load_config_reports_unknown_key_with_line(tmp_path):
@@ -211,6 +217,44 @@ def test_main_exit_codes_for_config_errors(tmp_path, capsys):
 
     assert main(["report", str(tmp_path)]) == 2
     assert "rounds.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({"sizes": [40, 40, 40, 40]}, "worker 1: the test shard"),  # test shards of one class
+        ({**_QUICK["data"], "sizes": [400, 40]}, "worker 2: the test shard"),
+        ({**_QUICK["data"], "sizes": [20, 400]}, "worker 1: the raw shard"),  # cannot stratify
+        ({**_QUICK["data"], "sizes": [60, 400]}, "worker 1: the validation shard"),
+    ],
+)
+def test_unusable_shard_exits_2_before_training(tmp_path, capsys, monkeypatch, data, named):
+    def no_training(*args):
+        raise AssertionError("training started on an unusable shard")
+
+    monkeypatch.setattr(orchestrator, "train_local", no_training)
+    config = _write_config(tmp_path, data=data)
+    for command in ("run", "compare"):
+        assert main([command, str(config), "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert f"{named} has class counts normal " in err, err
+
+
+def test_run_output_does_not_depend_on_blas_threads(tmp_path):
+    command = [sys.executable, "-m", "segfl.cli", "run", str(_REPO / "configs" / "quick.yaml")]
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            command + ["--out", str(tmp_path / f"threads{threads}")],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        run_dir = Path(proc.stdout.strip().splitlines()[-1])
+        outputs.append([(run_dir / name).read_bytes() for name in ("rounds.csv", "timeline.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_failed_run_leaves_a_failed_manifest(tmp_path, capsys):

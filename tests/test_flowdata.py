@@ -10,11 +10,11 @@ from segfl.flowdata import (
     CLASS_CODES,
     CLASS_NAMES,
     FEATURE_NAMES,
+    EncodingMap,
     LabeledDataset,
     RawFlowRecord,
     _largest_remainder_counts,
     default_encoding,
-    fit_encoding,
     fit_scaler,
     parse_flow_csv,
     partition_workers,
@@ -119,46 +119,21 @@ def test_parse_roundtrip_is_idempotent(flow_csv, tmp_path):
     assert np.array_equal(first.labels, second.labels)
 
 
-def _records(protocols, flags=".AP.SF", label="normal"):
-    return [
-        RawFlowRecord(
-            duration=0.1,
-            protocol=proto,
-            src_port=1000,
-            dst_port=80,
-            packets=1,
-            bytes=64,
-            flags=flags,
-            label=label,
-        )
-        for proto in protocols
-    ]
-
-
-def test_fit_encoding_assigns_lexicographic_codes():
-    encoding = fit_encoding(_records(["TCP", "UDP", "ICMP", "TCP"]))
-    assert encoding.protocol_codes == {"ICMP": 0, "TCP": 1, "UDP": 2}
-
-
 def test_label_codes_are_fixed_and_roundtrip():
     encoding = default_encoding()
+    assert encoding.protocol_codes == {"GRE": 0, "ICMP": 1, "IGMP": 2, "TCP": 3, "UDP": 4}
     assert encoding.label_codes == {"normal": 0, "attacker": 1, "victim": 2}
     for name in CLASS_NAMES:
-        assert encoding.decode_label(encoding.encode_label(name)) == name
+        assert CLASS_NAMES[encoding.encode_label(name)] == name
     assert CLASS_CODES == {"normal": 0, "attacker": 1, "victim": 2}
 
 
 def test_unseen_token_is_an_error_not_a_silent_code():
-    encoding = fit_encoding(_records(["TCP", "UDP"]))
+    encoding = EncodingMap(protocol_codes={"TCP": 0, "UDP": 1}, flags_codes={".A....": 0})
     with pytest.raises(ValueError, match="GRE"):
         encoding.encode_protocol("GRE")
     with pytest.raises(ValueError, match="unknown class"):
         encoding.encode_label("suspicious")
-
-
-def test_fit_encoding_rejects_empty_input():
-    with pytest.raises(ValueError, match="zero records"):
-        fit_encoding([])
 
 
 def _column_dataset(*columns):

@@ -71,7 +71,7 @@ def test_config_validation():
 def test_single_class_is_an_error():
     data = LabeledDataset(np.zeros((5, 2)), np.zeros(5, dtype=np.int64))
     with pytest.raises(ValueError, match="two classes"):
-        nearmiss3_undersample(data, ResampleConfig(), seed=0)
+        nearmiss3_undersample(data, ResampleConfig())
 
 
 def test_dataset_already_at_target_passes_through_unchanged():
@@ -81,7 +81,7 @@ def test_dataset_already_at_target_passes_through_unchanged():
         rng.normal(size=(30, 2)),
         np.array([0] * 20 + [1] * 10, dtype=np.int64),
     )
-    out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=3, target_ratio=2.0), seed=0)
+    out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=3, target_ratio=2.0))
     assert _rows_multiset(out) == _rows_multiset(data)
 
 
@@ -92,7 +92,7 @@ def test_toy_selection_matches_oracle():
         np.array([0] * 24 + [1] * 6, dtype=np.int64),
     )
     config = ResampleConfig(neighbors_k=3, target_ratio=2.0)
-    out = nearmiss3_undersample(data, config, seed=0)
+    out = nearmiss3_undersample(data, config)
     kept = _oracle_kept_indices(data.features, data.labels, 3, 2.0)
     expected = data.subset(kept)
     assert np.array_equal(out.features, expected.features)
@@ -110,7 +110,7 @@ def test_selection_matches_oracle_across_random_datasets():
         data = LabeledDataset(rng.uniform(size=(len(labels), 3)), labels[order])
         k = int(rng.integers(1, 5))
         ratio = float(rng.choice([1.0, 1.5, 2.0, 2.5]))
-        out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=k, target_ratio=ratio), seed=trial)
+        out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=k, target_ratio=ratio))
         kept = _oracle_kept_indices(data.features, data.labels, k, ratio)
         assert np.array_equal(out.features, data.subset(kept).features), f"trial {trial}"
         assert np.array_equal(out.labels, data.subset(kept).labels), f"trial {trial}"
@@ -120,7 +120,7 @@ def test_minority_samples_pass_through_exactly():
     rng = np.random.default_rng(3)
     labels = np.array([0] * 40 + [1] * 8 + [2] * 5)
     data = LabeledDataset(rng.uniform(size=(len(labels), 2)), labels)
-    out = nearmiss3_undersample(data, ResampleConfig(), seed=0)
+    out = nearmiss3_undersample(data, ResampleConfig())
     for cls in (1, 2):
         original = data.features[data.labels == cls]
         kept = out.features[out.labels == cls]
@@ -134,7 +134,7 @@ def test_majority_count_hits_target_and_ratio():
     rng = np.random.default_rng(8)
     labels = np.array([0] * 170 + [1] * 12 + [2] * 10)
     data = LabeledDataset(rng.uniform(size=(len(labels), 2)), labels)
-    out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=3, target_ratio=2.0), seed=0)
+    out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=3, target_ratio=2.0))
     counts = np.bincount(out.labels, minlength=3)
     assert counts.tolist() == [20, 12, 10]
 
@@ -144,7 +144,7 @@ def test_selected_majority_are_stage1_candidates():
     labels = np.array([0] * 50 + [1] * 7)
     data = LabeledDataset(rng.uniform(size=(len(labels), 2)), labels)
     k = 4
-    out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=k, target_ratio=2.0), seed=0)
+    out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=k, target_ratio=2.0))
 
     candidates = set()
     majority_idx = [i for i in range(len(labels)) if labels[i] == 0]
@@ -163,9 +163,9 @@ def test_row_permutation_yields_the_same_multiset():
     labels = np.array([0] * 40 + [1] * 6)
     features = rng.uniform(size=(len(labels), 2))
     config = ResampleConfig(neighbors_k=3, target_ratio=2.0)
-    base = nearmiss3_undersample(LabeledDataset(features, labels), config, seed=0)
+    base = nearmiss3_undersample(LabeledDataset(features, labels), config)
     perm = rng.permutation(len(labels))
-    shuffled = nearmiss3_undersample(LabeledDataset(features[perm], labels[perm]), config, seed=0)
+    shuffled = nearmiss3_undersample(LabeledDataset(features[perm], labels[perm]), config)
     assert _rows_multiset(base) == _rows_multiset(shuffled)
 
 
@@ -175,9 +175,7 @@ def test_small_candidate_pool_keeps_pool_and_warns(caplog):
     labels = np.array([0] * 30 + [1])
     data = LabeledDataset(np.hstack([features, np.zeros((31, 1))]), labels)
     with caplog.at_level(logging.WARNING, logger="segfl.resample"):
-        out = nearmiss3_undersample(
-            data, ResampleConfig(neighbors_k=1, target_ratio=2.0), seed=0
-        )
+        out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=1, target_ratio=2.0))
     assert "candidate pool" in caplog.text
     assert int((out.labels == 0).sum()) == 1
     assert int((out.labels == 1).sum()) == 1

@@ -123,7 +123,6 @@ def test_segment_keeps_everyone_when_scores_are_close():
     assert plan.stay == (1, 2, 3)
     assert plan.moves == {}
     assert plan.new_group is None
-    assert plan.planned_workers() == {1, 2, 3}
 
 
 def _spread_scores() -> EvalScores:
@@ -148,7 +147,6 @@ def test_segment_spawns_group_seeded_with_mean_params():
     assert plan.new_group is not None
     assert plan.new_group.member_ids == (3, 4)
     assert np.array_equal(plan.new_group.params.flat, [2.0, 3.0, 5.0])
-    assert plan.planned_workers() == {1, 2, 3, 4}
 
 
 def test_segment_respects_group_capacity():
@@ -255,7 +253,6 @@ def test_every_member_is_planned_exactly_once():
             local_params=locals_,
             cross_fit=lambda w, g: fits[(w, g)],
         )
-        assert plan.planned_workers() == set(ids), f"trial {trial}"
         placed = list(plan.stay) + list(plan.moves) + (
             list(plan.new_group.member_ids) if plan.new_group else []
         )
