@@ -79,27 +79,30 @@ _DATA_KEYS = {
     "column_map",
 }
 
-_DEFAULTS: dict[str, Any] = {
-    "mode": "segmented_fl",
-    "J": 15,
-    "N_t": None,
-    "E": 1,
-    "B": 128,
-    "eta": 0.01,
-    "alpha": 0.2,
-    "beta": 0.6,
-    "gamma": 0.2,
-    "h_f": 7,
-    "h_j": 3,
-    "R_e": 3,
-    "max_groups": 3,
-    "seed": 0,
-    "hidden_dims": [64, 32],
-    "test_fraction": 0.10,
-    "resample_k": 3,
-    "target_ratio": 2.0,
-    "out_dir": None,
-}
+def _defaults() -> dict[str, Any]:
+    """Each top-level key's value when the file leaves it out: the library's."""
+    config = ExperimentConfig()
+    return {
+        "mode": config.mode,
+        "J": config.rounds,
+        "N_t": config.participants_per_round,
+        "E": config.train.epochs,
+        "B": config.train.batch_size,
+        "eta": config.train.learning_rate,
+        "alpha": config.weights.alpha,
+        "beta": config.weights.beta,
+        "gamma": config.weights.gamma,
+        "h_f": config.segmentation.fineness,
+        "h_j": config.segmentation.eval_every,
+        "R_e": config.segmentation.window,
+        "max_groups": config.segmentation.max_groups,
+        "seed": config.seed,
+        "hidden_dims": list(config.hidden_dims),
+        "test_fraction": config.test_fraction,
+        "resample_k": config.resample.neighbors_k,
+        "target_ratio": config.resample.target_ratio,
+        "out_dir": None,
+    }
 
 
 @dataclass
@@ -169,7 +172,7 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     if unknown:
         fail(unknown[0], f"unknown config key(s): {', '.join(unknown)}")
 
-    resolved = dict(_DEFAULTS)
+    resolved = _defaults()
     resolved.update({k: v for k, v in raw.items() if k != "data"})
 
     for key in ("J", "E", "B", "h_f", "h_j", "R_e", "max_groups", "seed"):
@@ -249,7 +252,8 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
 def _build_data_spec(data_raw: dict) -> DataSpec:
     source = data_raw.get("source", "synthetic")
     if source == "synthetic":
-        n_workers = int(data_raw.get("n_workers", 4))
+        defaults = DataSpec()
+        n_workers = int(data_raw.get("n_workers", defaults.n_workers))
         sizes = data_raw.get("sizes", DEFAULT_SHARD_SIZE)
         if isinstance(sizes, (int, float)):
             sizes = [int(sizes)] * n_workers
@@ -257,14 +261,14 @@ def _build_data_spec(data_raw: dict) -> DataSpec:
             raise ValueError(
                 f"data.sizes has {len(sizes)} entries for {n_workers} workers"
             )
-        profiles = tuple(str(p) for p in data_raw.get("profiles", ("A", "A", "B", "B")))
+        profiles = tuple(str(p) for p in data_raw.get("profiles", defaults.profiles))
         class_mix = data_raw.get("class_mix")
         return DataSpec(
             source="synthetic",
             n_workers=n_workers,
             profiles=profiles,
             sizes=tuple(int(s) for s in sizes),
-            divergence=float(data_raw.get("divergence", 1.0)),
+            divergence=float(data_raw.get("divergence", defaults.divergence)),
             class_mix=None if class_mix is None else tuple(float(m) for m in class_mix),
         )
     if source == "files":

@@ -235,6 +235,8 @@ def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
         )
         _require_classes(wid, "train", train_final, min_rows=1)
         _require_classes(wid, "validation", validation, min_rows=1)
+        # A test shard short of a class would average AUROC over fewer classes.
+        _require_raw_classes(wid, test_raw, shard)
         workers.append(
             WorkerState(
                 worker_id=wid,
@@ -249,15 +251,28 @@ def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
     return workers
 
 
+def _counts_text(shard: LabeledDataset) -> str:
+    counts = np.bincount(shard.labels, minlength=len(CLASS_NAMES))
+    return ", ".join(f"{name} {n}" for name, n in zip(CLASS_NAMES, counts))
+
+
 def _require_classes(wid: int, shard_name: str, shard: LabeledDataset, min_rows: int) -> None:
     """Reject a shard without two classes of at least ``min_rows`` rows each."""
     counts = np.bincount(shard.labels, minlength=len(CLASS_NAMES))
     held = counts[counts > 0]
     if len(held) < 2 or held.min() < min_rows:
-        found = ", ".join(f"{name} {n}" for name, n in zip(CLASS_NAMES, counts))
         raise ConfigError(
-            f"worker {wid}: the {shard_name} shard has class counts {found}; "
+            f"worker {wid}: the {shard_name} shard has class counts {_counts_text(shard)}; "
             f"it needs 2 or more classes with {min_rows} or more rows each"
+        )
+
+
+def _require_raw_classes(wid: int, test: LabeledDataset, raw: LabeledDataset) -> None:
+    """Reject a test shard that lacks a class its raw shard holds."""
+    if np.setdiff1d(raw.labels, test.labels).size:
+        raise ConfigError(
+            f"worker {wid}: the test shard has class counts {_counts_text(test)}; "
+            f"it needs every class of the raw shard ({_counts_text(raw)})"
         )
 
 

@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from segfl.flowdata import LabeledDataset
 
@@ -35,24 +36,54 @@ class ResampleConfig:
             raise ValueError(f"target_ratio must be >= 1, got {self.target_ratio}")
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances, rows of ``a`` against rows of ``b``.
+# Relative gap by which the tree's farthest proposal must exceed the exact
+# k-th distance before a row's neighbours are final.  Tree and exact
+# distances differ only by rounding (~1e-15 relative), so any non-proposed
+# row is then strictly farther than the k-th and cannot win a tie.
+_TIE_MARGIN = 1e-9
+# Elements in one block's (rows, width, features) difference temporary
+# (32 MiB of float64), however wide the fallback grows.
+_BLOCK_ELEMENTS = 1 << 22
 
-    Chunked over rows of ``a`` to bound the broadcast temporary; each pair's
-    arithmetic is independent, so chunking cannot change any value.
+
+def _k_nearest(points: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's k nearest ``points``, ordered by (exact distance, index).
+
+    A KD-tree proposes ``k + m`` neighbours per query; their distances are
+    recomputed in numpy, pair by pair, so values and tie order do not depend
+    on the tree's arithmetic.  A query whose tree distances cannot rule out
+    a tie at the k-th neighbour is asked again with ``m`` doubled, up to
+    every point.
+
+    Returns:
+        (indices into ``points``, exact distances), both (len(queries), k).
     """
-    out = np.empty((len(a), len(b)), dtype=np.float64)
-    chunk = max(1, (1 << 22) // max(1, b.size))
-    for start in range(0, len(a), chunk):
-        diff = a[start : start + chunk, None, :] - b[None, :, :]
-        out[start : start + chunk] = np.sqrt((diff * diff).sum(axis=2))
-    return out
-
-
-def _k_nearest(distances: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries per row, ties to lower index."""
-    order = np.argsort(distances, axis=1, kind="stable")
-    return order[:, :k]
+    n = len(points)
+    tree = cKDTree(points)
+    nearest = np.empty((len(queries), k), dtype=np.intp)
+    distances = np.empty((len(queries), k), dtype=np.float64)
+    pending = np.arange(len(queries))
+    m = k
+    while len(pending):
+        width = min(n, k + m)
+        block = max(1, _BLOCK_ELEMENTS // (width * points.shape[1]))
+        retry = []
+        for start in range(0, len(pending), block):
+            rows = pending[start : start + block]
+            tree_dist, cols = tree.query(queries[rows], k=width)
+            tree_dist = tree_dist.reshape(len(rows), width)
+            cols = cols.reshape(len(rows), width)
+            diff = queries[rows, None, :] - points[cols]
+            exact = np.sqrt((diff * diff).sum(axis=-1))
+            order = np.lexsort((cols, exact))
+            exact = np.take_along_axis(exact, order, axis=1)[:, :k]
+            settled = (width == n) | (tree_dist[:, -1] > exact[:, -1] * (1.0 + _TIE_MARGIN))
+            nearest[rows[settled]] = np.take_along_axis(cols, order, axis=1)[settled, :k]
+            distances[rows[settled]] = exact[settled]
+            retry.append(rows[~settled])
+        pending = np.concatenate(retry)
+        m *= 2
+    return nearest, distances
 
 
 def nearmiss3_undersample(dataset: LabeledDataset, config: ResampleConfig) -> LabeledDataset:
@@ -88,8 +119,7 @@ def nearmiss3_undersample(dataset: LabeledDataset, config: ResampleConfig) -> La
     k = config.neighbors_k
 
     # Stage 1: majority samples that are k-nearest to any minority sample.
-    dist_min_maj = _pairwise_distances(minority_pts, majority_pts)
-    nearest_per_minority = _k_nearest(dist_min_maj, min(k, len(majority_idx)))
+    nearest_per_minority, _ = _k_nearest(majority_pts, minority_pts, min(k, len(majority_idx)))
     candidates = np.unique(nearest_per_minority)  # positions into majority_idx
 
     if len(candidates) < target:
@@ -102,9 +132,10 @@ def nearmiss3_undersample(dataset: LabeledDataset, config: ResampleConfig) -> La
     else:
         # Stage 2: keep candidates whose k nearest minority samples are on
         # average the farthest.  Stable sort on (-avg distance, row index).
-        dist_cand_min = dist_min_maj[:, candidates].T
-        nearest_minority = _k_nearest(dist_cand_min, min(k, len(minority_idx)))
-        avg_dist = np.take_along_axis(dist_cand_min, nearest_minority, axis=1).mean(axis=1)
+        _, nearest_dist = _k_nearest(
+            minority_pts, majority_pts[candidates], min(k, len(minority_idx))
+        )
+        avg_dist = nearest_dist.mean(axis=1)
         order = np.lexsort((majority_idx[candidates], -avg_dist))
         kept_majority = majority_idx[candidates[order[:target]]]
 

@@ -316,9 +316,19 @@ def test_nearmiss_oracle_equivalence():
     start = time.monotonic()
     rng = np.random.default_rng(5005)
     ratios = (1.0, 1.5, 2.0, 2.5)
-    for trial in range(10):
+    for trial in range(20):
         n = int(rng.integers(40, 201))
-        features = rng.random((n, 4))
+        if trial < 10:
+            features = rng.random((n, 4))
+        else:
+            # Real flow exports are full of ties: few distinct values and
+            # duplicated rows.  On an integer or quarter-step grid every
+            # squared distance is exact, so math.dist and numpy agree on
+            # which distances tie, and a k-th neighbour often sits inside
+            # a run of equal distances.
+            step = (1.0, 0.25)[trial % 2]
+            features = rng.integers(0, 4, size=(n, 4)) * step
+            features[rng.integers(0, n, n // 3)] = features[rng.integers(0, n, n // 3)]
         labels = np.concatenate(
             [
                 np.zeros(n - 2 * (n // 5), dtype=np.int64),

@@ -226,6 +226,7 @@ def test_main_exit_codes_for_config_errors(tmp_path, capsys):
         ({**_QUICK["data"], "sizes": [400, 40]}, "worker 2: the test shard"),
         ({**_QUICK["data"], "sizes": [20, 400]}, "worker 1: the raw shard"),  # cannot stratify
         ({**_QUICK["data"], "sizes": [60, 400]}, "worker 1: the validation shard"),
+        ({"sizes": [80, 80, 80, 80]}, "worker 1: the test shard"),  # no victim in test
     ],
 )
 def test_unusable_shard_exits_2_before_training(tmp_path, capsys, monkeypatch, data, named):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from segfl import resample
 from segfl.flowdata import LabeledDataset
 from segfl.resample import ResampleConfig, nearmiss3_undersample
 
@@ -179,3 +181,81 @@ def test_small_candidate_pool_keeps_pool_and_warns(caplog):
     assert "candidate pool" in caplog.text
     assert int((out.labels == 0).sum()) == 1
     assert int((out.labels == 1).sum()) == 1
+
+
+def _grid_dataset(rng, n, dims, step):
+    """Few distinct values and duplicated rows, like real flow exports.
+
+    On an integer or quarter-step grid every squared distance is exact in
+    float64, so ``math.dist`` in the oracle and numpy agree on every tie.
+    """
+    features = rng.integers(0, 4, size=(n, dims)) * step
+    features[rng.integers(0, n, n // 3)] = features[rng.integers(0, n, n // 3)]
+    labels = rng.choice(3, size=n, p=[0.7, 0.2, 0.1])
+    return LabeledDataset(features, labels.astype(np.int64))
+
+
+class _CountingTree(resample.cKDTree):
+    """A cKDTree that records the neighbour count of every query."""
+
+    widths: list[int] = []
+
+    def query(self, x, k=1, **kwargs):
+        self.widths.append(k)
+        return super().query(x, k=k, **kwargs)
+
+
+def test_tie_heavy_selection_matches_oracle(monkeypatch):
+    monkeypatch.setattr(_CountingTree, "widths", [])
+    monkeypatch.setattr(resample, "cKDTree", _CountingTree)
+    rng = np.random.default_rng(404)
+    for trial in range(12):
+        dims = int(rng.integers(1, 5))
+        data = _grid_dataset(rng, int(rng.integers(40, 160)), dims, (1.0, 0.25)[trial % 2])
+        k = int(rng.integers(1, 6))
+        ratio = float(rng.choice([1.0, 1.5, 2.0]))
+        out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=k, target_ratio=ratio))
+        kept = _oracle_kept_indices(data.features, data.labels, k, ratio)
+        assert np.array_equal(out.features, data.subset(kept).features), f"trial {trial}"
+        assert np.array_equal(out.labels, data.subset(kept).labels), f"trial {trial}"
+    # Ties at the k-th neighbour sent some rows back to the tree with a wider query.
+    assert max(_CountingTree.widths) > 2 * 5
+
+
+def test_kth_neighbour_inside_a_run_of_equal_distances(monkeypatch):
+    # Minority rows at the origin and at (10, 10).  Majority rows 1-8 lie at
+    # distance 1 from the origin (duplicates included) and row 9 at 2; rows
+    # 10-13 lie at distance 1 from (10, 10) and rows 14-15 at 2.  With k = 3
+    # both third neighbours fall inside a run of equal distances, so the
+    # lowest row indices of each run must win.  The origin's first proposals
+    # (k + m = 6 rows, all at distance 1) cannot settle that, so its row is
+    # queried again.  The target (8) exceeds the pool (6), so the kept
+    # majority rows are exactly the stage-1 neighbours.
+    monkeypatch.setattr(_CountingTree, "widths", [])
+    monkeypatch.setattr(resample, "cKDTree", _CountingTree)
+    ring = [[0, 1], [1, 0], [0, -1], [-1, 0], [0, 1], [1, 0], [-1, 0], [0, -1]]
+    around = [[10, 11], [11, 10], [10, 9], [9, 10], [12, 10], [10, 12]]
+    features = np.array([[0, 0]] + ring + [[2, 0]] + around + [[10, 10]], dtype=np.float64)
+    labels = np.array([1] + [0] * 15 + [1])
+    data = LabeledDataset(features, labels)
+    out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=3, target_ratio=4.0))
+    kept = _oracle_kept_indices(features, labels, 3, 4.0)
+    assert np.array_equal(out.features, data.subset(kept).features)
+    assert [i for i in kept if labels[i] == 0] == [1, 2, 3, 10, 11, 12]
+    assert max(_CountingTree.widths) > 6
+
+
+def test_memory_stays_far_below_the_dense_distance_matrix():
+    # 70k majority rows against 30k minority rows: a dense minority x
+    # majority float64 matrix alone would be 16.8 GB.
+    rng = np.random.default_rng(100)
+    labels = np.array([0] * 70_000 + [1] * 20_000 + [2] * 10_000)[rng.permutation(100_000)]
+    data = LabeledDataset(rng.random((100_000, 7)), labels)
+    tracemalloc.start()
+    try:
+        out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=3, target_ratio=2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    assert np.bincount(out.labels).tolist() == [20_000, 20_000, 10_000]
