@@ -33,8 +33,7 @@ from segfl.reporting import (
     Manifest,
     RoundsWriter,
     TimelineWriter,
-    read_rounds,
-    read_timeline,
+    read_csv_rows,
     run_id_for,
     write_compare,
     write_report,
@@ -141,10 +140,10 @@ def cmd_report(run_dir, out=None) -> int:
     if not rounds_path.exists():
         raise ConfigError(f"no {ROUNDS_FILE} under {run_dir}; not a finished run directory?")
     timeline_path = run_dir / TIMELINE_FILE
-    timeline_rows = read_timeline(timeline_path) if timeline_path.exists() else []
+    timeline_rows = read_csv_rows(timeline_path) if timeline_path.exists() else []
     target_dir = Path(out) if out else run_dir
     target_dir.mkdir(parents=True, exist_ok=True)
-    write_report(read_rounds(rounds_path), timeline_rows, target_dir / REPORT_FILE)
+    write_report(read_csv_rows(rounds_path), timeline_rows, target_dir / REPORT_FILE)
     print(target_dir / REPORT_FILE)
     return 0
 

@@ -41,30 +41,8 @@ from segfl.orchestrator import (
 )
 from segfl.resample import ResampleConfig
 from segfl.segmentation import SegmentationConfig
+from segfl.synthgen import check_class_mix
 
-
-_TOP_LEVEL_KEYS = {
-    "mode",
-    "J",
-    "N_t",
-    "E",
-    "B",
-    "eta",
-    "alpha",
-    "beta",
-    "gamma",
-    "h_f",
-    "h_j",
-    "R_e",
-    "max_groups",
-    "seed",
-    "hidden_dims",
-    "test_fraction",
-    "resample_k",
-    "target_ratio",
-    "out_dir",
-    "data",
-}
 
 _DATA_KEYS = {
     "source",
@@ -79,8 +57,9 @@ _DATA_KEYS = {
     "column_map",
 }
 
+
 def _defaults() -> dict[str, Any]:
-    """Each top-level key's value when the file leaves it out: the library's."""
+    """Every top-level key but ``data``, with its value when the file leaves it out."""
     config = ExperimentConfig()
     return {
         "mode": config.mode,
@@ -168,20 +147,20 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     def fail(key: str, message: str):
         raise ConfigError(message, lines.get(key))
 
-    unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
+    resolved = _defaults()
+    unknown = sorted(set(raw) - set(resolved) - {"data"})
     if unknown:
         fail(unknown[0], f"unknown config key(s): {', '.join(unknown)}")
-
-    resolved = _defaults()
     resolved.update({k: v for k, v in raw.items() if k != "data"})
 
-    for key in ("J", "E", "B", "h_f", "h_j", "R_e", "max_groups", "seed"):
-        if not isinstance(resolved[key], int) or isinstance(resolved[key], bool):
+    for key in ("J", "E", "B", "h_f", "h_j", "R_e", "max_groups", "seed", "resample_k"):
+        if not _is_int(resolved[key]):
             fail(key, f"{key} must be an integer, got {resolved[key]!r}")
-    if resolved["N_t"] is not None and (
-        not isinstance(resolved["N_t"], int) or resolved["N_t"] < 1
-    ):
+    if resolved["N_t"] is not None and not _is_positive_int(resolved["N_t"]):
         fail("N_t", f"N_t must be a positive integer, got {resolved['N_t']!r}")
+    hidden = resolved["hidden_dims"]
+    if not isinstance(hidden, list) or not all(_is_positive_int(h) for h in hidden):
+        fail("hidden_dims", f"hidden_dims must be a list of positive integers, got {hidden!r}")
     for key in ("eta", "alpha", "beta", "gamma", "test_fraction", "target_ratio"):
         if not isinstance(resolved[key], (int, float)) or isinstance(resolved[key], bool):
             fail(key, f"{key} must be a number, got {resolved[key]!r}")
@@ -208,7 +187,7 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
         fail(f"data.{unknown_data[0]}", f"unknown data key(s): {', '.join(unknown_data)}")
 
     try:
-        data_spec = _build_data_spec(data_raw)
+        data_spec = _build_data_spec(data_raw, fail)
         experiment = ExperimentConfig(
             mode=resolved["mode"],
             rounds=resolved["J"],
@@ -249,42 +228,57 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     return LoadedConfig(experiment=experiment, snapshot=snapshot, out_dir=resolved["out_dir"])
 
 
-def _build_data_spec(data_raw: dict) -> DataSpec:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_int(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _build_data_spec(data_raw: dict, fail) -> DataSpec:
     source = data_raw.get("source", "synthetic")
     if source == "synthetic":
         defaults = DataSpec()
-        n_workers = int(data_raw.get("n_workers", defaults.n_workers))
+        n_workers = data_raw.get("n_workers", defaults.n_workers)
+        if not _is_positive_int(n_workers):
+            fail("data.n_workers", f"data.n_workers must be a positive integer, got {n_workers!r}")
         sizes = data_raw.get("sizes", DEFAULT_SHARD_SIZE)
-        if isinstance(sizes, (int, float)):
-            sizes = [int(sizes)] * n_workers
+        if _is_int(sizes):
+            sizes = [sizes] * n_workers
+        if not isinstance(sizes, list) or not all(_is_positive_int(s) for s in sizes):
+            fail("data.sizes", f"data.sizes must be positive integers, got {sizes!r}")
         if len(sizes) != n_workers:
-            raise ValueError(
-                f"data.sizes has {len(sizes)} entries for {n_workers} workers"
-            )
+            fail("data.sizes", f"data.sizes has {len(sizes)} entries for {n_workers} workers")
         profiles = tuple(str(p) for p in data_raw.get("profiles", defaults.profiles))
         class_mix = data_raw.get("class_mix")
+        if class_mix is not None:
+            try:
+                class_mix = check_class_mix(class_mix)
+            except ValueError as exc:
+                fail("data.class_mix", f"data.{exc}")
         return DataSpec(
             source="synthetic",
             n_workers=n_workers,
             profiles=profiles,
-            sizes=tuple(int(s) for s in sizes),
+            sizes=tuple(sizes),
             divergence=float(data_raw.get("divergence", defaults.divergence)),
-            class_mix=None if class_mix is None else tuple(float(m) for m in class_mix),
+            class_mix=class_mix,
         )
     if source == "files":
         paths = tuple(str(p) for p in data_raw.get("paths", ()))
         if not paths:
-            raise ValueError("data.paths must list one flow file per worker")
+            fail("data.paths", "data.paths must list one flow file per worker")
         return DataSpec(source="files", paths=paths, column_map=data_raw.get("column_map"))
     if source == "corpus":
         corpus = str(data_raw.get("corpus", ""))
         shares = tuple(float(s) for s in data_raw.get("shares", ()))
         if not corpus or not shares:
-            raise ValueError("data source 'corpus' needs data.corpus and data.shares")
+            fail("data.source", "data source 'corpus' needs data.corpus and data.shares")
         return DataSpec(
             source="corpus", corpus=corpus, shares=shares, column_map=data_raw.get("column_map")
         )
-    raise ValueError(f"data.source must be synthetic, files, or corpus; got {source!r}")
+    fail("data.source", f"data.source must be synthetic, files, or corpus; got {source!r}")
 
 
 def _data_snapshot(spec: DataSpec) -> dict:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -29,6 +30,7 @@ CLASS_CODES = {name: code for code, name in enumerate(CLASS_NAMES)}
 _SUFFIX_FACTORS = {"K": 1e3, "M": 1e6}
 
 _PORT_MAX = 65535
+_COUNT_MAX = int(np.iinfo(np.int64).max)  # FlowTable stores counts as int64
 
 # Fixed vocabulary used when no corpus is available to fit on: the common IP
 # protocols plus every six-position flag string over the UAPRSF alphabet.
@@ -42,18 +44,38 @@ _FLAGS_VOCAB = tuple(
 )
 
 
-@dataclass(frozen=True)
-class RawFlowRecord:
-    """One accepted flow row, fields already coerced but not yet encoded."""
+# FlowTable column dtypes, in field order.
+_COLUMN_DTYPES = (np.float64, object, np.int64, np.int64, np.int64, np.int64, object, object)
 
-    duration: float
-    protocol: str
-    src_port: int
-    dst_port: int
-    packets: int
-    bytes: int
-    flags: str
-    label: str
+
+@dataclass(frozen=True)
+class FlowTable:
+    """Accepted flow rows as columns of coerced, not yet encoded, tokens.
+
+    One array per canonical attribute plus the class tokens, all in row
+    order: ``duration`` float64; ports and counts int64; ``protocol``,
+    ``flags`` and ``label`` strings.  ``len()`` is the row count.
+    """
+
+    duration: np.ndarray
+    protocol: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    packets: np.ndarray
+    bytes: np.ndarray
+    flags: np.ndarray
+    label: np.ndarray
+
+    def __post_init__(self):
+        for column, dtype in zip(fields(self), _COLUMN_DTYPES, strict=True):
+            object.__setattr__(self, column.name, np.asarray(getattr(self, column.name), dtype))
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def columns(self) -> list[np.ndarray]:
+        """The columns in file layout: ``FEATURE_NAMES`` then the class."""
+        return [getattr(self, column.name) for column in fields(self)]
 
 
 @dataclass
@@ -105,51 +127,21 @@ class EncodingMap:
     flags_codes: dict[str, int]
     label_codes: dict[str, int] = field(default_factory=lambda: dict(CLASS_CODES))
 
-    def encode_protocol(self, token: str) -> int:
-        try:
-            return self.protocol_codes[token]
-        except KeyError:
-            raise ValueError(f"unseen protocol token {token!r}") from None
-
-    def encode_flags(self, token: str) -> int:
-        try:
-            return self.flags_codes[token]
-        except KeyError:
-            raise ValueError(f"unseen flags token {token!r}") from None
-
-    def encode_label(self, token: str) -> int:
-        try:
-            return self.label_codes[token]
-        except KeyError:
-            raise ValueError(f"unknown class token {token!r}") from None
-
-    def decode_protocol(self, code: int) -> str:
-        return _inverse(self.protocol_codes)[code]
-
-    def decode_flags(self, code: int) -> str:
-        return _inverse(self.flags_codes)[code]
-
-    def encode(self, records: list[RawFlowRecord]) -> LabeledDataset:
-        """Turn accepted records into a numeric LabeledDataset."""
-        n = len(records)
-        features = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
-        labels = np.empty(n, dtype=np.int64)
-        for i, rec in enumerate(records):
-            features[i] = (
-                rec.duration,
-                self.encode_protocol(rec.protocol),
-                rec.src_port,
-                rec.dst_port,
-                rec.packets,
-                rec.bytes,
-                self.encode_flags(rec.flags),
-            )
-            labels[i] = self.encode_label(rec.label)
-        return LabeledDataset(features, labels)
+    def encode(self, table: FlowTable) -> LabeledDataset:
+        """Turn a parsed flow table into a numeric LabeledDataset."""
+        protocol = _lookup(self.protocol_codes, table.protocol, "unseen protocol")
+        flags = _lookup(self.flags_codes, table.flags, "unseen flags")
+        ports_counts = [table.src_port, table.dst_port, table.packets, table.bytes]
+        features = np.column_stack([table.duration, protocol, *ports_counts, flags])
+        return LabeledDataset(features, _lookup(self.label_codes, table.label, "unknown class"))
 
 
-def _inverse(codes: dict[str, int]) -> dict[int, str]:
-    return {code: tok for tok, code in codes.items()}
+def _lookup(codes: dict[str, int], tokens: np.ndarray, what: str) -> np.ndarray:
+    """Each token's code; the first token without one raises ValueError."""
+    try:
+        return np.fromiter(map(codes.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    except KeyError as exc:
+        raise ValueError(f"{what} token {exc.args[0]!r}") from None
 
 
 def _lexicographic_codes(tokens) -> dict[str, int]:
@@ -195,18 +187,21 @@ def scale_dataset(dataset: LabeledDataset, scaler: ScalerParams) -> LabeledDatas
     return LabeledDataset(scaler.transform(dataset.features), dataset.labels.copy())
 
 
-def _expand_magnitude(token: str) -> int:
+def _parse_count(token: str, name: str) -> int:
     """Parse a count that may carry a K/M suffix ("2.1 M" -> 2100000)."""
     text = token.strip()
     if not text:
         raise ValueError("empty count")
     factor = _SUFFIX_FACTORS.get(text[-1].upper())
-    if factor is not None:
-        text = text[:-1].strip()
-    else:
-        factor = 1.0
-    value = float(text) * factor
-    return int(round(value))
+    value = float(text) if factor is None else float(text[:-1].strip()) * factor
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {name} {token!r}")
+    count = int(round(value))
+    if count < 0:
+        raise ValueError(f"negative {name} {count}")
+    if count > _COUNT_MAX:
+        raise ValueError(f"{name} {count} too large")
+    return count
 
 
 def _parse_port(token: str) -> int:
@@ -220,8 +215,8 @@ def parse_flow_csv(
     path,
     column_map: dict[str, str],
     rejects_path=None,
-) -> list[RawFlowRecord]:
-    """Parse a delimited flow export into accepted records.
+) -> FlowTable:
+    """Parse a delimited flow export into a table of accepted rows.
 
     Args:
         path: CSV file with a header row.
@@ -232,7 +227,7 @@ def parse_flow_csv(
             line per skipped row.
 
     Returns:
-        The accepted records in file order.  Rows that fail to parse and rows
+        The accepted rows in file order.  Rows that fail to parse and rows
         whose class is outside {normal, attacker, victim} are skipped and
         recorded in the rejects report.
     """
@@ -242,7 +237,7 @@ def parse_flow_csv(
     if missing:
         raise ValueError(f"column_map does not cover attributes: {sorted(missing)}")
 
-    records: list[RawFlowRecord] = []
+    rows: list[tuple] = []
     rejects: list[tuple[int, str]] = []
     dropped_classes: dict[str, int] = {}
 
@@ -264,16 +259,16 @@ def parse_flow_csv(
                 continue
             line_no = reader.line_num
             try:
-                record = _coerce_row(row, positions)
+                coerced = _coerce_row(row, positions)
             except (ValueError, IndexError) as exc:
                 rejects.append((line_no, str(exc)))
                 continue
-            label = row[positions[CLASS_COLUMN]].strip().lower()
+            label = coerced[-1]
             if label not in CLASS_CODES:
                 rejects.append((line_no, f"unsupported class {label!r}"))
                 dropped_classes[label] = dropped_classes.get(label, 0) + 1
                 continue
-            records.append(record)
+            rows.append(coerced)
 
     if rejects_path is not None:
         with open(rejects_path, "w") as out:
@@ -282,16 +277,17 @@ def parse_flow_csv(
     if dropped_classes:
         logger.info("dropped rows by unsupported class: %s", dict(sorted(dropped_classes.items())))
     if rejects:
-        logger.info("rejected %d of %d data rows", len(rejects), len(rejects) + len(records))
-    return records
+        logger.info("rejected %d of %d data rows", len(rejects), len(rejects) + len(rows))
+    return FlowTable(*(zip(*rows) if rows else [()] * len(_COLUMN_DTYPES)))
 
 
-def _coerce_row(row: list[str], positions: dict[str, int]) -> RawFlowRecord:
+def _coerce_row(row: list[str], positions: dict[str, int]) -> tuple:
+    """One row's values in ``FlowTable`` column order; ValueError rejects it."""
     try:
         duration = float(row[positions["duration"]])
     except ValueError:
         raise ValueError(f"bad duration {row[positions['duration']]!r}") from None
-    if not np.isfinite(duration) or duration < 0:
+    if not math.isfinite(duration) or duration < 0:
         raise ValueError(f"bad duration {row[positions['duration']]!r}")
     protocol = row[positions["protocol"]].strip()
     if not protocol:
@@ -299,42 +295,27 @@ def _coerce_row(row: list[str], positions: dict[str, int]) -> RawFlowRecord:
     flags = row[positions["flags"]].strip()
     if not flags:
         raise ValueError("empty flags")
-    packets = _expand_magnitude(row[positions["packets"]])
-    if packets < 0:
-        raise ValueError(f"negative packets {packets}")
-    nbytes = _expand_magnitude(row[positions["bytes"]])
-    if nbytes < 0:
-        raise ValueError(f"negative bytes {nbytes}")
-    return RawFlowRecord(
-        duration=duration,
-        protocol=protocol,
-        src_port=_parse_port(row[positions["src_port"]]),
-        dst_port=_parse_port(row[positions["dst_port"]]),
-        packets=packets,
-        bytes=nbytes,
-        flags=flags,
-        label=row[positions[CLASS_COLUMN]].strip().lower(),
+    packets = _parse_count(row[positions["packets"]], "packets")
+    nbytes = _parse_count(row[positions["bytes"]], "bytes")
+    return (
+        duration,
+        protocol,
+        _parse_port(row[positions["src_port"]]),
+        _parse_port(row[positions["dst_port"]]),
+        packets,
+        nbytes,
+        flags,
+        row[positions[CLASS_COLUMN]].strip().lower(),
     )
 
 
-def write_flow_csv(records: list[RawFlowRecord], path) -> None:
-    """Serialize records in the canonical column layout parse_flow_csv reads."""
+def write_flow_csv(table: FlowTable, path) -> None:
+    """Serialize a flow table in the canonical column layout parse_flow_csv reads."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(FEATURE_NAMES) + [CLASS_COLUMN])
-        for rec in records:
-            writer.writerow(
-                [
-                    repr(rec.duration),
-                    rec.protocol,
-                    rec.src_port,
-                    rec.dst_port,
-                    rec.packets,
-                    rec.bytes,
-                    rec.flags,
-                    rec.label,
-                ]
-            )
+        # tolist() gives Python floats, whose str() is the shortest round-trip repr.
+        writer.writerows(zip(*(column.tolist() for column in table.columns())))
 
 
 CANONICAL_COLUMN_MAP = {name: name for name in FEATURE_NAMES + (CLASS_COLUMN,)}

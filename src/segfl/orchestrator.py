@@ -291,17 +291,26 @@ def _load_raw_shards(config: ExperimentConfig) -> list[LabeledDataset]:
         )
         return list(scenario.datasets)
     column_map = spec.column_map or dict(CANONICAL_COLUMN_MAP)
-    encoding = default_encoding()
     if spec.source == "files":
         if not spec.paths:
             raise ValueError("data source 'files' needs at least one path")
-        return [encoding.encode(parse_flow_csv(p, column_map)) for p in spec.paths]
+        paths = enumerate(spec.paths, start=1)
+        return [_read_flows(p, column_map, f"worker {wid}") for wid, p in paths]
     if spec.source == "corpus":
         if not spec.corpus or not spec.shares:
             raise ValueError("data source 'corpus' needs a corpus path and shares")
-        corpus = encoding.encode(parse_flow_csv(spec.corpus, column_map))
+        corpus = _read_flows(spec.corpus, column_map, "corpus")
         return partition_workers(corpus, list(spec.shares), derive_seed(config.seed, "partition"))
     raise ValueError(f"unknown data source {spec.source!r}")
+
+
+def _read_flows(path, column_map: dict[str, str], owner: str) -> LabeledDataset:
+    """Parse and encode one flow file; a token outside the vocabulary is a ConfigError."""
+    table = parse_flow_csv(path, column_map)
+    try:
+        return default_encoding().encode(table)
+    except ValueError as exc:
+        raise ConfigError(f"{owner}: {path}: {exc}") from None
 
 
 def broadcast_initial(

@@ -105,12 +105,8 @@ class TimelineWriter:
         self._fh.close()
 
 
-def read_rounds(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def read_timeline(path: Path) -> list[dict]:
+def read_csv_rows(path: Path) -> list[dict]:
+    """A written rounds or timeline file as one dict per row, keyed by header."""
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
 

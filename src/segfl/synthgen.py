@@ -19,7 +19,7 @@ import numpy as np
 
 from segfl.flowdata import (
     CLASS_NAMES,
-    RawFlowRecord,
+    FlowTable,
     LabeledDataset,
     default_encoding,
     _largest_remainder_counts,
@@ -34,6 +34,9 @@ _PORT_MAX = 65535
 _ENCODING = default_encoding()
 _N_PROTO = len(_ENCODING.protocol_codes)
 _N_FLAGS = len(_ENCODING.flags_codes)
+# Code -> token (codes follow lexicographic token order), for writing flows back out.
+_PROTOCOL_TOKENS = np.array(sorted(_ENCODING.protocol_codes), dtype=object)
+_FLAGS_TOKENS = np.array(sorted(_ENCODING.flags_codes), dtype=object)
 
 
 def _proto_vector(table: dict[str, float]) -> np.ndarray:
@@ -232,9 +235,18 @@ class EnvironmentProfile:
     def __post_init__(self):
         if self.divergence < 0:
             raise ValueError(f"divergence must be >= 0, got {self.divergence}")
-        mix = np.asarray(self.class_mix, dtype=np.float64)
-        if len(mix) != len(CLASS_NAMES) or np.any(mix < 0) or abs(mix.sum() - 1.0) > 1e-9:
-            raise ValueError(f"class_mix must be {len(CLASS_NAMES)} non-negative shares summing to 1")
+        check_class_mix(self.class_mix)
+
+
+def check_class_mix(class_mix) -> tuple[float, ...]:
+    """The shares as floats; ValueError unless they are 3 non-negative shares summing to 1."""
+    try:
+        mix = np.asarray(class_mix, dtype=np.float64)
+    except (TypeError, ValueError):
+        mix = np.empty(0)
+    if mix.shape != (len(CLASS_NAMES),) or np.any(mix < 0) or not abs(mix.sum() - 1.0) <= 1e-9:
+        raise ValueError(f"class_mix must be 3 non-negative shares summing to 1, got {class_mix!r}")
+    return tuple(mix.tolist())
 
 
 def _lerp_component(a: FlowComponent, b: FlowComponent, t: float) -> FlowComponent:
@@ -324,24 +336,14 @@ def generate(profile: EnvironmentProfile, n: int, seed: int = 0) -> LabeledDatas
     return LabeledDataset(features[order], labels[order])
 
 
-def to_records(dataset: LabeledDataset) -> list[RawFlowRecord]:
-    """Decode a generated dataset into parseable raw records."""
-    enc = _ENCODING
-    records = []
-    for row, label in zip(dataset.features, dataset.labels):
-        records.append(
-            RawFlowRecord(
-                duration=float(row[0]),
-                protocol=enc.decode_protocol(int(row[1])),
-                src_port=int(row[2]),
-                dst_port=int(row[3]),
-                packets=int(row[4]),
-                bytes=int(row[5]),
-                flags=enc.decode_flags(int(row[6])),
-                label=CLASS_NAMES[label],
-            )
-        )
-    return records
+def to_records(dataset: LabeledDataset) -> FlowTable:
+    """Decode a generated dataset into a flow table that write_flow_csv can write."""
+    f = dataset.features
+    protocol = _PROTOCOL_TOKENS[f[:, 1].astype(np.int64)]
+    flags = _FLAGS_TOKENS[f[:, 6].astype(np.int64)]
+    labels = np.asarray(CLASS_NAMES, dtype=object)[dataset.labels]
+    # FEATURE_NAMES order; FlowTable stores the whole-number ports and counts as int64.
+    return FlowTable(f[:, 0], protocol, f[:, 2], f[:, 3], f[:, 4], f[:, 5], flags, labels)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ import yaml
 from segfl import orchestrator
 from segfl.cli import cmd_compare, cmd_report, cmd_run, main
 from segfl.config import ConfigError, load_config
+from segfl.flowdata import write_flow_csv
 from segfl.orchestrator import ExperimentConfig
+from segfl.synthgen import generate, make_profile, to_records
 
 _REPO = Path(__file__).resolve().parents[1]
 
@@ -104,6 +106,18 @@ def test_load_config_rejects_bad_mode_and_counts(tmp_path):
     path.write_text("J: 1.5\n")
     with pytest.raises(ConfigError, match="J must be an integer"):
         load_config(path)
+    # Values that load but would crash or be silently coerced at run time.
+    for text, message in [
+        ("resample_k: 2.5\n", "resample_k must be an integer, got 2.5"),
+        ("hidden_dims: 8\n", "hidden_dims must be a list of positive integers, got 8"),
+        ("hidden_dims: [8.7]\n", r"hidden_dims must be a list of positive integers, got \[8.7\]"),
+        ("hidden_dims: [8, 0]\n", "hidden_dims must be a list of positive integers"),
+        ("N_t: true\n", "N_t must be a positive integer, got True"),
+    ]:
+        path.write_text("J: 2\n" + text)
+        with pytest.raises(ConfigError, match=message) as info:
+            load_config(path)
+        assert info.value.line == 2, text
 
 
 def test_load_config_validates_data_block(tmp_path):
@@ -239,6 +253,62 @@ def test_unusable_shard_exits_2_before_training(tmp_path, capsys, monkeypatch, d
         assert main([command, str(config), "--out", str(tmp_path / command)]) == 2
         err = capsys.readouterr().err
         assert f"{named} has class counts normal " in err, err
+
+
+def _line_of(path: Path, text: str) -> int:
+    return next(i for i, line in enumerate(path.read_text().splitlines(), 1) if text in line)
+
+
+@pytest.mark.parametrize(
+    "data, key, message",
+    [
+        ({"n_workers": 0}, "n_workers:", "data.n_workers must be a positive integer, got 0"),
+        ({"sizes": [400, 0]}, "sizes:", "data.sizes must be positive integers, got [400, 0]"),
+        ({"class_mix": [0.5, 0.5]}, "class_mix:", "data.class_mix must be 3 non-negative shares"),
+        ({"class_mix": [0.7, 0.5, -0.2]}, "class_mix:", "data.class_mix must be 3 non-negative"),
+        ({"class_mix": [0.5, 0.3, 0.3]}, "class_mix:", "data.class_mix must be 3 non-negative"),
+    ],
+)
+def test_bad_data_block_exits_2_with_its_line(tmp_path, capsys, data, key, message):
+    config = _write_config(tmp_path, data={**_QUICK["data"], **data})
+    for command in ("run", "compare"):
+        assert main([command, str(config), "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}:{_line_of(config, key)}: {message}" in err, err
+
+
+def _flow_files(directory: Path, count: int) -> list[Path]:
+    paths = []
+    for i in range(count):
+        path = directory / f"flows_{i + 1}.csv"
+        write_flow_csv(to_records(generate(make_profile("A"), 400, seed=i)), path)
+        paths.append(path)
+    return paths
+
+
+def test_unseen_token_in_a_flow_file_exits_2_naming_worker_and_path(
+    tmp_path, capsys, monkeypatch
+):
+    def no_training(*args):
+        raise AssertionError("training started on an unreadable flow file")
+
+    monkeypatch.setattr(orchestrator, "train_local", no_training)
+    first, second = _flow_files(tmp_path, 2)
+    second.write_text(second.read_text().replace(",TCP,", ",SCTP,", 1))
+    config = _write_config(tmp_path, data={"source": "files", "paths": [str(first), str(second)]})
+    for command in ("run", "compare"):
+        assert main([command, str(config), "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}: worker 2: {second}: unseen protocol token 'SCTP'" in err, err
+
+    (corpus,) = _flow_files(tmp_path, 1)
+    corpus.write_text(corpus.read_text().replace(",.A....,", ",.X....,", 1))
+    config = _write_config(
+        tmp_path, data={"source": "corpus", "corpus": str(corpus), "shares": [0.5, 0.5]}
+    )
+    assert main(["run", str(config), "--out", str(tmp_path / "corpus")]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: corpus: {corpus}: unseen flags token '.X....'" in err, err
 
 
 def test_run_output_does_not_depend_on_blas_threads(tmp_path):

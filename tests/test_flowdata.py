@@ -11,8 +11,8 @@ from segfl.flowdata import (
     CLASS_NAMES,
     FEATURE_NAMES,
     EncodingMap,
+    FlowTable,
     LabeledDataset,
-    RawFlowRecord,
     _largest_remainder_counts,
     default_encoding,
     fit_scaler,
@@ -45,6 +45,10 @@ _ROWS = [
     "2017-03-15 00:01:21,0.2,TCP,192.168.100.5,70000,192.168.220.16,80,4,300,.AP...,normal",
     "2017-03-15 00:01:22,abc,TCP,192.168.100.5,52132,192.168.220.16,80,4,300,.AP...,normal",
     "2017-03-15 00:01:23,0.8,ICMP,192.168.100.5,0,192.168.220.16,0,2,128,......,victim",
+    "2017-03-15 00:01:24,0.3,TCP,192.168.100.5,52133,192.168.220.16,80,inf,300,.AP...,normal",
+    "2017-03-15 00:01:25,0.3,TCP,192.168.100.5,52134,192.168.220.16,80,4,1e400,.AP...,normal",
+    "2017-03-15 00:01:26,0.3,TCP,192.168.100.5,52135,192.168.220.16,80,nan,300,.AP...,normal",
+    "2017-03-15 00:01:27,0.3,TCP,192.168.100.5,52136,192.168.220.16,80,4,1e30,.AP...,normal",
 ]
 
 
@@ -55,42 +59,51 @@ def flow_csv(tmp_path):
     return path
 
 
-def test_parse_accepts_and_coerces_good_rows(flow_csv):
-    records = parse_flow_csv(flow_csv, _COLUMN_MAP)
-    assert [r.label for r in records] == ["normal", "normal", "attacker", "victim"]
-    first = records[0]
-    assert first == RawFlowRecord(
-        duration=0.5,
-        protocol="TCP",
-        src_port=52128,
-        dst_port=80,
-        packets=7,
-        bytes=532,
-        flags=".AP.SF",
-        label="normal",
+def _one_row(**values) -> FlowTable:
+    row = dict(
+        duration=2.5, protocol="UDP", src_port=5, dst_port=6, packets=7, bytes=8,
+        flags="......", label="victim",
     )
+    row.update(values)
+    return FlowTable(**{name: [value] for name, value in row.items()})
+
+
+def test_parse_accepts_and_coerces_good_rows(flow_csv):
+    table = parse_flow_csv(flow_csv, _COLUMN_MAP)
+    assert len(table) == 4
+    assert table.label.tolist() == ["normal", "normal", "attacker", "victim"]
+    assert [column[0] for column in table.columns()] == [
+        0.5, "TCP", 52128, 80, 7, 532, ".AP.SF", "normal",
+    ]
+    assert table.duration.dtype == np.float64
+    for column in (table.src_port, table.dst_port, table.packets, table.bytes):
+        assert column.dtype == np.int64
 
 
 def test_parse_expands_magnitude_suffixes(flow_csv):
     # Hand-expanded values: "2.1 M" -> 2_100_000 and "4.5 K" -> 4_500.
-    records = parse_flow_csv(flow_csv, _COLUMN_MAP)
-    assert records[1].bytes == 2_100_000
-    assert records[2].bytes == 4_500
+    table = parse_flow_csv(flow_csv, _COLUMN_MAP)
+    assert table.bytes[1] == 2_100_000
+    assert table.bytes[2] == 4_500
 
 
 def test_parse_drops_unsupported_classes_and_records_rejects(flow_csv, tmp_path):
     rejects = tmp_path / "rejects.txt"
-    records = parse_flow_csv(flow_csv, _COLUMN_MAP, rejects_path=rejects)
-    assert len(records) == 4
+    table = parse_flow_csv(flow_csv, _COLUMN_MAP, rejects_path=rejects)
+    assert len(table) == 4
 
     lines = rejects.read_text().splitlines()
     # Header is file line 1, so data row i sits on line i + 1.
     by_line = {int(line.split("\t")[0]): line.split("\t")[1] for line in lines}
-    assert set(by_line) == {5, 6, 7, 8}
+    assert set(by_line) == {5, 6, 7, 8, 10, 11, 12, 13}
     assert "suspicious" in by_line[5]
     assert "unknown" in by_line[6]
     assert "port" in by_line[7]
     assert "duration" in by_line[8]
+    assert by_line[10] == "non-finite packets 'inf'"
+    assert by_line[11] == "non-finite bytes '1e400'"
+    assert by_line[12] == "non-finite packets 'nan'"
+    assert by_line[13].startswith("bytes 1000000000000000019884624838656 ")  # beyond int64
 
 
 def test_parse_requires_complete_column_map(flow_csv):
@@ -107,14 +120,16 @@ def test_parse_missing_source_column(flow_csv):
 
 
 def test_parse_roundtrip_is_idempotent(flow_csv, tmp_path):
-    records = parse_flow_csv(flow_csv, _COLUMN_MAP)
+    table = parse_flow_csv(flow_csv, _COLUMN_MAP)
     rewritten = tmp_path / "rewritten.csv"
-    write_flow_csv(records, rewritten)
+    write_flow_csv(table, rewritten)
     again = parse_flow_csv(rewritten, CANONICAL_COLUMN_MAP)
-    assert again == records
+    for ours, theirs in zip(table.columns(), again.columns(), strict=True):
+        assert ours.dtype == theirs.dtype
+        assert ours.tolist() == theirs.tolist()
 
     encoding = default_encoding()
-    first, second = encoding.encode(records), encoding.encode(again)
+    first, second = encoding.encode(table), encoding.encode(again)
     assert np.array_equal(first.features, second.features)
     assert np.array_equal(first.labels, second.labels)
 
@@ -124,16 +139,18 @@ def test_label_codes_are_fixed_and_roundtrip():
     assert encoding.protocol_codes == {"GRE": 0, "ICMP": 1, "IGMP": 2, "TCP": 3, "UDP": 4}
     assert encoding.label_codes == {"normal": 0, "attacker": 1, "victim": 2}
     for name in CLASS_NAMES:
-        assert CLASS_NAMES[encoding.encode_label(name)] == name
+        assert CLASS_NAMES[encoding.encode(_one_row(label=name)).labels[0]] == name
     assert CLASS_CODES == {"normal": 0, "attacker": 1, "victim": 2}
 
 
 def test_unseen_token_is_an_error_not_a_silent_code():
     encoding = EncodingMap(protocol_codes={"TCP": 0, "UDP": 1}, flags_codes={".A....": 0})
-    with pytest.raises(ValueError, match="GRE"):
-        encoding.encode_protocol("GRE")
-    with pytest.raises(ValueError, match="unknown class"):
-        encoding.encode_label("suspicious")
+    with pytest.raises(ValueError, match="unseen protocol token 'GRE'"):
+        encoding.encode(_one_row(protocol="GRE", flags=".A...."))
+    with pytest.raises(ValueError, match="unseen flags token '......'"):
+        encoding.encode(_one_row(protocol="TCP"))
+    with pytest.raises(ValueError, match="unknown class token 'suspicious'"):
+        encoding.encode(_one_row(protocol="TCP", flags=".A....", label="suspicious"))
 
 
 def _column_dataset(*columns):
@@ -296,11 +313,7 @@ def test_feature_layout_matches_declared_order():
         "bytes",
         "flags",
     )
-    rec = RawFlowRecord(
-        duration=2.5, protocol="UDP", src_port=5, dst_port=6, packets=7, bytes=8,
-        flags="......", label="victim",
-    )
-    encoded = default_encoding().encode([rec])
+    encoded = default_encoding().encode(_one_row())
     enc = default_encoding()
     assert encoded.features[0].tolist() == [
         2.5, enc.protocol_codes["UDP"], 5, 6, 7, 8, enc.flags_codes["......"],
