@@ -32,16 +32,11 @@ import yaml
 
 from segfl.aggregation import AggregationWeights
 from segfl.nnet import TrainConfig
-from segfl.orchestrator import (
-    DEFAULT_SHARD_SIZE,
-    MODES,
-    ConfigError,
-    DataSpec,
-    ExperimentConfig,
-)
+from segfl.flowdata import check_shares
+from segfl.orchestrator import DEFAULT_SHARD_SIZE, ConfigError, DataSpec, ExperimentConfig
 from segfl.resample import ResampleConfig
 from segfl.segmentation import SegmentationConfig
-from segfl.synthgen import check_class_mix
+from segfl.synthgen import check_class_mix, check_divergence, check_profiles
 
 
 _DATA_KEYS = {
@@ -55,6 +50,25 @@ _DATA_KEYS = {
     "corpus",
     "shares",
     "column_map",
+}
+
+
+# Config dataclass field -> the key that sets it.  Each __post_init__ message
+# begins with the field's name, which an error report swaps for the key.
+_KEY_OF_FIELD = {
+    "mode": "mode",
+    "rounds": "J",
+    "participants_per_round": "N_t",
+    "epochs": "E",
+    "batch_size": "B",
+    "learning_rate": "eta",
+    "fineness": "h_f",
+    "eval_every": "h_j",
+    "window": "R_e",
+    "max_groups": "max_groups",
+    "neighbors_k": "resample_k",
+    "target_ratio": "target_ratio",
+    "test_fraction": "test_fraction",
 }
 
 
@@ -165,11 +179,6 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
         if not isinstance(resolved[key], (int, float)) or isinstance(resolved[key], bool):
             fail(key, f"{key} must be a number, got {resolved[key]!r}")
 
-    if resolved["mode"] not in MODES:
-        fail("mode", f"mode must be one of {', '.join(MODES)}; got {resolved['mode']!r}")
-    if resolved["J"] < 1:
-        fail("J", f"J must be >= 1, got {resolved['J']}")
-
     blend = resolved["alpha"] + resolved["beta"] + resolved["gamma"]
     if min(resolved["alpha"], resolved["beta"], resolved["gamma"]) < 0 or abs(blend - 1.0) > 1e-9:
         fail(
@@ -186,8 +195,8 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     if unknown_data:
         fail(f"data.{unknown_data[0]}", f"unknown data key(s): {', '.join(unknown_data)}")
 
+    data_spec = _build_data_spec(data_raw, fail)
     try:
-        data_spec = _build_data_spec(data_raw, fail)
         experiment = ExperimentConfig(
             mode=resolved["mode"],
             rounds=resolved["J"],
@@ -219,7 +228,11 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
             data=data_spec,
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        name, _, rest = str(exc).partition(" ")
+        key = _KEY_OF_FIELD.get(name)
+        if key is None:
+            raise ConfigError(str(exc)) from None
+        fail(key, f"{key} {rest}")
 
     snapshot = {k: v for k, v in sorted(resolved.items()) if k != "out_dir"}
     snapshot["data"] = dict(sorted(_data_snapshot(data_spec).items()))
@@ -237,6 +250,13 @@ def _is_positive_int(value) -> bool:
 
 
 def _build_data_spec(data_raw: dict, fail) -> DataSpec:
+    def checked(name: str, check, default):
+        """``check`` on data.<name> or its default, a ValueError reported at the key's line."""
+        try:
+            return check(data_raw.get(name, default))
+        except ValueError as exc:
+            fail(f"data.{name}", f"data.{exc}")
+
     source = data_raw.get("source", "synthetic")
     if source == "synthetic":
         defaults = DataSpec()
@@ -250,20 +270,14 @@ def _build_data_spec(data_raw: dict, fail) -> DataSpec:
             fail("data.sizes", f"data.sizes must be positive integers, got {sizes!r}")
         if len(sizes) != n_workers:
             fail("data.sizes", f"data.sizes has {len(sizes)} entries for {n_workers} workers")
-        profiles = tuple(str(p) for p in data_raw.get("profiles", defaults.profiles))
         class_mix = data_raw.get("class_mix")
-        if class_mix is not None:
-            try:
-                class_mix = check_class_mix(class_mix)
-            except ValueError as exc:
-                fail("data.class_mix", f"data.{exc}")
         return DataSpec(
             source="synthetic",
             n_workers=n_workers,
-            profiles=profiles,
+            profiles=checked("profiles", check_profiles, defaults.profiles),
             sizes=tuple(sizes),
-            divergence=float(data_raw.get("divergence", defaults.divergence)),
-            class_mix=class_mix,
+            divergence=checked("divergence", check_divergence, defaults.divergence),
+            class_mix=None if class_mix is None else checked("class_mix", check_class_mix, None),
         )
     if source == "files":
         paths = tuple(str(p) for p in data_raw.get("paths", ()))
@@ -272,9 +286,9 @@ def _build_data_spec(data_raw: dict, fail) -> DataSpec:
         return DataSpec(source="files", paths=paths, column_map=data_raw.get("column_map"))
     if source == "corpus":
         corpus = str(data_raw.get("corpus", ""))
-        shares = tuple(float(s) for s in data_raw.get("shares", ()))
-        if not corpus or not shares:
+        if not corpus or not data_raw.get("shares"):
             fail("data.source", "data source 'corpus' needs data.corpus and data.shares")
+        shares = tuple(checked("shares", check_shares, ()).tolist())
         return DataSpec(
             source="corpus", corpus=corpus, shares=shares, column_map=data_raw.get("column_map")
         )

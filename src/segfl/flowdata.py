@@ -246,12 +246,12 @@ def parse_flow_csv(
         try:
             header = next(reader)
         except StopIteration:
-            raise ValueError(f"{path}: empty file, no header row") from None
+            raise ValueError("empty file, no header row") from None
         header = [col.strip() for col in header]
         positions: dict[str, int] = {}
         for source, canonical in column_map.items():
             if source not in header:
-                raise ValueError(f"{path}: column {source!r} not in header")
+                raise ValueError(f"column {source!r} not in header")
             positions[canonical] = header.index(source)
 
         for row in reader:
@@ -369,6 +369,21 @@ def train_test_split(
     return dataset.subset(np.flatnonzero(~test_mask)), dataset.subset(np.flatnonzero(test_mask))
 
 
+def check_shares(shares) -> np.ndarray:
+    """The shares as float64 weights; ValueError unless non-empty, non-negative, summing to 1."""
+    try:
+        weights = np.asarray(shares, dtype=np.float64)
+    except (TypeError, ValueError):
+        weights = np.empty(0)
+    if weights.ndim != 1 or weights.size == 0:
+        raise ValueError(f"shares must be a non-empty list of numbers, got {shares!r}")
+    if np.any(weights < 0):
+        raise ValueError(f"shares must be non-negative, got {shares}")
+    if not abs(weights.sum() - 1.0) <= 1e-9:
+        raise ValueError(f"shares must sum to 1, got {float(weights.sum())!r}")
+    return weights
+
+
 def partition_workers(
     dataset: LabeledDataset, shares: list[float], seed: int = 0
 ) -> list[LabeledDataset]:
@@ -377,14 +392,7 @@ def partition_workers(
     The shares must sum to 1 (within 1e-9).  Rows are shuffled once under the
     seed and dealt out contiguously, so the shards are disjoint and exhaustive.
     """
-    if len(shares) == 0:
-        raise ValueError("shares must be non-empty")
-    weights = np.asarray(shares, dtype=np.float64)
-    if np.any(weights < 0):
-        raise ValueError(f"shares must be non-negative, got {shares}")
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError(f"shares must sum to 1, got {weights.sum()!r}")
-
+    weights = check_shares(shares)
     counts = _largest_remainder_counts(dataset.sample_count, weights)
     perm = np.random.default_rng(seed).permutation(dataset.sample_count)
     shards = []

@@ -8,9 +8,11 @@ results plus a snapshot of the other groups' globals.  Trained workers carry
 their freshly trained vectors into the evaluation bookkeeping and only pick
 up the new global when the next round begins.
 
-Every ``eval_every``-th round each group's members are scored and regrouped;
-an emptied group is retired.  The union of live groups' member lists always
-equals the worker set — this is asserted after every round and boundary.
+Every ``eval_every``-th round each group's members are scored and regrouped.
+Membership lives in one place, ``WorkerState.group_id``: a group's members
+are the workers that name it, and a group is live while any worker does, so
+the live groups partition the worker set by construction.  ``groups`` maps
+every group id ever founded to its global parameters.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {', '.join(MODES)}; got {self.mode!r}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.participants_per_round is not None and self.participants_per_round < 1:
@@ -141,14 +143,6 @@ class WorkerState:
     sample_count: int  # undersampled training-shard size, weights aggregation
     params: ModelParams
     val_history: list[float] = field(default_factory=list)
-
-
-@dataclass
-class GroupState:
-    group_id: int
-    params: ModelParams
-    member_ids: list[int]
-    retired: bool = False
 
 
 @dataclass(frozen=True)
@@ -188,7 +182,7 @@ class ExperimentResult:
     reports: tuple[RoundReport, ...]
     timeline: tuple[TimelineEvent, ...]
     workers: dict[int, WorkerState]
-    groups: dict[int, GroupState]
+    groups: dict[int, ModelParams]  # every group ever founded, retired ones included
 
 
 @dataclass
@@ -305,51 +299,35 @@ def _load_raw_shards(config: ExperimentConfig) -> list[LabeledDataset]:
 
 
 def _read_flows(path, column_map: dict[str, str], owner: str) -> LabeledDataset:
-    """Parse and encode one flow file; a token outside the vocabulary is a ConfigError."""
-    table = parse_flow_csv(path, column_map)
+    """Parse and encode one flow file; an unreadable file or unseen token is a ConfigError."""
     try:
-        return default_encoding().encode(table)
+        return default_encoding().encode(parse_flow_csv(path, column_map))
+    except OSError as exc:
+        raise ConfigError(f"{owner}: {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{owner}: {path}: {exc}") from None
 
 
 def broadcast_initial(
     workers: list[WorkerState], config: ExperimentConfig
-) -> tuple[dict[int, WorkerState], dict[int, GroupState]]:
+) -> tuple[dict[int, WorkerState], dict[int, ModelParams]]:
     """Create the initial single group and push its parameters to everyone."""
     spec = LayerSpec(workers[0].train.features.shape[1], config.hidden_dims)
     global_params = init_params(spec, derive_seed(config.seed, "init"))
-    group = GroupState(
-        group_id=1,
-        params=global_params,
-        member_ids=sorted(w.worker_id for w in workers),
-    )
     worker_map = {}
     for worker in workers:
-        worker.group_id = group.group_id
+        worker.group_id = 1
         worker.params = global_params.copy()
         worker_map[worker.worker_id] = worker
-    groups = {group.group_id: group}
-    _assert_partition(worker_map, groups)
-    return worker_map, groups
+    return worker_map, {1: global_params}
 
 
-def _assert_partition(workers: dict[int, WorkerState], groups: dict[int, GroupState]) -> None:
-    placed: list[int] = []
-    for group in groups.values():
-        if group.retired:
-            if group.member_ids:
-                raise RuntimeError(f"retired group {group.group_id} still has members")
-            continue
-        placed.extend(group.member_ids)
-        for wid in group.member_ids:
-            if workers[wid].group_id != group.group_id:
-                raise RuntimeError(
-                    f"worker {wid} thinks it is in group {workers[wid].group_id}, "
-                    f"but group {group.group_id} lists it"
-                )
-    if sorted(placed) != sorted(workers):
-        raise RuntimeError("live groups do not partition the worker set")
+def _live_members(workers: dict[int, WorkerState]) -> dict[int, list[int]]:
+    """Each live group id -> its member ids, both in ascending order."""
+    members: dict[int, list[int]] = {}
+    for wid in sorted(workers):
+        members.setdefault(workers[wid].group_id, []).append(wid)
+    return dict(sorted(members.items()))
 
 
 def _round_robin_window(members: list[int], round_no: int, width: Optional[int]) -> list[int]:
@@ -362,18 +340,17 @@ def _round_robin_window(members: list[int], round_no: int, width: Optional[int])
 
 def run_round(
     workers: dict[int, WorkerState],
-    groups: dict[int, GroupState],
+    groups: dict[int, ModelParams],
     round_no: int,
     config: ExperimentConfig,
 ) -> RoundReport:
     """Execute one federated round over every live group."""
-    live = [groups[gid] for gid in sorted(groups) if not groups[gid].retired]
-    peer_params = {g.group_id: g.params.copy() for g in live}
+    live = _live_members(workers)
+    peer_params = {gid: groups[gid].copy() for gid in live}
 
-    for group in live:
-        members = sorted(group.member_ids)
+    for gid, members in live.items():
         for wid in members:
-            workers[wid].params = group.params.copy()
+            workers[wid].params = groups[gid].copy()
         trainers = _round_robin_window(members, round_no, config.participants_per_round)
 
         contributions = []
@@ -390,14 +367,10 @@ def run_round(
             )
         # Non-trainers keep the global they downloaded at round start, which
         # is exactly the pre-aggregation group vector.
-        others = [peer_params[gid] for gid in sorted(peer_params) if gid != group.group_id]
-        group.params = weighted_aggregate(
-            peer_params[group.group_id], contributions, others, config.weights
-        )
+        others = [peer_params[other] for other in peer_params if other != gid]
+        groups[gid] = weighted_aggregate(peer_params[gid], contributions, others, config.weights)
 
-    report = _score_round(workers, round_no)
-    _assert_partition(workers, groups)
-    return report
+    return _score_round(workers, round_no)
 
 
 def _validation_f1(worker: WorkerState, params: ModelParams) -> float:
@@ -435,37 +408,27 @@ def _score_round(workers: dict[int, WorkerState], round_no: int) -> RoundReport:
 
 def evaluate_and_segment(
     workers: dict[int, WorkerState],
-    groups: dict[int, GroupState],
+    groups: dict[int, ModelParams],
     round_no: int,
     config: ExperimentConfig,
 ) -> list[TimelineEvent]:
     """Score every live group's members and apply the regrouping plans.
 
-    Plans are computed against a snapshot of the boundary's memberships so
-    each worker is evaluated exactly once; the live-group list grows as plans
-    spawn new groups, which keeps the group cap global across the boundary.
+    Plans are computed against the boundary's starting memberships so each
+    worker is evaluated exactly once.  A founded group enters ``groups`` at
+    once, so later plans at the same boundary see it as a candidate and the
+    group cap stays global; the moves are applied after the last plan.
     """
     seg = config.segmentation
-    boundary_groups = [gid for gid in sorted(groups) if not groups[gid].retired]
-    snapshot_members = {gid: sorted(groups[gid].member_ids) for gid in boundary_groups}
-
-    live_ids: list[int] = list(boundary_groups)
-    pending_params: dict[int, ModelParams] = {}
-    pending_members: dict[int, list[int]] = {}
-    next_group_id = max(groups) + 1
-
-    fit_cache: dict[tuple[int, int], float] = {}
+    cutoff = threshold(seg)
+    boundary = _live_members(workers)
+    live_ids = list(boundary)
 
     def cross_fit(wid: int, gid: int) -> float:
-        if (wid, gid) not in fit_cache:
-            params = pending_params.get(gid) or groups[gid].params
-            fit_cache[(wid, gid)] = _validation_f1(workers[wid], params)
-        return fit_cache[(wid, gid)]
+        return _validation_f1(workers[wid], groups[gid])
 
     events: list[TimelineEvent] = []
-    moves_to_apply: list[tuple[int, int]] = []
-    for gid in boundary_groups:
-        members = snapshot_members[gid]
+    for gid, members in boundary.items():
         windows = {wid: workers[wid].val_history[-seg.window :] for wid in members}
         scores = eval_score(windows)
         plan = segment(
@@ -480,15 +443,11 @@ def evaluate_and_segment(
         destinations = {wid: gid for wid in plan.stay}
         destinations.update(plan.moves)
         if plan.new_group is not None:
-            new_id = next_group_id
-            next_group_id += 1
+            new_id = max(groups) + 1
+            groups[new_id] = plan.new_group.params
             live_ids.append(new_id)
-            pending_params[new_id] = plan.new_group.params
-            pending_members[new_id] = list(plan.new_group.member_ids)
             destinations.update({wid: new_id for wid in plan.new_group.member_ids})
-        moves_to_apply.extend((wid, dest) for wid, dest in destinations.items() if dest != gid)
 
-        cutoff = threshold(seg)
         for wid in scores.worker_ids:
             events.append(
                 TimelineEvent(
@@ -502,27 +461,14 @@ def evaluate_and_segment(
                 )
             )
 
-    for new_id, member_ids in pending_members.items():
-        groups[new_id] = GroupState(
-            group_id=new_id, params=pending_params[new_id], member_ids=[]
-        )
-    for wid, dest in moves_to_apply:
-        origin = groups[workers[wid].group_id]
-        origin.member_ids.remove(wid)
-        groups[dest].member_ids.append(wid)
-        groups[dest].member_ids.sort()
+    moves = [(ev.worker_id, ev.new_group) for ev in events if ev.new_group != ev.old_group]
+    for wid, dest in moves:
         workers[wid].group_id = dest
-    for group in groups.values():
-        if not group.member_ids and not group.retired:
-            group.retired = True
-            logger.info("group %d retired at round %d", group.group_id, round_no)
-
-    _assert_partition(workers, groups)
-    if moves_to_apply:
+    if moves:
         logger.info(
             "round %d regrouping: %s",
             round_no,
-            ", ".join(f"worker {wid} -> group {dest}" for wid, dest in moves_to_apply),
+            ", ".join(f"worker {wid} -> group {dest}" for wid, dest in moves),
         )
     return events
 
@@ -531,20 +477,17 @@ def write_checkpoint(
     directory: Path,
     round_no: int,
     workers: dict[int, WorkerState],
-    groups: dict[int, GroupState],
+    groups: dict[int, ModelParams],
 ) -> Path:
     """Persist group/worker parameters and memberships for resumability."""
     target = Path(directory) / f"round_{round_no:04d}"
     target.mkdir(parents=True, exist_ok=True)
+    live = _live_members(workers)
     meta = {
         "round": round_no,
         "groups": [
-            {
-                "id": g.group_id,
-                "members": list(g.member_ids),
-                "retired": g.retired,
-            }
-            for _, g in sorted(groups.items())
+            {"id": gid, "members": live.get(gid, []), "retired": gid not in live}
+            for gid in sorted(groups)
         ],
         "workers": [
             {"id": w.worker_id, "group": w.group_id, "val_history": w.val_history}
@@ -552,8 +495,8 @@ def write_checkpoint(
         ],
     }
     (target / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-    for gid, group in sorted(groups.items()):
-        write_params(group.params, target / f"group_{gid:03d}.params")
+    for gid, params in sorted(groups.items()):
+        write_params(params, target / f"group_{gid:03d}.params")
     for wid, worker in sorted(workers.items()):
         write_params(worker.params, target / f"worker_{wid:03d}.params")
     return target
@@ -675,9 +618,4 @@ def _run_centralized(
         if sinks.on_round:
             sinks.on_round(report)
 
-    groups = {
-        1: GroupState(group_id=1, params=model, member_ids=sorted(workers))
-    }
-    return ExperimentResult(
-        reports=tuple(reports), timeline=(), workers=workers, groups=groups
-    )
+    return ExperimentResult(reports=tuple(reports), timeline=(), workers=workers, groups={1: model})

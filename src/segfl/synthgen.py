@@ -233,9 +233,26 @@ class EnvironmentProfile:
     class_params: tuple[ClassParams, ...]
 
     def __post_init__(self):
-        if self.divergence < 0:
-            raise ValueError(f"divergence must be >= 0, got {self.divergence}")
+        check_divergence(self.divergence)
         check_class_mix(self.class_mix)
+
+
+def check_divergence(divergence) -> float:
+    """The knob as a float; ValueError unless it is a number >= 0."""
+    try:
+        value = float(divergence)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if not value >= 0:
+        raise ValueError(f"divergence must be a number >= 0, got {divergence!r}")
+    return value
+
+
+def check_profiles(profiles) -> tuple[str, ...]:
+    """The profile ids as strings; ValueError unless they are a non-empty list."""
+    if not isinstance(profiles, (list, tuple)) or not profiles:
+        raise ValueError(f"profiles must be a non-empty list of ids, got {profiles!r}")
+    return tuple(str(p) for p in profiles)
 
 
 def check_class_mix(class_mix) -> tuple[float, ...]:
@@ -380,8 +397,7 @@ def make_scenario(
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    if not profiles:
-        raise ValueError("profiles must be non-empty")
+    check_profiles(profiles)
     sizes = np.broadcast_to(np.asarray(sizes, dtype=np.int64), (n_workers,))
     if np.any(sizes < 1):
         raise ValueError("every worker size must be >= 1")

@@ -485,9 +485,9 @@ def test_federated_reduces_to_reference_averaging():
         seed=321,
     )
     workers, groups = broadcast_initial([toy_worker(w) for w in (1, 2, 3)], config)
-    spec = groups[1].params.spec
+    spec = groups[1].spec
     reference = init_params(spec, derive_seed(config.seed, "init"))
-    assert np.array_equal(groups[1].params.flat, reference.flat)
+    assert np.array_equal(groups[1].flat, reference.flat)
     for round_no in range(1, 6):
         ref_trained = [
             train_local(
@@ -499,7 +499,7 @@ def test_federated_reduces_to_reference_averaging():
         ]
         reference = ModelParams(np.stack([t.flat for t in ref_trained]).mean(axis=0), spec)
         run_round(workers, groups, round_no, config)
-        assert np.allclose(groups[1].params.flat, reference.flat, rtol=0, atol=1e-12), (
+        assert np.allclose(groups[1].flat, reference.flat, rtol=0, atol=1e-12), (
             f"federated round {round_no} diverged from the reference loop"
         )
     assert time.monotonic() - start < 1.0

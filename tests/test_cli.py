@@ -113,11 +113,26 @@ def test_load_config_rejects_bad_mode_and_counts(tmp_path):
         ("hidden_dims: [8.7]\n", r"hidden_dims must be a list of positive integers, got \[8.7\]"),
         ("hidden_dims: [8, 0]\n", "hidden_dims must be a list of positive integers"),
         ("N_t: true\n", "N_t must be a positive integer, got True"),
+        # Rules kept in the config dataclasses, reported against the key.
+        ("E: 0\n", "E must be >= 1, got 0"),
+        ("B: 0\n", "B must be >= 1, got 0"),
+        ("eta: -0.5\n", "eta must be >= 0, got -0.5"),
+        ("h_f: 50\n", "h_f 50 leaves no usable threshold"),
+        ("h_j: 0\n", "h_j must be >= 1, got 0"),
+        ("R_e: 0\n", "R_e must be >= 1, got 0"),
+        ("max_groups: 0\n", "max_groups must be >= 1, got 0"),
+        ("resample_k: 0\n", "resample_k must be >= 1, got 0"),
+        ("target_ratio: 0.5\n", "target_ratio must be >= 1, got 0.5"),
+        ("test_fraction: 1.0\n", r"test_fraction must be in \(0, 1\), got 1.0"),
     ]:
         path.write_text("J: 2\n" + text)
         with pytest.raises(ConfigError, match=message) as info:
             load_config(path)
         assert info.value.line == 2, text
+    path.write_text("mode: fl\nJ: 0\n")
+    with pytest.raises(ConfigError, match="J must be >= 1, got 0") as info:
+        load_config(path)
+    assert info.value.line == 2
 
 
 def test_load_config_validates_data_block(tmp_path):
@@ -267,6 +282,13 @@ def _line_of(path: Path, text: str) -> int:
         ({"class_mix": [0.5, 0.5]}, "class_mix:", "data.class_mix must be 3 non-negative shares"),
         ({"class_mix": [0.7, 0.5, -0.2]}, "class_mix:", "data.class_mix must be 3 non-negative"),
         ({"class_mix": [0.5, 0.3, 0.3]}, "class_mix:", "data.class_mix must be 3 non-negative"),
+        ({"divergence": -1}, "divergence:", "data.divergence must be a number >= 0, got -1"),
+        ({"profiles": []}, "profiles:", "data.profiles must be a non-empty list of ids, got []"),
+        (
+            {"source": "corpus", "corpus": "flows.csv", "shares": [0.5, 0.6]},
+            "shares:",
+            "data.shares must sum to 1, got 1.1",
+        ),
     ],
 )
 def test_bad_data_block_exits_2_with_its_line(tmp_path, capsys, data, key, message):
@@ -311,6 +333,47 @@ def test_unseen_token_in_a_flow_file_exits_2_naming_worker_and_path(
     assert f"{config}: corpus: {corpus}: unseen flags token '.X....'" in err, err
 
 
+@pytest.mark.parametrize(
+    "fault, reason",
+    [
+        ("missing", "No such file or directory"),
+        ("empty", "empty file, no header row"),
+        ("header", "column 'protocol' not in header"),
+        ("column_map", "column_map does not cover attributes: ['flags']"),
+    ],
+)
+def test_unreadable_flow_file_exits_2_naming_worker_and_path(
+    tmp_path, capsys, monkeypatch, fault, reason
+):
+    def no_training(*args):
+        raise AssertionError("training started on an unreadable flow file")
+
+    monkeypatch.setattr(orchestrator, "train_local", no_training)
+    first, second = _flow_files(tmp_path, 2)
+    owner, path, mapping = "worker 2", second, {}
+    if fault == "missing":
+        second.unlink()
+    elif fault == "empty":
+        second.write_text("")
+    elif fault == "header":
+        second.write_text(second.read_text().replace("protocol", "proto", 1))
+    else:
+        names = ("duration", "protocol", "src_port", "dst_port", "packets", "bytes", "class")
+        owner, path, mapping = "worker 1", first, {"column_map": {n: n for n in names}}
+    data = {"source": "files", "paths": [str(first), str(second)], **mapping}
+    config = _write_config(tmp_path, data=data)
+    for command in ("run", "compare"):
+        assert main([command, str(config), "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}: {owner}: {path}: {reason}" in err, err
+
+    data = {"source": "corpus", "corpus": str(path), "shares": [0.5, 0.5], **mapping}
+    config = _write_config(tmp_path, data=data)
+    assert main(["run", str(config), "--out", str(tmp_path / "corpus")]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: corpus: {path}: {reason}" in err, err
+
+
 def test_run_output_does_not_depend_on_blas_threads(tmp_path):
     command = [sys.executable, "-m", "segfl.cli", "run", str(_REPO / "configs" / "quick.yaml")]
     outputs = []
@@ -328,11 +391,12 @@ def test_run_output_does_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_failed_run_leaves_a_failed_manifest(tmp_path, capsys):
-    config = _write_config(
-        tmp_path,
-        data={"source": "files", "paths": [str(tmp_path / "missing_flows.csv")]},
-    )
+def test_failed_run_leaves_a_failed_manifest(tmp_path, capsys, monkeypatch):
+    def broken_training(*args):
+        raise RuntimeError("training diverged")
+
+    monkeypatch.setattr(orchestrator, "train_local", broken_training)
+    config = _write_config(tmp_path)
     out_root = tmp_path / "out"
     assert main(["run", str(config), "--out", str(out_root)]) == 1
     assert "segfl: error:" in capsys.readouterr().err

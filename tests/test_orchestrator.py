@@ -10,15 +10,16 @@ import pytest
 from segfl.aggregation import AggregationWeights
 from segfl.flowdata import LabeledDataset
 from segfl.nnet import LayerSpec, ModelParams, TrainConfig, init_params, train_local
+from segfl import orchestrator
 from segfl.orchestrator import (
     DataSpec,
     ExperimentConfig,
-    GroupState,
     RunSinks,
     WorkerState,
     broadcast_initial,
     build_worker_data,
     derive_seed,
+    evaluate_and_segment,
     load_checkpoint,
     run_experiment,
     run_round,
@@ -125,11 +126,11 @@ def test_broadcast_initial_puts_everyone_in_one_group():
     config = _toy_config()
     workers, groups = broadcast_initial(workers_list, config)
     assert set(groups) == {1}
-    assert groups[1].member_ids == [1, 2, 3]
+    assert sorted(workers) == [1, 2, 3]
     for wid, worker in workers.items():
         assert worker.group_id == 1
-        assert np.array_equal(worker.params.flat, groups[1].params.flat)
-        assert worker.params is not groups[1].params
+        assert np.array_equal(worker.params.flat, groups[1].flat)
+        assert worker.params is not groups[1]
 
 
 def test_fl_rounds_match_a_reference_averaging_loop():
@@ -141,7 +142,7 @@ def test_fl_rounds_match_a_reference_averaging_loop():
     workers, groups = broadcast_initial(workers_list, config)
 
     reference = init_params(_TOY_SPEC, derive_seed(config.seed, "init"))
-    assert np.array_equal(groups[1].params.flat, reference.flat)
+    assert np.array_equal(groups[1].flat, reference.flat)
 
     for round_no in range(1, 6):
         trained = [
@@ -154,7 +155,7 @@ def test_fl_rounds_match_a_reference_averaging_loop():
         ]
         reference = ModelParams(np.stack([t.flat for t in trained]).mean(axis=0), _TOY_SPEC)
         run_round(workers, groups, round_no, config)
-        assert np.allclose(groups[1].params.flat, reference.flat, rtol=0, atol=1e-12), (
+        assert np.allclose(groups[1].flat, reference.flat, rtol=0, atol=1e-12), (
             f"diverged at round {round_no}"
         )
 
@@ -167,10 +168,7 @@ def test_peer_group_term_uses_pre_round_snapshot():
     g2 = init_params(_TOY_SPEC, seed=202)
     for wid, gid in ((1, 1), (2, 1), (3, 2)):
         workers[wid].group_id = gid
-    groups = {
-        1: GroupState(group_id=1, params=g1.copy(), member_ids=[1, 2]),
-        2: GroupState(group_id=2, params=g2.copy(), member_ids=[3]),
-    }
+    groups = {1: g1.copy(), 2: g2.copy()}
     config = _toy_config(weights=AggregationWeights(0.5, 0.3, 0.2), seed=77)
 
     def _trained(wid: int, start: ModelParams) -> np.ndarray:
@@ -187,8 +185,8 @@ def test_peer_group_term_uses_pre_round_snapshot():
     expected_g1 = 0.5 * g1.flat + 0.3 * ((10 * t1 + 30 * t2) / 40) + 0.2 * g2.flat
     # Group 2 blends against group 1's value from BEFORE this round's update.
     expected_g2 = 0.5 * g2.flat + 0.3 * t3 + 0.2 * g1.flat
-    assert np.allclose(groups[1].params.flat, expected_g1, rtol=0, atol=1e-12)
-    assert np.allclose(groups[2].params.flat, expected_g2, rtol=0, atol=1e-12)
+    assert np.allclose(groups[1].flat, expected_g1, rtol=0, atol=1e-12)
+    assert np.allclose(groups[2].flat, expected_g2, rtol=0, atol=1e-12)
 
     assert np.array_equal(workers[1].params.flat, t1)
     assert np.array_equal(workers[3].params.flat, t3)
@@ -201,14 +199,14 @@ def test_non_trainers_keep_the_downloaded_global():
     workers_list = [_toy_worker(wid, rng) for wid in (1, 2, 3)]
     config = _toy_config(participants_per_round=1, weights=AggregationWeights(0.2, 0.6, 0.2))
     workers, groups = broadcast_initial(workers_list, config)
-    old_global = groups[1].params.flat.copy()
+    old_global = groups[1].flat.copy()
 
     run_round(workers, groups, 1, config)
 
     assert np.array_equal(workers[2].params.flat, old_global)
     assert np.array_equal(workers[3].params.flat, old_global)
     assert not np.array_equal(workers[1].params.flat, old_global), "worker 1 trained"
-    assert not np.array_equal(groups[1].params.flat, old_global), "global was refreshed"
+    assert not np.array_equal(groups[1].flat, old_global), "global was refreshed"
 
 
 def test_round_report_rows_are_ordered_and_scored():
@@ -242,11 +240,59 @@ def test_checkpoint_roundtrip(tmp_path):
     assert set(loaded["groups"]) == {1}
     assert loaded["groups"][1]["members"] == [1, 2, 3]
     assert loaded["groups"][1]["retired"] is False
-    assert np.array_equal(loaded["groups"][1]["params"].flat, groups[1].params.flat)
+    assert np.array_equal(loaded["groups"][1]["params"].flat, groups[1].flat)
     for wid in (1, 2, 3):
         assert loaded["workers"][wid]["group"] == 1
         assert loaded["workers"][wid]["val_history"] == workers[wid].val_history
         assert np.array_equal(loaded["workers"][wid]["params"].flat, workers[wid].params.flat)
+
+
+def test_boundary_founds_a_group_that_a_later_plan_moves_into(tmp_path, monkeypatch):
+    # Groups 1-3 are live.  Worker 3 misfits group 1 and fits nowhere, so it
+    # founds group 4; worker 5 then misfits group 2 and moves into group 4.
+    rng = np.random.default_rng(8)
+    workers = {wid: _toy_worker(wid, rng) for wid in range(1, 7)}
+    histories = {1: 0.9, 2: 0.9, 3: 0.1, 4: 0.9, 5: 0.1, 6: 0.5}
+    for wid, gid in {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3}.items():
+        workers[wid].group_id = gid
+        workers[wid].val_history = [histories[wid]]
+    # A group's parameters hold its id in every coordinate; worker 3's local
+    # parameters seed group 4.
+    workers[3].params = ModelParams(np.full(_TOY_SPEC.n_params, 4.0), _TOY_SPEC)
+    groups = {
+        gid: ModelParams(np.full(_TOY_SPEC.n_params, float(gid)), _TOY_SPEC) for gid in (1, 2, 3)
+    }
+
+    asked = []
+
+    def fit(worker, params):
+        asked.append((worker.worker_id, int(params.flat[0])))
+        return 0.8 if asked[-1] == (5, 4) else 0.0
+
+    monkeypatch.setattr(orchestrator, "_validation_f1", fit)
+    config = _toy_config(
+        mode="segmented_fl",
+        segmentation=SegmentationConfig(fineness=7, eval_every=1, window=1, max_groups=4),
+    )
+    events = evaluate_and_segment(workers, groups, 1, config)
+
+    assert asked == [(3, 2), (3, 3), (5, 1), (5, 3), (5, 4)]
+    assert {wid: w.group_id for wid, w in workers.items()} == {1: 1, 2: 1, 3: 4, 4: 2, 5: 4, 6: 3}
+    moves = [(e.worker_id, e.old_group, e.new_group) for e in events]
+    assert moves == [(1, 1, 1), (2, 1, 1), (3, 1, 4), (4, 2, 2), (5, 2, 4), (6, 3, 3)]
+    assert sorted(groups) == [1, 2, 3, 4]
+    assert np.array_equal(groups[4].flat, workers[3].params.flat)
+
+    meta = load_checkpoint(write_checkpoint(tmp_path, 1, workers, groups))
+    membership = {gid: (g["members"], g["retired"]) for gid, g in meta["groups"].items()}
+    assert membership == {1: ([1, 2], False), 2: ([4], False), 3: ([6], False), 4: ([3, 5], False)}
+    # Regrouping never empties a group (its best member scores at least 0.5),
+    # so a retired group is set by hand.
+    workers[6].group_id = 1
+    meta = load_checkpoint(write_checkpoint(tmp_path, 2, workers, groups))
+    membership = {gid: (g["members"], g["retired"]) for gid, g in meta["groups"].items()}
+    assert membership == {1: ([1, 2, 6], False), 2: ([4], False), 3: ([], True), 4: ([3, 5], False)}
+    assert np.array_equal(meta["groups"][3]["params"].flat, groups[3].flat)
 
 
 def test_run_experiment_is_deterministic():
@@ -256,7 +302,7 @@ def test_run_experiment_is_deterministic():
     assert a.reports == b.reports
     assert a.timeline == b.timeline
     for gid in a.groups:
-        assert np.array_equal(a.groups[gid].params.flat, b.groups[gid].params.flat)
+        assert np.array_equal(a.groups[gid].flat, b.groups[gid].flat)
 
 
 def test_prepared_workers_are_reset_not_reused():
