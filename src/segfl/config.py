@@ -279,19 +279,20 @@ def _build_data_spec(data_raw: dict, fail) -> DataSpec:
             divergence=checked("divergence", check_divergence, defaults.divergence),
             class_mix=None if class_mix is None else checked("class_mix", check_class_mix, None),
         )
+    column_map = data_raw.get("column_map")
+    if column_map is not None and not isinstance(column_map, dict):
+        fail("data.column_map", f"data.column_map must be a mapping, got {column_map!r}")
     if source == "files":
-        paths = tuple(str(p) for p in data_raw.get("paths", ()))
-        if not paths:
-            fail("data.paths", "data.paths must list one flow file per worker")
-        return DataSpec(source="files", paths=paths, column_map=data_raw.get("column_map"))
+        paths = data_raw.get("paths", [])
+        if not isinstance(paths, list) or not paths:
+            fail("data.paths", f"data.paths must list one flow file per worker, got {paths!r}")
+        return DataSpec(source="files", paths=tuple(map(str, paths)), column_map=column_map)
     if source == "corpus":
         corpus = str(data_raw.get("corpus", ""))
         if not corpus or not data_raw.get("shares"):
             fail("data.source", "data source 'corpus' needs data.corpus and data.shares")
         shares = tuple(checked("shares", check_shares, ()).tolist())
-        return DataSpec(
-            source="corpus", corpus=corpus, shares=shares, column_map=data_raw.get("column_map")
-        )
+        return DataSpec(source="corpus", corpus=corpus, shares=shares, column_map=column_map)
     fail("data.source", f"data.source must be synthetic, files, or corpus; got {source!r}")
 
 

@@ -4,6 +4,8 @@ The architecture is fixed in kind — ReLU hidden layers, softmax output,
 categorical cross-entropy — with the layer widths configurable.  Parameters
 live in a single float64 vector so that federated averaging is plain vector
 arithmetic; training is epoch-wise minibatch SGD with analytic gradients.
+Each pass allocates every layer's output once and works in place otherwise,
+keeping every floating-point operation and its order, so results are bit-exact.
 """
 
 from __future__ import annotations
@@ -106,21 +108,24 @@ def init_params(spec: LayerSpec, seed: int = 0) -> ModelParams:
     return ModelParams(flat, spec)
 
 
-def _forward_cached(flat, spec, features):
-    """Forward pass keeping the post-ReLU activations for backprop."""
-    layers = _layer_views(flat, spec)
-    activations = [np.asarray(features, dtype=np.float64)]
+def _forward_cached(layers, features):
+    """Forward pass over ``_layer_views`` keeping the post-ReLU activations for backprop."""
+    activations = [features]
     for w, b in layers[:-1]:
-        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+        h = activations[-1] @ w
+        h += b
+        activations.append(np.maximum(h, 0.0, out=h))
     w_out, b_out = layers[-1]
-    logits = activations[-1] @ w_out + b_out
+    logits = activations[-1] @ w_out
+    logits += b_out
     return activations, logits
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=1, keepdims=True)
+    return shifted
 
 
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -130,7 +135,7 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"features shape {features.shape} does not match input_dim {params.spec.input_dim}"
         )
-    _, logits = _forward_cached(params.flat, params.spec, features)
+    _, logits = _forward_cached(_layer_views(params.flat, params.spec), features)
     return _softmax(logits)
 
 
@@ -142,15 +147,33 @@ def predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     # log-sum-exp form: never exponentiates anything above zero.
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(len(labels)), labels]
-    return float(np.mean(log_norm - picked))
+    log_norm = np.exp(shifted, out=shifted).sum(axis=1)
+    np.log(log_norm, out=log_norm)
+    log_norm -= picked
+    return float(np.mean(log_norm))
 
 
 def mean_loss(params: ModelParams, data: LabeledDataset) -> float:
     """Mean categorical cross-entropy over the dataset."""
-    _, logits = _forward_cached(params.flat, params.spec, data.features)
+    _, logits = _forward_cached(_layer_views(params.flat, params.spec), data.features)
     return _cross_entropy(logits, data.labels)
+
+
+def _backprop(layers, grad_layers, x, y) -> np.ndarray:
+    """Overwrite all of ``grad_layers`` with the mean cross-entropy gradient; return logits."""
+    activations, logits = _forward_cached(layers, x)
+    delta = _softmax(logits)
+    delta[np.arange(len(y)), y] -= 1.0
+    delta /= len(y)
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grad_layers[i]
+        np.matmul(activations[i].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
+        if i > 0:
+            delta = delta @ layers[i][0].T
+            np.multiply(delta, activations[i] > 0, out=delta)
+    return logits
 
 
 def loss_and_grad(
@@ -172,27 +195,11 @@ def loss_and_grad(
         raise ValueError("cannot compute a gradient on zero samples")
     if labels.min() < 0 or labels.max() >= params.spec.output_dim:
         raise ValueError("labels out of range for output_dim")
-
-    spec = params.spec
-    activations, logits = _forward_cached(params.flat, spec, features)
-    loss = _cross_entropy(logits, labels)
-
-    n = len(labels)
-    delta = _softmax(logits)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-
-    grad = np.zeros_like(params.flat)
-    grad_layers = _layer_views(grad, spec)
-    layers = _layer_views(params.flat, spec)
-    for i in range(len(layers) - 1, -1, -1):
-        gw, gb = grad_layers[i]
-        gw[:] = activations[i].T @ delta
-        gb[:] = delta.sum(axis=0)
-        if i > 0:
-            w, _ = layers[i]
-            delta = (delta @ w.T) * (activations[i] > 0)
-    return loss, grad
+    grad = np.empty_like(params.flat)
+    logits = _backprop(
+        _layer_views(params.flat, params.spec), _layer_views(grad, params.spec), features, labels
+    )
+    return _cross_entropy(logits, labels), grad
 
 
 def train_local(params: ModelParams, data: LabeledDataset, config: TrainConfig) -> ModelParams:
@@ -204,17 +211,25 @@ def train_local(params: ModelParams, data: LabeledDataset, config: TrainConfig) 
     if data.sample_count == 0:
         logger.warning("train_local called with empty data; params returned unchanged")
         return params.copy()
+    features = np.asarray(data.features, dtype=np.float64)
+    labels = np.asarray(data.labels, dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= params.spec.output_dim:
+        raise ValueError("labels out of range for output_dim")
     rng = np.random.default_rng(config.seed)
-    flat = params.flat.copy()
-    n = data.sample_count
+    flat, grad = params.flat.copy(), np.empty_like(params.flat)
+    layers, grad_layers = _layer_views(flat, params.spec), _layer_views(grad, params.spec)
+    n, size = data.sample_count, min(config.batch_size, data.sample_count)
+    x_buf = np.empty((size, features.shape[1]))
+    y_buf = np.empty(size, dtype=np.int64)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            _, grad = loss_and_grad(
-                ModelParams(flat, params.spec), data.features[batch], data.labels[batch]
-            )
-            flat -= config.learning_rate * grad
+            x = np.take(features, batch, axis=0, out=x_buf[: len(batch)])
+            y = np.take(labels, batch, out=y_buf[: len(batch)])
+            _backprop(layers, grad_layers, x, y)
+            grad *= config.learning_rate
+            flat -= grad
     return ModelParams(flat, params.spec)
 
 

@@ -289,6 +289,21 @@ def _line_of(path: Path, text: str) -> int:
             "shares:",
             "data.shares must sum to 1, got 1.1",
         ),
+        (
+            {"source": "files", "paths": "flows.csv"},
+            "paths:",
+            "data.paths must list one flow file per worker, got 'flows.csv'",
+        ),
+        (
+            {"source": "files", "paths": ["flows.csv"], "column_map": ["a", "b"]},
+            "column_map:",
+            "data.column_map must be a mapping, got ['a', 'b']",
+        ),
+        (
+            {"source": "corpus", "corpus": "flows.csv", "shares": [1.0], "column_map": "a"},
+            "column_map:",
+            "data.column_map must be a mapping, got 'a'",
+        ),
     ],
 )
 def test_bad_data_block_exits_2_with_its_line(tmp_path, capsys, data, key, message):

@@ -68,6 +68,126 @@ def _kink_margin(params: ModelParams, features: np.ndarray) -> float:
     return margin
 
 
+# Frozen copy of the allocating implementation the in-place numeric core
+# replaced.  Every floating-point operation and its order are the same, so the
+# library must reproduce it bit for bit, not just within a tolerance.
+def _oracle_layers(flat, spec):
+    layers, offset = [], 0
+    for fan_in, fan_out in zip(spec.dims[:-1], spec.dims[1:]):
+        w = flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        layers.append((w, flat[offset : offset + fan_out]))
+        offset += fan_out
+    return layers
+
+
+def _oracle_forward_cached(flat, spec, features):
+    layers = _oracle_layers(flat, spec)
+    activations = [np.asarray(features, dtype=np.float64)]
+    for w, b in layers[:-1]:
+        activations.append(np.maximum(activations[-1] @ w + b, 0.0))
+    w_out, b_out = layers[-1]
+    logits = activations[-1] @ w_out + b_out
+    return activations, logits
+
+
+def _oracle_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _oracle_cross_entropy(logits, labels):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    picked = shifted[np.arange(len(labels)), labels]
+    return float(np.mean(log_norm - picked))
+
+
+def _oracle_loss_and_grad(flat, spec, features, labels):
+    labels = np.asarray(labels, dtype=np.int64)
+    activations, logits = _oracle_forward_cached(flat, spec, features)
+    loss = _oracle_cross_entropy(logits, labels)
+    n = len(labels)
+    delta = _oracle_softmax(logits)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grad = np.zeros_like(flat)
+    grad_layers = _oracle_layers(grad, spec)
+    layers = _oracle_layers(flat, spec)
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grad_layers[i]
+        gw[:] = activations[i].T @ delta
+        gb[:] = delta.sum(axis=0)
+        if i > 0:
+            w, _ = layers[i]
+            delta = (delta @ w.T) * (activations[i] > 0)
+    return loss, grad
+
+
+def _oracle_train_local(params, data, config):
+    rng = np.random.default_rng(config.seed)
+    flat = params.flat.copy()
+    n = data.sample_count
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            _, grad = _oracle_loss_and_grad(
+                flat, params.spec, data.features[batch], data.labels[batch]
+            )
+            flat -= config.learning_rate * grad
+    return flat
+
+
+def _strided(x: np.ndarray) -> np.ndarray:
+    """The same values as a view that is contiguous in neither axis."""
+    backing = np.full((2 * x.shape[0], 3 * x.shape[1]), np.nan)
+    backing[::2, ::3] = x
+    view = backing[::2, ::3]
+    assert not view.flags.c_contiguous and not view.flags.f_contiguous
+    return view
+
+
+_FEATURE_KINDS = {
+    "float64": lambda x: x,
+    "float32": lambda x: x.astype(np.float32),
+    "int": lambda x: np.rint(4 * x).astype(np.int64),
+    "strided": _strided,
+}
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_FEATURE_KINDS))
+@pytest.mark.parametrize("hidden", [(), (5,), (64, 32)], ids=["linear", "5", "64-32"])
+def test_in_place_core_is_bit_identical_to_the_allocating_oracle(hidden, kind):
+    rng = np.random.default_rng(31)
+    spec = LayerSpec(input_dim=4, hidden_dims=hidden, output_dim=3)
+    params = init_params(spec, seed=5)
+    params.flat += rng.normal(scale=0.1, size=spec.n_params)  # non-zero biases
+    features = _FEATURE_KINDS[kind](rng.normal(size=(37, 4)))
+    labels = rng.integers(0, 3, size=37)
+    two_classes = np.arange(37) % 2  # no sample of class 2 in any batch
+
+    _, logits = _oracle_forward_cached(params.flat, spec, features)
+    assert _bits(forward(params, features)) == _bits(_oracle_softmax(logits))
+    for y in (labels, two_classes):
+        loss, grad = loss_and_grad(params, features, y)
+        want_loss, want_grad = _oracle_loss_and_grad(params.flat, spec, features, y)
+        assert _bits(loss) == _bits(want_loss)
+        assert _bits(grad) == _bits(want_grad)
+
+        data = LabeledDataset(features, y)
+        assert _bits(mean_loss(params, data)) == _bits(_oracle_cross_entropy(logits, y))
+        for epochs, batch_size in ((1, 8), (1, 64), (2, 5)):  # 37 % 8 != 0; 37 < 64
+            config = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.3, seed=2)
+            got = train_local(params, data, config).flat
+            assert _bits(got) == _bits(_oracle_train_local(params, data, config))
+
+
 def test_layer_spec_parameter_count():
     spec = LayerSpec(input_dim=7, hidden_dims=(64, 32), output_dim=3)
     assert spec.dims == (7, 64, 32, 3)
@@ -221,11 +341,28 @@ def test_training_is_functional_and_deterministic():
     before = params.flat.copy()
     data = LabeledDataset(rng.normal(size=(30, 2)), rng.integers(0, 3, size=30))
     config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.1, seed=11)
+    data_before = (data.features.copy(), data.labels.copy())
     first = train_local(params, data, config)
     second = train_local(params, data, config)
     assert np.array_equal(params.flat, before), "input params were mutated"
+    assert np.array_equal(data.features, data_before[0]), "features were mutated"
+    assert np.array_equal(data.labels, data_before[1]), "labels were mutated"
     assert np.array_equal(first.flat, second.flat)
     assert not np.array_equal(first.flat, before)
+    # Each result owns its memory: no view into a reused buffer, no aliasing.
+    assert first.flat.flags.owndata and second.flat.flags.owndata
+    assert not np.shares_memory(first.flat, second.flat)
+    for result in (first.flat, second.flat):
+        for other in (params.flat, data.features, data.labels):
+            assert not np.shares_memory(result, other)
+
+
+def test_training_rejects_out_of_range_labels():
+    params = init_params(LayerSpec(input_dim=2, hidden_dims=(3,), output_dim=3), seed=0)
+    features = np.zeros((6, 2))
+    for bad in (np.array([0, 1, 2, 0, 1, 3]), np.array([0, -1, 2, 0, 1, 2])):
+        with pytest.raises(ValueError, match="labels out of range for output_dim"):
+            train_local(params, LabeledDataset(features, bad), TrainConfig(batch_size=2))
 
 
 def test_training_learns_a_separable_toy_problem():
