@@ -23,6 +23,16 @@ class AggregationWeights:
     beta: float = 0.6
     gamma: float = 0.2
 
+    def __post_init__(self):
+        weights = {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
+        for name, value in weights.items():
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative, got {value}")
+        total = sum(weights.values())
+        if not abs(total - 1.0) <= _WEIGHT_TOL:
+            shown = ", ".join(f"{name}={value}" for name, value in weights.items())
+            raise ValueError(f"alpha + beta + gamma must sum to 1; got {shown} (sum {total!r})")
+
 
 @dataclass(frozen=True)
 class LocalContribution:
@@ -57,10 +67,6 @@ def weighted_aggregate(
     Returns a new ModelParams; no input is modified.
     """
     alpha, beta, gamma = weights.alpha, weights.beta, weights.gamma
-    if min(alpha, beta, gamma) < 0:
-        raise ValueError(f"weights must be non-negative, got {weights}")
-    if abs(alpha + beta + gamma - 1.0) > _WEIGHT_TOL:
-        raise ValueError(f"alpha + beta + gamma must sum to 1, got {alpha + beta + gamma!r}")
     if not contributions:
         raise ValueError("weighted_aggregate needs at least one contribution")
     _check_same_shape(

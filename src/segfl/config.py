@@ -53,10 +53,10 @@ _DATA_KEYS = {
 }
 
 
-# Config dataclass field -> the key that sets it.  Each __post_init__ message
-# begins with the field's name, which an error report swaps for the key.
+# Config dataclass field -> the key that sets it, where the two names differ.
+# Each __post_init__ message begins with the field's name, which an error
+# report swaps for the key.
 _KEY_OF_FIELD = {
-    "mode": "mode",
     "rounds": "J",
     "participants_per_round": "N_t",
     "epochs": "E",
@@ -65,10 +65,7 @@ _KEY_OF_FIELD = {
     "fineness": "h_f",
     "eval_every": "h_j",
     "window": "R_e",
-    "max_groups": "max_groups",
     "neighbors_k": "resample_k",
-    "target_ratio": "target_ratio",
-    "test_fraction": "test_fraction",
 }
 
 
@@ -179,15 +176,6 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
         if not isinstance(resolved[key], (int, float)) or isinstance(resolved[key], bool):
             fail(key, f"{key} must be a number, got {resolved[key]!r}")
 
-    blend = resolved["alpha"] + resolved["beta"] + resolved["gamma"]
-    if min(resolved["alpha"], resolved["beta"], resolved["gamma"]) < 0 or abs(blend - 1.0) > 1e-9:
-        fail(
-            "alpha",
-            f"alpha, beta, gamma must be non-negative and sum to 1; "
-            f"got alpha={resolved['alpha']}, beta={resolved['beta']}, "
-            f"gamma={resolved['gamma']} (sum {blend!r})",
-        )
-
     data_raw = raw.get("data") or {}
     if not isinstance(data_raw, dict):
         fail("data", "data must be a mapping")
@@ -229,7 +217,7 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
         )
     except ValueError as exc:
         name, _, rest = str(exc).partition(" ")
-        key = _KEY_OF_FIELD.get(name)
+        key = _KEY_OF_FIELD.get(name, name if name in resolved else None)
         if key is None:
             raise ConfigError(str(exc)) from None
         fail(key, f"{key} {rest}")

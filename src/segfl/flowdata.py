@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field, fields
-from itertools import product
+from itertools import chain, islice, product
 
 import numpy as np
 
@@ -46,6 +47,12 @@ _FLAGS_VOCAB = tuple(
 
 # FlowTable column dtypes, in field order.
 _COLUMN_DTYPES = (np.float64, object, np.int64, np.int64, np.int64, np.int64, object, object)
+
+# parse_flow_csv reads data rows in blocks of this many lines, each by np.loadtxt as
+# these fields: counts float64 like _parse_count's float(), tokens untruncated str.
+_BLOCK_LINES = 65536
+_BLOCK_DTYPE = [("duration", "f8"), ("protocol", "O"), ("src_port", "i8"), ("dst_port", "i8"),
+                ("packets", "f8"), ("bytes", "f8"), ("flags", "O"), (CLASS_COLUMN, "O")]
 
 
 @dataclass(frozen=True)
@@ -237,7 +244,7 @@ def parse_flow_csv(
     if missing:
         raise ValueError(f"column_map does not cover attributes: {sorted(missing)}")
 
-    rows: list[tuple] = []
+    parts: list[list[np.ndarray]] = []
     rejects: list[tuple[int, str]] = []
     dropped_classes: dict[str, int] = {}
 
@@ -254,21 +261,16 @@ def parse_flow_csv(
                 raise ValueError(f"column {source!r} not in header")
             positions[canonical] = header.index(source)
 
-        for row in reader:
-            if not row:
-                continue
-            line_no = reader.line_num
-            try:
-                coerced = _coerce_row(row, positions)
-            except (ValueError, IndexError) as exc:
-                rejects.append((line_no, str(exc)))
-                continue
-            label = coerced[-1]
-            if label not in CLASS_CODES:
-                rejects.append((line_no, f"unsupported class {label!r}"))
-                dropped_classes[label] = dropped_classes.get(label, 0) + 1
-                continue
-            rows.append(coerced)
+        lines_before = reader.line_num
+        while block := list(islice(fh, _BLOCK_LINES)):
+            columns = _parse_block(block, lines_before + 1, positions, rejects, dropped_classes)
+            if columns is None:
+                # A quoted field may span blocks, so csv.reader takes the rest of the file.
+                quoted = any('"' in line for line in block)
+                rows = csv.reader(chain(block, fh) if quoted else block)
+                columns = _coerce_rows(rows, lines_before, positions, rejects, dropped_classes)
+            parts.append(columns)
+            lines_before += len(block)
 
     if rejects_path is not None:
         with open(rejects_path, "w") as out:
@@ -276,9 +278,69 @@ def parse_flow_csv(
                 out.write(f"{line_no}\t{reason}\n")
     if dropped_classes:
         logger.info("dropped rows by unsupported class: %s", dict(sorted(dropped_classes.items())))
+    table = FlowTable(*(map(np.concatenate, zip(*parts)) if parts else [()] * len(_COLUMN_DTYPES)))
     if rejects:
-        logger.info("rejected %d of %d data rows", len(rejects), len(rejects) + len(rows))
-    return FlowTable(*(zip(*rows) if rows else [()] * len(_COLUMN_DTYPES)))
+        logger.info("rejected %d of %d data rows", len(rejects), len(rejects) + len(table))
+    return table
+
+
+def _parse_block(lines, first_line, positions, rejects, dropped_classes):
+    """A block's columns by np.loadtxt; line i is row i, on line ``first_line + i``.
+
+    None, recording nothing, if csv.reader could read a line differently (a quote,
+    a NUL before Python 3.11, an over-long field) or a row breaks a ``_coerce_row`` rule.
+    """
+    text = "".join(lines)
+    if '"' in text or "\x00" in text or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.x reads an int "5.0" with a warning
+            table = np.loadtxt(
+                lines, _BLOCK_DTYPE, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                usecols=[positions[name] for name, _ in _BLOCK_DTYPE],
+            )
+    except (ValueError, Warning):
+        return None
+    duration, ports = table["duration"], [table["src_port"], table["dst_port"]]
+    counts = [np.rint(table["packets"]), np.rint(table["bytes"])]  # half-to-even, as round()
+    protocol, flags = ([token.strip() for token in table[name]] for name in ("protocol", "flags"))
+    valid = np.isfinite(duration) & (duration >= 0)
+    valid &= (np.minimum(*ports) >= 0) & (np.maximum(*ports) <= _PORT_MAX)
+    valid &= (np.minimum(*counts) >= 0) & (np.maximum(*counts) < 2.0**63)  # NaN fails too
+    # loadtxt skips blank lines, which would shift the line numbers.
+    if len(table) != len(lines) or not (valid.all() and all(protocol) and all(flags)):
+        return None
+
+    label = [token.strip().lower() for token in table[CLASS_COLUMN]]
+    keep = np.fromiter((token in CLASS_CODES for token in label), bool, len(label))
+    for i in np.flatnonzero(~keep).tolist():
+        rejects.append((first_line + i, f"unsupported class {label[i]!r}"))
+        dropped_classes[label[i]] = dropped_classes.get(label[i], 0) + 1
+    columns = [duration, protocol, *ports, *counts, flags, label]
+    return [np.asarray(column, dtype)[keep] for column, dtype in zip(columns, _COLUMN_DTYPES)]
+
+
+def _coerce_rows(rows, lines_before, positions, rejects, dropped_classes):
+    """Columns of the ``rows`` (a csv.reader from file line ``lines_before + 1``)
+    that ``_coerce_row`` accepts; every other row becomes a reject."""
+    accepted: list[tuple] = []
+    for row in rows:
+        if not row:
+            continue
+        line_no = lines_before + rows.line_num
+        try:
+            coerced = _coerce_row(row, positions)
+        except (ValueError, IndexError) as exc:
+            rejects.append((line_no, str(exc)))
+            continue
+        label = coerced[-1]
+        if label not in CLASS_CODES:
+            rejects.append((line_no, f"unsupported class {label!r}"))
+            dropped_classes[label] = dropped_classes.get(label, 0) + 1
+            continue
+        accepted.append(coerced)
+    return FlowTable(*(zip(*accepted) if accepted else [()] * len(_COLUMN_DTYPES))).columns()
 
 
 def _coerce_row(row: list[str], positions: dict[str, int]) -> tuple:

@@ -32,6 +32,8 @@ class ResampleConfig:
     def __post_init__(self):
         if self.neighbors_k < 1:
             raise ValueError(f"neighbors_k must be >= 1, got {self.neighbors_k}")
+        if not np.isfinite(self.target_ratio):
+            raise ValueError(f"target_ratio must be finite, got {self.target_ratio}")
         if self.target_ratio < 1.0:
             raise ValueError(f"target_ratio must be >= 1, got {self.target_ratio}")
 

@@ -116,6 +116,11 @@ def test_weight_validation():
         weighted_aggregate(former, contribution, [], AggregationWeights(-0.1, 0.9, 0.2))
     with pytest.raises(ValueError, match="sum to 1"):
         weighted_aggregate(former, contribution, [], AggregationWeights(0.5, 0.4, 0.3))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-negative|sum to 1"):
+            weighted_aggregate(former, contribution, [], AggregationWeights(0.5, 0.5, bad))
+        with pytest.raises(ValueError, match="non-negative|sum to 1"):
+            weighted_aggregate(former, contribution, [], AggregationWeights(bad, 0.5, 0.0))
     with pytest.raises(ValueError, match="alpha \\+ beta"):
         weighted_aggregate(former, contribution, [], AggregationWeights(0.0, 0.0, 1.0))
     with pytest.raises(ValueError, match="at least one"):

@@ -124,6 +124,16 @@ def test_load_config_rejects_bad_mode_and_counts(tmp_path):
         ("resample_k: 0\n", "resample_k must be >= 1, got 0"),
         ("target_ratio: 0.5\n", "target_ratio must be >= 1, got 0.5"),
         ("test_fraction: 1.0\n", r"test_fraction must be in \(0, 1\), got 1.0"),
+        # Non-finite values, which pass every "x < 0" rule.
+        ("eta: .nan\n", "eta must be finite, got nan"),
+        ("eta: .inf\n", "eta must be finite, got inf"),
+        ("target_ratio: .inf\n", "target_ratio must be finite, got inf"),
+        ("target_ratio: .nan\n", "target_ratio must be finite, got nan"),
+        ("alpha: .nan\n", "alpha must be non-negative, got nan"),
+        ("beta: .nan\n", "beta must be non-negative, got nan"),
+        ("gamma: -0.1\n", "gamma must be non-negative, got -0.1"),
+        # A blend that does not sum to 1 is reported at alpha's line.
+        ("alpha: 0.3\nbeta: .inf\n", r"must sum to 1; got alpha=0.3, beta=inf, gamma=0.2"),
     ]:
         path.write_text("J: 2\n" + text)
         with pytest.raises(ConfigError, match=message) as info:

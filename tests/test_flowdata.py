@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import logging
+import math
+import re
+
 import numpy as np
 import pytest
 
+from segfl import flowdata
 from segfl.flowdata import (
     CANONICAL_COLUMN_MAP,
     CLASS_CODES,
@@ -319,3 +325,271 @@ def test_feature_layout_matches_declared_order():
         2.5, enc.protocol_codes["UDP"], 5, 6, 7, 8, enc.flags_codes["......"],
     ]
     assert encoded.labels[0] == 2
+
+
+# --- Block parser against a frozen copy of the per-row parser ----------------
+#
+# _oracle_parse is parse_flow_csv as it was before clean rows were read in
+# blocks by np.loadtxt: one csv.reader row and one _coerce_row call per line.
+# The block parser must give the same columns, token lists, rejects file and
+# log lines on every input.
+
+_ORACLE_SUFFIX_FACTORS = {"K": 1e3, "M": 1e6}
+_ORACLE_COUNT_MAX = 2**63 - 1
+
+
+def _oracle_parse_count(token, name):
+    text = token.strip()
+    if not text:
+        raise ValueError("empty count")
+    factor = _ORACLE_SUFFIX_FACTORS.get(text[-1].upper())
+    value = float(text) if factor is None else float(text[:-1].strip()) * factor
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {name} {token!r}")
+    count = int(round(value))
+    if count < 0:
+        raise ValueError(f"negative {name} {count}")
+    if count > _ORACLE_COUNT_MAX:
+        raise ValueError(f"{name} {count} too large")
+    return count
+
+
+def _oracle_parse_port(token):
+    port = int(token.strip())
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port {port} out of range")
+    return port
+
+
+def _oracle_coerce_row(row, positions):
+    try:
+        duration = float(row[positions["duration"]])
+    except ValueError:
+        raise ValueError(f"bad duration {row[positions['duration']]!r}") from None
+    if not math.isfinite(duration) or duration < 0:
+        raise ValueError(f"bad duration {row[positions['duration']]!r}")
+    protocol = row[positions["protocol"]].strip()
+    if not protocol:
+        raise ValueError("empty protocol")
+    flags = row[positions["flags"]].strip()
+    if not flags:
+        raise ValueError("empty flags")
+    packets = _oracle_parse_count(row[positions["packets"]], "packets")
+    nbytes = _oracle_parse_count(row[positions["bytes"]], "bytes")
+    return (
+        duration,
+        protocol,
+        _oracle_parse_port(row[positions["src_port"]]),
+        _oracle_parse_port(row[positions["dst_port"]]),
+        packets,
+        nbytes,
+        flags,
+        row[positions["class"]].strip().lower(),
+    )
+
+
+def _oracle_parse(path, column_map, rejects_path):
+    """Returns the FlowTable and the two log messages the parser would write."""
+    rows, rejects, dropped_classes, messages = [], [], {}, []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [col.strip() for col in next(reader)]
+        positions = {canonical: header.index(source) for source, canonical in column_map.items()}
+        for row in reader:
+            if not row:
+                continue
+            line_no = reader.line_num
+            try:
+                coerced = _oracle_coerce_row(row, positions)
+            except (ValueError, IndexError) as exc:
+                rejects.append((line_no, str(exc)))
+                continue
+            label = coerced[-1]
+            if label not in CLASS_CODES:
+                rejects.append((line_no, f"unsupported class {label!r}"))
+                dropped_classes[label] = dropped_classes.get(label, 0) + 1
+                continue
+            rows.append(coerced)
+    with open(rejects_path, "w") as out:
+        for line_no, reason in rejects:
+            out.write(f"{line_no}\t{reason}\n")
+    if dropped_classes:
+        messages.append(
+            f"dropped rows by unsupported class: {dict(sorted(dropped_classes.items()))}"
+        )
+    if rejects:
+        messages.append(f"rejected {len(rejects)} of {len(rejects) + len(rows)} data rows")
+    return FlowTable(*(zip(*rows) if rows else [()] * 8)), messages
+
+
+_GOOD_TOKENS = {
+    "duration": ["0.5", "1.25", "3", "1e-3", "12.0", "0", "-0.0", " 2.5 "],
+    "protocol": ["TCP", "UDP", "ICMP", " GRE", "IGMP "],
+    "src_port": ["80", "52128", "0", "65535", "+5", " 7 "],
+    "dst_port": ["22", "53", "443", "0"],
+    "packets": ["1", "7", "1.5", "2.5", "-0.4", "1e3", " 12 "],
+    "bytes": ["66", "532", "4096", str(2**53 + 1), "0.5", "1e18"],
+    "flags": [".AP.SF", "......", "....S.", " .A.... "],
+    "class": ["normal", "attacker", "victim", "Normal", " ATTACKER ", "victim "],
+}
+# Each value sends its row, and so its block, to the per-row path.
+_BAD_TOKENS = {
+    "duration": ["nan", "inf", "-1", "abc", "", "1_0", "-inf"],
+    "protocol": ["", "   "],
+    "src_port": ["65536", "70000", "-1", "1_000", "5.0", "1e3", "", "0x10", "99999999999999999999"],
+    "dst_port": ["٣", "3 4"],
+    "packets": ["2.1 M", "4.5 k", "nan", "inf", "-2", "", "1_000"],
+    "bytes": [str(2**63), "1e400", "4.5 K", "1e19", "-0.6"],
+    "flags": ["", " "],
+}
+_SKEWED_CLASSES = ["suspicious", "unknown", "x" * 40, " Suspicious "]
+# Columns in a CIDDS-like order with addresses and a date in between.
+_ORACLE_HEADER = [
+    "Date first seen", "Duration", "Proto", "Src IP Addr", "Src Pt", "Dst IP Addr",
+    "Dst Pt", "Packets", "Bytes", "Flags", "class",
+]
+_ORACLE_SLOTS = [None, "duration", "protocol", None, "src_port", None, "dst_port",
+                 "packets", "bytes", "flags", "class"]
+_ORACLE_MAP = {src: dst for src, dst in zip(_ORACLE_HEADER, _ORACLE_SLOTS) if dst}
+
+
+def _random_line(rng, bad_rate):
+    fields = []
+    for slot in _ORACLE_SLOTS:
+        if slot is None:
+            fields.append("2017-03-15 00:01:16" if not fields else "192.168.100.5")
+        elif slot == "class":
+            pool = _SKEWED_CLASSES if rng.random() < 0.1 else _GOOD_TOKENS["class"]
+            fields.append(pool[rng.integers(len(pool))])
+        elif slot in _BAD_TOKENS and rng.random() < bad_rate:
+            fields.append(_BAD_TOKENS[slot][rng.integers(len(_BAD_TOKENS[slot]))])
+        else:
+            fields.append(_GOOD_TOKENS[slot][rng.integers(len(_GOOD_TOKENS[slot]))])
+    odd = rng.random()
+    if odd < 0.02:
+        fields = fields[: rng.integers(1, len(fields))]  # short row
+    elif odd < 0.04:
+        fields = fields + ["extra", "wide"]
+    line = ",".join(fields)
+    if rng.random() < 0.01:
+        line = "#" + line
+    return line
+
+
+def _oracle_file(rng, n_rows, newline, bad_rate, tail_quotes):
+    lines = [",".join(_ORACLE_HEADER)]
+    for _ in range(n_rows):
+        roll = rng.random()
+        if roll < 0.02:
+            lines.append("")
+        elif roll < 0.03:
+            lines.append("   ")
+        else:
+            lines.append(_random_line(rng, bad_rate))
+    if tail_quotes:
+        # Quoted fields holding a newline, a comma and a doubled quote.  With
+        # _BLOCK_LINES 7 a block ends on line 7k + 1 (the header is line 1),
+        # which is where the field spanning two lines starts.
+        quoted = [
+            '"2017\n03",0.5,UDP,a,53,b,53,1,66,......,attacker',
+            '2017-03-15,0.5,"TCP",a,80,b,22,7,532,".AP.SF",normal',
+            '2017-03-15,0.5,TCP,"a,b",80,b,22,7,532,......,"vic""tim"',
+            '2017-03-15,0.25,TCP,a,80,b,22,7,532,......,normal',
+        ]
+        while len(lines) % 7 != 0:
+            lines.append(_random_line(rng, 0.0))
+        lines.extend(quoted)
+        lines.extend(_random_line(rng, bad_rate) for _ in range(9))
+    return newline.join(lines) + (newline if rng.random() < 0.5 else "")
+
+
+def _assert_same_parse(path, tmp_path, caplog, column_map):
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="segfl.flowdata"):
+        table = parse_flow_csv(path, column_map, rejects_path=tmp_path / "rejects.txt")
+    messages = [record.getMessage() for record in caplog.records]
+    expected, expected_messages = _oracle_parse(path, column_map, tmp_path / "expected.txt")
+    for ours, theirs in zip(table.columns(), expected.columns(), strict=True):
+        assert ours.dtype == theirs.dtype
+        if ours.dtype == object:
+            assert ours.tolist() == theirs.tolist()
+            assert all(type(token) is str for token in ours.tolist())
+        else:
+            assert ours.tobytes() == theirs.tobytes()
+    assert (tmp_path / "rejects.txt").read_text() == (tmp_path / "expected.txt").read_text()
+    assert messages == expected_messages
+    return table
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_parser_matches_the_per_row_oracle(seed, tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 7)
+    fast_blocks = []
+    parse_block = flowdata._parse_block
+    monkeypatch.setattr(
+        flowdata, "_parse_block",
+        lambda *args: fast_blocks.append(parse_block(*args)) or fast_blocks[-1],
+    )
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "flows.csv"
+    newline = "\r\n" if seed % 2 else "\n"
+    bad_rate = 0.0 if seed == 0 else 0.03
+    path.write_bytes(_oracle_file(rng, 300, newline, bad_rate, seed >= 2).encode())
+    table = _assert_same_parse(path, tmp_path, caplog, _ORACLE_MAP)
+    assert len(table) > 100
+    # Both paths ran: some blocks by loadtxt, some row by row.
+    assert any(block is not None for block in fast_blocks)
+    assert seed == 0 or any(block is None for block in fast_blocks)
+
+
+def test_block_parser_matches_the_oracle_on_edge_files(tmp_path, caplog):
+    header = ",".join(FEATURE_NAMES) + ",class"
+    row = "0.5,TCP,80,22,7,532,.AP.SF,normal"
+    for text in [
+        header,  # no data rows
+        header + "\n",
+        header + "\n\n\n",
+        header + "\n" + row,  # no final newline
+        header + "\r" + row + "\r" + row.replace("normal", "unknown") + "\r",
+        header + "\n" + row + "\n" + row.replace("TCP", "TCP\x00") + "\n",
+        header + "\n" + row.replace("TCP", "T" * 200_000) + "\n",  # past csv's field limit
+        header + "\n" + row.replace(".AP.SF", ".AP.SF \x0c") + "\n",
+        '"dur\nation",protocol,src_port,dst_port,packets,bytes,flags,class\n' + row,
+    ]:
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode())
+        column_map = dict(CANONICAL_COLUMN_MAP)
+        if text.startswith('"'):
+            column_map["dur\nation"] = column_map.pop("duration")
+        try:
+            _oracle_parse(path, column_map, tmp_path / "expected.txt")
+        except csv.Error as exc:  # the field limit, and NUL before Python 3.11
+            with pytest.raises(csv.Error, match=re.escape(str(exc))):
+                parse_flow_csv(path, column_map)
+            continue
+        _assert_same_parse(path, tmp_path, caplog, column_map)
+
+
+def test_unsupported_classes_in_a_fast_block_name_their_lines(tmp_path, caplog, monkeypatch):
+    def no_per_row_path(*args):
+        raise AssertionError("the block should not need the per-row path")
+
+    monkeypatch.setattr(flowdata, "_coerce_rows", no_per_row_path)
+    path = tmp_path / "flows.csv"
+    path.write_text(
+        _HEADER + "\n"
+        + "\n".join(_ROWS[i] for i in (0, 3, 7, 4, 0))  # suspicious on line 3, unknown on 5
+        + "\n"
+    )
+    rejects = tmp_path / "rejects.txt"
+    with caplog.at_level(logging.INFO, logger="segfl.flowdata"):
+        table = parse_flow_csv(path, _COLUMN_MAP, rejects_path=rejects)
+    assert table.label.tolist() == ["normal", "victim", "normal"]
+    assert rejects.read_text().splitlines() == [
+        "3\tunsupported class 'suspicious'",
+        "5\tunsupported class 'unknown'",
+    ]
+    assert caplog.messages == [
+        "dropped rows by unsupported class: {'suspicious': 1, 'unknown': 1}",
+        "rejected 2 of 5 data rows",
+    ]
