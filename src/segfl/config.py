@@ -220,7 +220,10 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
         key = _KEY_OF_FIELD.get(name, name if name in resolved else None)
         if key is None:
             raise ConfigError(str(exc)) from None
-        fail(key, f"{key} {rest}")
+        message = f"{key} {rest}"
+        if rest.startswith("+ beta + gamma"):  # the blend's sum: at the first blend key in the file
+            key = min(("alpha", "beta", "gamma"), key=lambda k: lines.get(k, float("inf")))
+        fail(key, message)
 
     snapshot = {k: v for k, v in sorted(resolved.items()) if k != "out_dir"}
     snapshot["data"] = dict(sorted(_data_snapshot(data_spec).items()))

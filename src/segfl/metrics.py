@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 N_CLASSES = 3
 
@@ -28,9 +27,8 @@ def confusion(true_labels, pred_labels, n_classes: int = N_CLASSES) -> np.ndarra
     for name, vec in (("true", true_labels), ("pred", pred_labels)):
         if len(vec) and (vec.min() < 0 or vec.max() >= n_classes):
             raise ValueError(f"{name} labels outside [0, {n_classes})")
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (true_labels, pred_labels), 1)
-    return counts
+    cells = np.bincount(true_labels * n_classes + pred_labels, minlength=n_classes * n_classes)
+    return cells.reshape(n_classes, n_classes)
 
 
 @dataclass(frozen=True)
@@ -76,6 +74,22 @@ def macro_f1_score(true_labels, pred_labels, n_classes: int = N_CLASSES) -> floa
     return prf1(confusion(true_labels, pred_labels, n_classes)).macro_f1
 
 
+def _positive_rank_sum(scores: np.ndarray, positive: np.ndarray) -> float:
+    """Sum of the positives' midranks of ``scores`` (ties share their mean rank).
+
+    Midranks are half-integers, so the sum is exact in any order; a NaN score
+    makes every rank NaN.
+    """
+    order = np.argsort(scores)
+    ranked = scores[order]
+    if np.isnan(ranked[-1]):  # NaN sorts last
+        return float("nan")
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    counts = np.diff(starts, append=len(ranked))
+    positives = np.add.reduceat(positive[order], starts, dtype=np.int64)
+    return float(np.sum((starts + (counts + 1) / 2.0) * positives))
+
+
 def auroc_ovr_macro(true_labels, probabilities) -> float:
     """One-vs-rest macro AUROC from class-probability rows.
 
@@ -112,8 +126,7 @@ def auroc_ovr_macro(true_labels, probabilities) -> float:
         if n_neg == 0:
             warnings.warn(f"class {cls} has no negatives; excluded from macro AUROC")
             continue
-        ranks = rankdata(probs[:, cls], method="average")
-        positive_rank_sum = ranks[positive].sum()
+        positive_rank_sum = _positive_rank_sum(probs[:, cls], positive)
         aucs.append((positive_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
     if not aucs:
         raise ValueError("AUROC undefined: no class has both positives and negatives")

@@ -6,6 +6,8 @@ live in a single float64 vector so that federated averaging is plain vector
 arithmetic; training is epoch-wise minibatch SGD with analytic gradients.
 Each pass allocates every layer's output once and works in place otherwise,
 keeping every floating-point operation and its order, so results are bit-exact.
+Evaluation walks the rows in fixed blocks, so its scratch memory does not grow
+with the number of rows.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN = (64, 32)
 N_CLASSES = 3
+# Rows per evaluation block: a multiple of the BLAS kernels' row unroll, so a
+# row's products round as in one call over all rows (up to about 10,000 rows,
+# where that call may switch kernels and differ in the last ulp).
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -123,8 +129,24 @@ def _forward_cached(layers, features):
     return activations, logits
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+def _blocks(n: int) -> list[slice]:
+    """Slices of ``_BLOCK_ROWS`` rows; a one-row tail (another BLAS path) joins the block before."""
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _shifted(logits: np.ndarray, out=None) -> np.ndarray:
+    """``logits`` minus each row's max; the max is taken column by column, which is exact."""
+    row_max = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, j], out=row_max)
+    return np.subtract(logits, row_max[:, None], out=out)
+
+
+def _softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    shifted = _shifted(logits, out)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=1, keepdims=True)
     return shifted
@@ -137,8 +159,12 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"features shape {features.shape} does not match input_dim {params.spec.input_dim}"
         )
-    _, logits = _forward_cached(_layer_views(params.flat, params.spec), features)
-    return _softmax(logits)
+    layers = _layer_views(params.flat, params.spec)
+    probs = np.empty((len(features), params.spec.output_dim))
+    for rows in _blocks(len(features)):
+        _, logits = _forward_cached(layers, features[rows])
+        _softmax(logits, out=probs[rows])
+    return probs
 
 
 def predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -146,20 +172,24 @@ def predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return np.argmax(forward(params, features), axis=1).astype(np.int64)
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    # log-sum-exp form: never exponentiates anything above zero.
-    shifted = logits - logits.max(axis=1, keepdims=True)
+def _row_losses(logits: np.ndarray, labels: np.ndarray, out=None) -> np.ndarray:
+    """Per-row cross-entropy, in log-sum-exp form: never exponentiates anything above zero."""
+    shifted = _shifted(logits)
     picked = shifted[np.arange(len(labels)), labels]
-    log_norm = np.exp(shifted, out=shifted).sum(axis=1)
+    log_norm = np.exp(shifted, out=shifted).sum(axis=1, out=out)
     np.log(log_norm, out=log_norm)
     log_norm -= picked
-    return float(np.mean(log_norm))
+    return log_norm
 
 
 def mean_loss(params: ModelParams, data: LabeledDataset) -> float:
     """Mean categorical cross-entropy over the dataset."""
-    _, logits = _forward_cached(_layer_views(params.flat, params.spec), data.features)
-    return _cross_entropy(logits, data.labels)
+    layers = _layer_views(params.flat, params.spec)
+    losses = np.empty(data.sample_count)
+    for rows in _blocks(data.sample_count):
+        _, logits = _forward_cached(layers, data.features[rows])
+        _row_losses(logits, data.labels[rows], out=losses[rows])
+    return float(np.mean(losses))
 
 
 def _backprop(layers, grad_layers, x, y) -> np.ndarray:
@@ -201,7 +231,7 @@ def loss_and_grad(
     logits = _backprop(
         _layer_views(params.flat, params.spec), _layer_views(grad, params.spec), features, labels
     )
-    return _cross_entropy(logits, labels), grad
+    return float(np.mean(_row_losses(logits, labels))), grad
 
 
 def train_local(params: ModelParams, data: LabeledDataset, config: TrainConfig) -> ModelParams:

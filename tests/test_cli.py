@@ -132,8 +132,10 @@ def test_load_config_rejects_bad_mode_and_counts(tmp_path):
         ("alpha: .nan\n", "alpha must be non-negative, got nan"),
         ("beta: .nan\n", "beta must be non-negative, got nan"),
         ("gamma: -0.1\n", "gamma must be non-negative, got -0.1"),
-        # A blend that does not sum to 1 is reported at alpha's line.
+        # A blend that does not sum to 1 is reported at its first key in the file.
         ("alpha: 0.3\nbeta: .inf\n", r"must sum to 1; got alpha=0.3, beta=inf, gamma=0.2"),
+        ("beta: 0.7\n", r"^alpha \+ beta \+ gamma must sum to 1; got alpha=0.2, beta=0.7,"),
+        ("gamma: 0.5\nbeta: 0.1\n", r"must sum to 1; got alpha=0.2, beta=0.1, gamma=0.5"),
     ]:
         path.write_text("J: 2\n" + text)
         with pytest.raises(ConfigError, match=message) as info:

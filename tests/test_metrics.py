@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from segfl.metrics import ClassScores, auroc_ovr_macro, confusion, macro_f1_score, prf1
 
@@ -27,6 +30,78 @@ def _oracle_auroc_macro(true_labels, probabilities):
         wins = sum(1.0 if a > b else 0.5 if a == b else 0.0 for a in pos for b in neg)
         per_class.append(wins / (len(pos) * len(neg)))
     return sum(per_class) / len(per_class)
+
+
+def _rankdata_auroc_macro(true_labels, probabilities):
+    """The rank statistic over ``scipy.stats.rankdata`` midranks, summed in row order."""
+    true_labels = np.asarray(true_labels, dtype=np.int64)
+    aucs = []
+    for cls in range(probabilities.shape[1]):
+        positive = true_labels == cls
+        n_pos = int(positive.sum())
+        n_neg = len(true_labels) - n_pos
+        if n_pos and n_neg:
+            ranks = rankdata(probabilities[:, cls], method="average")
+            aucs.append((ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(np.mean(aucs))
+
+
+def _add_at_confusion(true_labels, pred_labels, n_classes):
+    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(counts, (np.asarray(true_labels), np.asarray(pred_labels)), 1)
+    return counts
+
+
+def test_confusion_matches_add_at_oracle():
+    rng = np.random.default_rng(13)
+    for n_classes in (1, 2, 3, 5):
+        for n in (0, 1, 2, 17, 1000):
+            true = rng.integers(0, n_classes, size=n)
+            pred = rng.integers(0, n_classes, size=n)
+            got = confusion(true, pred, n_classes)
+            assert got.dtype == np.int64 and got.shape == (n_classes, n_classes)
+            assert np.array_equal(got, _add_at_confusion(true, pred, n_classes)), (n_classes, n)
+
+
+def _eighths(rng, n):
+    """Probability rows quantised to 1/8: every score is one of nine values."""
+    return rng.multinomial(8, [0.3, 0.45, 0.25], size=n) / 8.0
+
+
+def test_auroc_matches_rankdata_oracle_bit_for_bit():
+    rng = np.random.default_rng(37)
+    cases = []
+    for n in (3, 10, 64, 1000, 20_000):
+        cases.append((rng.permutation(np.arange(n) % 3), _eighths(rng, n)))  # full of ties
+    raw = rng.random((500, 3)) + 0.01
+    cases.append((rng.integers(0, 3, size=500), raw / raw.sum(axis=1, keepdims=True)))
+    low = rng.integers(0, 5, size=300) / 8.0
+    constant_middle = np.column_stack([low, np.full(300, 0.5), 0.5 - low])
+    cases.append((rng.integers(0, 3, size=300), constant_middle))
+    cases.append((np.arange(300) % 3, np.full((300, 3), 1.0 / 3.0)))  # every column constant
+    one_positive = np.where(np.arange(50) == 31, 2, np.arange(50) % 2)  # class 2 once
+    cases.append((one_positive, _eighths(rng, 50)))
+    for true, probs in cases:
+        got = auroc_ovr_macro(true, probs)
+        want = _rankdata_auroc_macro(true, probs)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (len(true), got, want)
+
+
+def test_auroc_nan_score_column_gives_nan():
+    rng = np.random.default_rng(43)
+    true = rng.integers(0, 3, size=40)
+    probs = _eighths(rng, 40)
+    probs[7, 1] = np.nan  # the row-sum check cannot see a NaN
+    assert math.isnan(auroc_ovr_macro(true, probs))
+    assert math.isnan(_rankdata_auroc_macro(true, probs))
+    probs[:, 1] = np.nan
+    assert math.isnan(auroc_ovr_macro(true, probs))
+
+
+def test_empty_label_vectors():
+    assert np.array_equal(confusion([], []), np.zeros((3, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="zero samples"):
+        auroc_ovr_macro([], np.zeros((0, 3)))
 
 
 def test_confusion_matches_hand_tally():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,69 @@ def test_in_place_core_is_bit_identical_to_the_allocating_oracle(hidden, kind):
             config = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.3, seed=2)
             got = train_local(params, data, config).flat
             assert _bits(got) == _bits(_oracle_train_local(params, data, config))
+
+
+# Evaluation walks the rows in blocks of 1,024; the one-call oracle is the
+# reference.  Sizes straddle the block edges, including a trailing one-row block.
+_BLOCKED_SIZES = [*range(1, 71), 1023, 1024, 1025, 1026, 2049, *range(1100, 4096, 373), 4096]
+
+
+@pytest.mark.parametrize("kind", sorted(_FEATURE_KINDS))
+@pytest.mark.parametrize("hidden", [(), (5,), (64, 32)], ids=["linear", "5", "64-32"])
+def test_blocked_evaluation_is_bit_identical_to_one_call(hidden, kind):
+    rng = np.random.default_rng(47)
+    spec = LayerSpec(input_dim=4, hidden_dims=hidden, output_dim=3)
+    params = init_params(spec, seed=6)
+    params.flat += rng.normal(scale=0.1, size=spec.n_params)
+    all_features = rng.normal(size=(max(_BLOCKED_SIZES), 4))
+    all_labels = rng.integers(0, 3, size=len(all_features))
+    for n in _BLOCKED_SIZES:
+        features, labels = _FEATURE_KINDS[kind](all_features[:n]), all_labels[:n]
+        _, logits = _oracle_forward_cached(params.flat, spec, features)
+        assert _bits(forward(params, features)) == _bits(_oracle_softmax(logits)), n
+        got = mean_loss(params, LabeledDataset(features, labels))
+        assert _bits(got) == _bits(_oracle_cross_entropy(logits, labels)), n
+
+
+def test_blocked_evaluation_matches_one_call_on_many_rows():
+    # Not bitwise: above about 10,000 rows OpenBLAS may switch the one-call
+    # oracle's 32 -> 3 product to another kernel, which can round a row's
+    # logits differently in the last ulp; the blocks keep the small-call kernel.
+    rng = np.random.default_rng(53)
+    spec = LayerSpec(input_dim=7, hidden_dims=(64, 32), output_dim=3)
+    params = init_params(spec, seed=2)
+    params.flat += rng.normal(scale=0.1, size=spec.n_params)
+    features = rng.normal(size=(20_000, 7))
+    labels = rng.integers(0, 3, size=20_000)
+    _, logits = _oracle_forward_cached(params.flat, spec, features)
+    np.testing.assert_allclose(forward(params, features), _oracle_softmax(logits), rtol=1e-12)
+    got = mean_loss(params, LabeledDataset(features, labels))
+    assert got == pytest.approx(_oracle_cross_entropy(logits, labels), rel=1e-12)
+
+
+def _traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_evaluation_memory_does_not_grow_with_the_rows():
+    # One call over all rows would hold every layer's output at once: about
+    # 816 B a row with (64, 32), 160 MB here.
+    rng = np.random.default_rng(61)
+    params = init_params(LayerSpec(input_dim=7, hidden_dims=(64, 32), output_dim=3), seed=1)
+    data = LabeledDataset(rng.normal(size=(200_000, 7)), rng.integers(0, 3, size=200_000))
+    probs, peak = _traced_peak(lambda: forward(params, data.features))
+    assert probs.shape == (200_000, 3)
+    assert peak - probs.nbytes < 8 * 2**20, f"forward peak {peak / 2**20:.1f} MiB"
+    loss, peak = _traced_peak(lambda: mean_loss(params, data))
+    assert np.isfinite(loss)
+    assert peak < 8 * 2**20, f"mean_loss peak {peak / 2**20:.1f} MiB"
 
 
 def test_layer_spec_parameter_count():
