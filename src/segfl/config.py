@@ -175,6 +175,8 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     for key in ("eta", "alpha", "beta", "gamma", "test_fraction", "target_ratio"):
         if not isinstance(resolved[key], (int, float)) or isinstance(resolved[key], bool):
             fail(key, f"{key} must be a number, got {resolved[key]!r}")
+    if resolved["out_dir"] is not None and not isinstance(resolved["out_dir"], str):
+        fail("out_dir", f"out_dir must be a string, got {resolved['out_dir']!r}")
 
     data_raw = raw.get("data") or {}
     if not isinstance(data_raw, dict):
@@ -273,6 +275,10 @@ def _build_data_spec(data_raw: dict, fail) -> DataSpec:
     column_map = data_raw.get("column_map")
     if column_map is not None and not isinstance(column_map, dict):
         fail("data.column_map", f"data.column_map must be a mapping, got {column_map!r}")
+    for source_name, name in (column_map or {}).items():
+        if not (isinstance(source_name, str) and isinstance(name, str)):
+            got = f"{source_name!r}: {name!r}"
+            fail("data.column_map", f"data.column_map must map strings to strings, got {got}")
     if source == "files":
         paths = data_raw.get("paths", [])
         if not isinstance(paths, list) or not paths:

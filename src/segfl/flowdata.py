@@ -50,7 +50,10 @@ _COLUMN_DTYPES = (np.float64, object, np.int64, np.int64, np.int64, np.int64, ob
 
 # parse_flow_csv reads data rows in blocks of this many lines, each by np.loadtxt as
 # these fields: counts float64 like _parse_count's float(), tokens untruncated str.
+# A block that np.loadtxt or a _coerce_row rule refuses is halved and retried down to
+# pieces of _PIECE_LINES lines; only a refused piece that small goes row by row.
 _BLOCK_LINES = 65536
+_PIECE_LINES = 1024
 _BLOCK_DTYPE = [("duration", "f8"), ("protocol", "O"), ("src_port", "i8"), ("dst_port", "i8"),
                 ("packets", "f8"), ("bytes", "f8"), ("flags", "O"), (CLASS_COLUMN, "O")]
 
@@ -176,10 +179,11 @@ class ScalerParams:
     ranges: np.ndarray
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        safe = np.where(self.ranges > 0, self.ranges, 1.0)
-        scaled = (features - self.mins) / safe
-        return np.where(self.ranges > 0, scaled, 0.0)
+        varying = self.ranges > 0
+        scaled = np.asarray(features, dtype=np.float64) - self.mins  # the one new array
+        scaled /= np.where(varying, self.ranges, 1.0)
+        scaled[..., ~varying] = 0.0
+        return scaled
 
 
 def fit_scaler(dataset: LabeledDataset) -> ScalerParams:
@@ -247,6 +251,7 @@ def parse_flow_csv(
     parts: list[list[np.ndarray]] = []
     rejects: list[tuple[int, str]] = []
     dropped_classes: dict[str, int] = {}
+    shared: dict[str, str] = {}  # one str object per distinct cleaned token
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -263,13 +268,14 @@ def parse_flow_csv(
 
         lines_before = reader.line_num
         while block := list(islice(fh, _BLOCK_LINES)):
-            columns = _parse_block(block, lines_before + 1, positions, rejects, dropped_classes)
-            if columns is None:
+            if any('"' in line for line in block):
                 # A quoted field may span blocks, so csv.reader takes the rest of the file.
-                quoted = any('"' in line for line in block)
-                rows = csv.reader(chain(block, fh) if quoted else block)
-                columns = _coerce_rows(rows, lines_before, positions, rejects, dropped_classes)
-            parts.append(columns)
+                rows = csv.reader(chain(block, fh))
+                parts.append(_coerce_rows(rows, lines_before, positions, rejects, dropped_classes))
+            else:
+                parts += _parse_pieces(
+                    block, lines_before + 1, positions, rejects, dropped_classes, shared
+                )
             lines_before += len(block)
 
     if rejects_path is not None:
@@ -284,14 +290,32 @@ def parse_flow_csv(
     return table
 
 
-def _parse_block(lines, first_line, positions, rejects, dropped_classes):
-    """A block's columns by np.loadtxt; line i is row i, on line ``first_line + i``.
+def _parse_pieces(lines, first_line, positions, rejects, dropped_classes, shared):
+    """Columns of quote-free ``lines`` from file line ``first_line``, one list per piece.
 
-    None, recording nothing, if csv.reader could read a line differently (a quote,
-    a NUL before Python 3.11, an over-long field) or a row breaks a ``_coerce_row`` rule.
+    A piece that ``_parse_block`` refuses is halved until it has ``_PIECE_LINES`` lines
+    or fewer, and then goes through csv.reader and ``_coerce_row``.
     """
-    text = "".join(lines)
-    if '"' in text or "\x00" in text or max(map(len, lines)) > csv.field_size_limit():
+    columns = _parse_block(lines, first_line, positions, rejects, dropped_classes, shared)
+    if columns is not None:
+        return [columns]
+    if len(lines) <= _PIECE_LINES:
+        rows = csv.reader(lines)
+        return [_coerce_rows(rows, first_line - 1, positions, rejects, dropped_classes)]
+    half = len(lines) // 2
+    context = positions, rejects, dropped_classes, shared
+    return [*_parse_pieces(lines[:half], first_line, *context),
+            *_parse_pieces(lines[half:], first_line + half, *context)]
+
+
+def _parse_block(lines, first_line, positions, rejects, dropped_classes, shared):
+    """Quote-free ``lines``' columns by np.loadtxt; line i is row i, on line ``first_line + i``.
+
+    None, recording nothing, if csv.reader could read a line differently (a NUL before
+    Python 3.11, an over-long field) or a row breaks a ``_coerce_row`` rule.  Equal
+    cleaned tokens are one str object, the one kept in ``shared``.
+    """
+    if any("\x00" in line for line in lines) or max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
         with warnings.catch_warnings():
@@ -304,7 +328,8 @@ def _parse_block(lines, first_line, positions, rejects, dropped_classes):
         return None
     duration, ports = table["duration"], [table["src_port"], table["dst_port"]]
     counts = [np.rint(table["packets"]), np.rint(table["bytes"])]  # half-to-even, as round()
-    protocol, flags = ([token.strip() for token in table[name]] for name in ("protocol", "flags"))
+    protocol = _shared_tokens(table["protocol"], str.strip, shared)
+    flags = _shared_tokens(table["flags"], str.strip, shared)
     valid = np.isfinite(duration) & (duration >= 0)
     valid &= (np.minimum(*ports) >= 0) & (np.maximum(*ports) <= _PORT_MAX)
     valid &= (np.minimum(*counts) >= 0) & (np.maximum(*counts) < 2.0**63)  # NaN fails too
@@ -312,13 +337,24 @@ def _parse_block(lines, first_line, positions, rejects, dropped_classes):
     if len(table) != len(lines) or not (valid.all() and all(protocol) and all(flags)):
         return None
 
-    label = [token.strip().lower() for token in table[CLASS_COLUMN]]
+    label = _shared_tokens(table[CLASS_COLUMN], lambda token: token.strip().lower(), shared)
     keep = np.fromiter((token in CLASS_CODES for token in label), bool, len(label))
     for i in np.flatnonzero(~keep).tolist():
         rejects.append((first_line + i, f"unsupported class {label[i]!r}"))
         dropped_classes[label[i]] = dropped_classes.get(label[i], 0) + 1
     columns = [duration, protocol, *ports, *counts, flags, label]
     return [np.asarray(column, dtype)[keep] for column, dtype in zip(columns, _COLUMN_DTYPES)]
+
+
+def _shared_tokens(column: np.ndarray, clean, shared: dict[str, str]) -> list[str]:
+    """``clean`` of each token, called once per distinct token; equal results are the
+    str object that ``shared`` holds for them."""
+    tokens = column.tolist()
+    memo = {}
+    for token in set(tokens):
+        value = clean(token)
+        memo[token] = shared.setdefault(value, value)
+    return [memo[token] for token in tokens]
 
 
 def _coerce_rows(rows, lines_before, positions, rejects, dropped_classes):

@@ -21,7 +21,7 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -201,48 +201,52 @@ def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
     on its own training rows, undersamples the scaled training shard, and
     holds out a fixed validation slice from the result.  The undersampled
     size (before the validation holdout) is the worker's aggregation weight.
-    Parameters are placeholders until ``broadcast_initial``.
+    Parameters are placeholders until ``broadcast_initial``.  Flow files are
+    read one at a time, each after the worker before it is prepared.
 
     Raises:
         ConfigError: a shard cannot be split or scored, before any training.
     """
-    raw_shards = _load_raw_shards(config)
-    placeholder = ModelParams(
-        np.zeros(LayerSpec(len(FEATURE_NAMES), config.hidden_dims).n_params),
-        LayerSpec(len(FEATURE_NAMES), config.hidden_dims),
-    )
-    workers = []
-    for wid, shard in enumerate(raw_shards, start=1):
-        # The split is stratified, so every class needs a row on each side.
-        _require_classes(wid, "raw", shard, min_rows=2)
-        train_raw, test_raw = train_test_split(
-            shard, config.test_fraction, derive_seed(config.seed, "split", wid)
-        )
-        # Scoring a shard of one class leaves AUROC or F1 meaningless mid-run.
-        _require_classes(wid, "test", test_raw, min_rows=1)
-        scaler = fit_scaler(train_raw)
-        train_scaled = scale_dataset(train_raw, scaler)
-        test_scaled = scale_dataset(test_raw, scaler)
-        slim = nearmiss3_undersample(train_scaled, config.resample)
-        train_final, validation = train_test_split(
-            slim, VALIDATION_FRACTION, derive_seed(config.seed, "val", wid)
-        )
-        _require_classes(wid, "train", train_final, min_rows=1)
-        _require_classes(wid, "validation", validation, min_rows=1)
-        # A test shard short of a class would average AUROC over fewer classes.
-        _require_raw_classes(wid, test_raw, shard)
-        workers.append(
-            WorkerState(
-                worker_id=wid,
-                group_id=0,
-                train=train_final,
-                validation=validation,
-                test=test_scaled,
-                sample_count=slim.sample_count,
-                params=placeholder.copy(),
-            )
-        )
+    spec = LayerSpec(len(FEATURE_NAMES), config.hidden_dims)
+    placeholder = ModelParams(np.zeros(spec.n_params), spec)
+    workers: list[WorkerState] = []
+    for shard in _load_raw_shards(config):
+        workers.append(_prepare_worker(config, len(workers) + 1, shard, placeholder))
+        del shard  # so the next file is read without this raw shard
     return workers
+
+
+def _prepare_worker(
+    config: ExperimentConfig, wid: int, shard: LabeledDataset, placeholder: ModelParams
+) -> WorkerState:
+    """One worker's state from its raw shard; the intermediate copies die on return."""
+    # The split is stratified, so every class needs a row on each side.
+    _require_classes(wid, "raw", shard, min_rows=2)
+    train_raw, test_raw = train_test_split(
+        shard, config.test_fraction, derive_seed(config.seed, "split", wid)
+    )
+    # Scoring a shard of one class leaves AUROC or F1 meaningless mid-run.
+    _require_classes(wid, "test", test_raw, min_rows=1)
+    scaler = fit_scaler(train_raw)
+    train_scaled = scale_dataset(train_raw, scaler)
+    test_scaled = scale_dataset(test_raw, scaler)
+    slim = nearmiss3_undersample(train_scaled, config.resample)
+    train_final, validation = train_test_split(
+        slim, VALIDATION_FRACTION, derive_seed(config.seed, "val", wid)
+    )
+    _require_classes(wid, "train", train_final, min_rows=1)
+    _require_classes(wid, "validation", validation, min_rows=1)
+    # A test shard short of a class would average AUROC over fewer classes.
+    _require_raw_classes(wid, test_raw, shard)
+    return WorkerState(
+        worker_id=wid,
+        group_id=0,
+        train=train_final,
+        validation=validation,
+        test=test_scaled,
+        sample_count=slim.sample_count,
+        params=placeholder.copy(),
+    )
 
 
 def _counts_text(shard: LabeledDataset) -> str:
@@ -270,7 +274,8 @@ def _require_raw_classes(wid: int, test: LabeledDataset, raw: LabeledDataset) ->
         )
 
 
-def _load_raw_shards(config: ExperimentConfig) -> list[LabeledDataset]:
+def _load_raw_shards(config: ExperimentConfig) -> Iterable[LabeledDataset]:
+    """Each worker's raw shard in worker order; flow files are read one per ``next``."""
     from segfl.synthgen import DEFAULT_CLASS_MIX, make_scenario
 
     spec = config.data
@@ -289,7 +294,7 @@ def _load_raw_shards(config: ExperimentConfig) -> list[LabeledDataset]:
         if not spec.paths:
             raise ValueError("data source 'files' needs at least one path")
         paths = enumerate(spec.paths, start=1)
-        return [_read_flows(p, column_map, f"worker {wid}") for wid, p in paths]
+        return (_read_flows(p, column_map, f"worker {wid}") for wid, p in paths)
     if spec.source == "corpus":
         if not spec.corpus or not spec.shares:
             raise ValueError("data source 'corpus' needs a corpus path and shares")

@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from segfl.flowdata import LabeledDataset
 
@@ -60,6 +59,8 @@ def _k_nearest(points: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndar
     Returns:
         (indices into ``points``, exact distances), both (len(queries), k).
     """
+    from scipy.spatial import cKDTree  # large; loaded only once a shard has rows to drop
+
     n = len(points)
     tree = cKDTree(points)
     nearest = np.empty((len(queries), k), dtype=np.intp)
@@ -98,7 +99,7 @@ def nearmiss3_undersample(dataset: LabeledDataset, config: ResampleConfig) -> La
     Returns:
         A new dataset containing every minority-class sample and the selected
         majority samples, in original row order.  If the majority class is
-        already at or below the target it is returned unchanged; if the
+        already at or below the target, ``dataset`` itself is returned; if the
         candidate pool is smaller than the target, the whole pool is kept and
         a warning is logged.
     """
@@ -110,9 +111,11 @@ def nearmiss3_undersample(dataset: LabeledDataset, config: ResampleConfig) -> La
     majority_class = classes[np.argmax(counts)]  # argmax ties -> lower code
     majority_count = int(counts.max())
     smallest_count = int(counts.min())
-    target = int(round(config.target_ratio * smallest_count))
+    # A target at or above the majority count keeps the shard; min() also keeps a huge
+    # ratio's product from overflowing int().
+    target = int(round(min(config.target_ratio * smallest_count, majority_count)))
     if majority_count <= target:
-        return dataset.subset(np.arange(dataset.sample_count))
+        return dataset
 
     majority_idx = np.flatnonzero(labels == majority_class)
     minority_idx = np.flatnonzero(labels != majority_class)

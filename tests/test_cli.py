@@ -124,6 +124,7 @@ def test_load_config_rejects_bad_mode_and_counts(tmp_path):
         ("resample_k: 0\n", "resample_k must be >= 1, got 0"),
         ("target_ratio: 0.5\n", "target_ratio must be >= 1, got 0.5"),
         ("test_fraction: 1.0\n", r"test_fraction must be in \(0, 1\), got 1.0"),
+        ("out_dir: 5\n", "out_dir must be a string, got 5"),
         # Non-finite values, which pass every "x < 0" rule.
         ("eta: .nan\n", "eta must be finite, got nan"),
         ("eta: .inf\n", "eta must be finite, got inf"),
@@ -245,7 +246,7 @@ def test_output_root_resolution_order(tmp_path, capsys, monkeypatch):
     assert Path(capsys.readouterr().out.strip()).parent == cfg_root
 
 
-def test_main_exit_codes_for_config_errors(tmp_path, capsys):
+def test_main_exit_codes_for_config_errors(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.yaml"
     bad.write_text("alpha: 0.5\nbeta: 0.5\ngamma: 0.2\n")
     assert main(["run", str(bad)]) == 2
@@ -256,8 +257,23 @@ def test_main_exit_codes_for_config_errors(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
     assert "not found" in capsys.readouterr().err
 
+    # With no --out and no SEGFL_OUT, out_dir would be the output root.
+    monkeypatch.delenv("SEGFL_OUT", raising=False)
+    bad.write_text("J: 2\nout_dir: 5\n")
+    assert main(["run", str(bad)]) == 2
+    assert f"{bad}:2: out_dir must be a string, got 5" in capsys.readouterr().err
+
     assert main(["report", str(tmp_path)]) == 2
     assert "rounds.csv" in capsys.readouterr().err
+
+
+def test_huge_target_ratio_keeps_every_majority_row(tmp_path, capsys):
+    # target_ratio x smallest class overflows to inf: NearMiss-3 keeps each shard whole.
+    config = _write_config(tmp_path, target_ratio=1.0e308)
+    assert main(["run", str(config), "--out", str(tmp_path / "runs")]) == 0
+    capsys.readouterr()
+    workers = orchestrator.build_worker_data(load_config(config).experiment)
+    assert [w.sample_count for w in workers] == [360, 360]  # 400 rows less the test tenth
 
 
 @pytest.mark.parametrize(
@@ -315,6 +331,16 @@ def _line_of(path: Path, text: str) -> int:
             {"source": "corpus", "corpus": "flows.csv", "shares": [1.0], "column_map": "a"},
             "column_map:",
             "data.column_map must be a mapping, got 'a'",
+        ),
+        (
+            {"source": "files", "paths": ["flows.csv"], "column_map": {"duration": ["a"]}},
+            "column_map:",
+            "data.column_map must map strings to strings, got 'duration': ['a']",
+        ),
+        (
+            {"source": "corpus", "corpus": "flows.csv", "shares": [1.0], "column_map": {5: "a"}},
+            "column_map:",
+            "data.column_map must map strings to strings, got 5: 'a'",
         ),
     ],
 )
@@ -509,3 +535,30 @@ def test_module_entrypoint_smoke(tmp_path):
     printed = Path(proc.stdout.strip().splitlines()[-1])
     assert (printed / "rounds.csv").exists()
     assert json.loads((printed / "manifest.json").read_text())["status"] == "complete"
+
+
+_SCIPY_PROBE = """
+import sys
+import segfl, segfl.cli
+from segfl.cli import main
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()[:5]
+assert main(["run", sys.argv[1], "--out", sys.argv[3]]) == 0
+assert not scipy_modules(), scipy_modules()[:5]  # NearMiss-3 is a no-op on every shard
+assert main(["run", sys.argv[2], "--out", sys.argv[3]]) == 0
+assert "scipy.spatial" in sys.modules  # here NearMiss-3 drops majority rows
+"""
+
+
+def test_scipy_is_loaded_only_when_nearmiss_has_rows_to_drop(tmp_path):
+    configs = [str(_REPO / "configs" / name) for name in ("segmentation_demo.yaml", "quick.yaml")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *configs, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -593,3 +593,83 @@ def test_unsupported_classes_in_a_fast_block_name_their_lines(tmp_path, caplog, 
         "dropped rows by unsupported class: {'suspicious': 1, 'unknown': 1}",
         "rejected 2 of 5 data rows",
     ]
+
+
+def _good_fields(rng):
+    """The fields of a _ORACLE_HEADER data line that every parser path accepts."""
+    return [
+        ("2017-03-15 00:01:16" if i == 0 else "192.168.100.5")
+        if slot is None
+        else _GOOD_TOKENS[slot][rng.integers(len(_GOOD_TOKENS[slot]))]
+        for i, slot in enumerate(_ORACLE_SLOTS)
+    ]
+
+
+def test_block_parser_keeps_one_str_per_distinct_token(tmp_path, monkeypatch):
+    def no_per_row_path(*args):
+        raise AssertionError("every block should be read by np.loadtxt")
+
+    monkeypatch.setattr(flowdata, "_coerce_rows", no_per_row_path)
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 50)  # 6 blocks
+    rng = np.random.default_rng(11)
+    lines = [",".join(_ORACLE_HEADER)] + [",".join(_good_fields(rng)) for _ in range(300)]
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    table = parse_flow_csv(path, _ORACLE_MAP)
+    assert len(table) == 300
+    # " GRE" and "GRE", or " ATTACKER " and "attacker", clean to one token and one object.
+    for column in (table.protocol, table.flags, table.label):
+        tokens = column.tolist()
+        assert len({id(token) for token in tokens}) == len(set(tokens))
+
+
+_DURATION = _ORACLE_SLOTS.index("duration")
+
+
+@pytest.mark.parametrize("placement", ["block ends", "mid-block", "every 100th"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_refused_blocks_are_halved_down_to_small_pieces(
+    placement, newline, tmp_path, caplog, monkeypatch
+):
+    block, piece, n_rows = 64, 4, 700
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", block)
+    monkeypatch.setattr(flowdata, "_PIECE_LINES", piece)
+    calls = []  # (first line, line count, read by np.loadtxt)
+    parse_block = flowdata._parse_block
+
+    def recorded(lines, first_line, *args):
+        columns = parse_block(lines, first_line, *args)
+        calls.append((first_line, len(lines), columns is not None))
+        return columns
+
+    monkeypatch.setattr(flowdata, "_parse_block", recorded)
+    bad = {
+        "block ends": range(block - 1, n_rows, block),
+        "mid-block": range(block // 2 + 5, n_rows, block),
+        "every 100th": range(99, n_rows, 100),
+    }[placement]
+    rng = np.random.default_rng(len(placement))
+    lines = [",".join(_ORACLE_HEADER)]
+    for i in range(n_rows):
+        fields = _good_fields(rng)
+        kind = i % 3
+        if i in bad and kind == 0:
+            fields[_DURATION] = "abc"  # np.loadtxt refuses the piece
+        elif i in bad and kind == 1:
+            fields[_DURATION] = "-1"  # np.loadtxt reads it, a _coerce_row rule refuses it
+        elif i in bad:
+            fields = fields[:_DURATION + 2]  # a short row
+        lines.append(",".join(fields))
+    path = tmp_path / "flows.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+
+    table = _assert_same_parse(path, tmp_path, caplog, _ORACLE_MAP)
+    assert len(table) == n_rows - len(bad)
+    assert (tmp_path / "rejects.txt").read_text().count("\n") == len(bad)
+    # Read pieces and small refused pieces tile the data lines; only the latter,
+    # at most one piece per bad row, go row by row.
+    tiles = sorted((first, n) for first, n, read in calls if read or n <= piece)
+    assert [first for first, _ in tiles] == list(np.cumsum([2] + [n for _, n in tiles])[:-1])
+    assert sum(n for _, n in tiles) == n_rows
+    by_row = [n for _, n, read in calls if not read and n <= piece]
+    assert 0 < len(by_row) <= len(bad)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from segfl.aggregation import AggregationWeights
-from segfl.flowdata import LabeledDataset
+from segfl.flowdata import LabeledDataset, write_flow_csv
 from segfl.nnet import LayerSpec, ModelParams, TrainConfig, init_params, train_local
 from segfl import orchestrator
 from segfl.orchestrator import (
@@ -28,6 +29,7 @@ from segfl.orchestrator import (
 )
 from segfl.resample import ResampleConfig
 from segfl.segmentation import SegmentationConfig
+from segfl.synthgen import generate, make_profile, to_records
 
 _TOY_SPEC = LayerSpec(input_dim=2, hidden_dims=(), output_dim=3)
 
@@ -118,6 +120,28 @@ def test_build_worker_data_shapes_and_accounting():
         assert set(np.unique(worker.train.labels)) <= {0, 1, 2}
         assert worker.test.sample_count > 0
         assert worker.val_history == []
+
+
+def test_flow_files_are_prepared_one_raw_shard_at_a_time(tmp_path, monkeypatch):
+    paths = []
+    for i in range(4):
+        paths.append(tmp_path / f"flows_{i + 1}.csv")
+        write_flow_csv(to_records(generate(make_profile("A"), 400, seed=i)), paths[-1])
+    returned, alive_at_read = [], []
+    read_flows = orchestrator._read_flows
+
+    def tracked(*args):
+        alive_at_read.append(sum(ref() is not None for ref in returned))
+        shard = read_flows(*args)
+        returned.append(weakref.ref(shard))
+        return shard
+
+    monkeypatch.setattr(orchestrator, "_read_flows", tracked)
+    data = DataSpec(source="files", paths=tuple(map(str, paths)))
+    workers = build_worker_data(_small_synthetic(data=data))
+    assert [w.worker_id for w in workers] == [1, 2, 3, 4]
+    # Each file is read after the shard before it is prepared and dropped.
+    assert alive_at_read == [0, 0, 0, 0]
 
 
 def test_broadcast_initial_puts_everyone_in_one_group():

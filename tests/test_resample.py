@@ -8,8 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial
 
-from segfl import resample
 from segfl.flowdata import LabeledDataset
 from segfl.resample import ResampleConfig, nearmiss3_undersample
 
@@ -84,6 +84,9 @@ def test_dataset_already_at_target_passes_through_unchanged():
         np.array([0] * 20 + [1] * 10, dtype=np.int64),
     )
     out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=3, target_ratio=2.0))
+    assert _rows_multiset(out) == _rows_multiset(data)
+    # A ratio whose target overflows to inf keeps the majority whole too.
+    out = nearmiss3_undersample(data, ResampleConfig(neighbors_k=3, target_ratio=1.0e308))
     assert _rows_multiset(out) == _rows_multiset(data)
 
 
@@ -195,7 +198,7 @@ def _grid_dataset(rng, n, dims, step):
     return LabeledDataset(features, labels.astype(np.int64))
 
 
-class _CountingTree(resample.cKDTree):
+class _CountingTree(scipy.spatial.cKDTree):
     """A cKDTree that records the neighbour count of every query."""
 
     widths: list[int] = []
@@ -207,7 +210,7 @@ class _CountingTree(resample.cKDTree):
 
 def test_tie_heavy_selection_matches_oracle(monkeypatch):
     monkeypatch.setattr(_CountingTree, "widths", [])
-    monkeypatch.setattr(resample, "cKDTree", _CountingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", _CountingTree)
     rng = np.random.default_rng(404)
     for trial in range(12):
         dims = int(rng.integers(1, 5))
@@ -232,7 +235,7 @@ def test_kth_neighbour_inside_a_run_of_equal_distances(monkeypatch):
     # queried again.  The target (8) exceeds the pool (6), so the kept
     # majority rows are exactly the stage-1 neighbours.
     monkeypatch.setattr(_CountingTree, "widths", [])
-    monkeypatch.setattr(resample, "cKDTree", _CountingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", _CountingTree)
     ring = [[0, 1], [1, 0], [0, -1], [-1, 0], [0, 1], [1, 0], [-1, 0], [0, -1]]
     around = [[10, 11], [11, 10], [10, 9], [9, 10], [12, 10], [10, 12]]
     features = np.array([[0, 0]] + ring + [[2, 0]] + around + [[10, 10]], dtype=np.float64)
