@@ -104,13 +104,13 @@ class LoadedConfig:
     out_dir: Optional[str]
 
 
-def _key_lines(path: Path) -> dict[str, int]:
+# libyaml's loader when PyYAML was built with it; both report errors at the same lines.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _key_lines(root: Optional[yaml.Node]) -> dict[str, int]:
     """Map config keys (top level and data.*) to their 1-based file lines."""
     lines: dict[str, int] = {}
-    try:
-        root = yaml.compose(path.read_text())
-    except yaml.YAMLError:
-        return lines
     if not isinstance(root, yaml.MappingNode):
         return lines
     for key_node, value_node in root.value:
@@ -140,17 +140,21 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    loader = _LOADER(path.read_text())
     try:
-        raw = yaml.safe_load(path.read_text())
+        root = loader.get_single_node()  # one parse gives both the values and their lines
+        raw = None if root is None else loader.construct_document(root)
     except yaml.YAMLError as exc:
         line = getattr(getattr(exc, "problem_mark", None), "line", None)
         raise ConfigError(f"not valid YAML: {exc}", None if line is None else line + 1) from None
+    finally:
+        loader.dispose()
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config must be a key-value mapping")
 
-    lines = _key_lines(path)
+    lines = _key_lines(root)
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value

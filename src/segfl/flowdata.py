@@ -52,7 +52,7 @@ _COLUMN_DTYPES = (np.float64, object, np.int64, np.int64, np.int64, np.int64, ob
 # these fields: counts float64 like _parse_count's float(), tokens untruncated str.
 # A block that np.loadtxt or a _coerce_row rule refuses is halved and retried down to
 # pieces of _PIECE_LINES lines; only a refused piece that small goes row by row.
-_BLOCK_LINES = 65536
+_BLOCK_LINES = 16384
 _PIECE_LINES = 1024
 _BLOCK_DTYPE = [("duration", "f8"), ("protocol", "O"), ("src_port", "i8"), ("dst_port", "i8"),
                 ("packets", "f8"), ("bytes", "f8"), ("flags", "O"), (CLASS_COLUMN, "O")]

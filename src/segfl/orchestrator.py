@@ -219,7 +219,7 @@ def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
 def _prepare_worker(
     config: ExperimentConfig, wid: int, shard: LabeledDataset, placeholder: ModelParams
 ) -> WorkerState:
-    """One worker's state from its raw shard; the intermediate copies die on return."""
+    """One worker's state from its raw shard; at most two training-sized copies live at once."""
     # The split is stratified, so every class needs a row on each side.
     _require_classes(wid, "raw", shard, min_rows=2)
     train_raw, test_raw = train_test_split(
@@ -229,8 +229,10 @@ def _prepare_worker(
     _require_classes(wid, "test", test_raw, min_rows=1)
     scaler = fit_scaler(train_raw)
     train_scaled = scale_dataset(train_raw, scaler)
+    del train_raw
     test_scaled = scale_dataset(test_raw, scaler)
     slim = nearmiss3_undersample(train_scaled, config.resample)
+    del train_scaled  # slim itself when NearMiss-3 has nothing to drop
     train_final, validation = train_test_split(
         slim, VALIDATION_FRACTION, derive_seed(config.seed, "val", wid)
     )
@@ -366,6 +368,7 @@ def run_round(
                 worker.train,
                 replace(config.train, seed=derive_seed(config.seed, "train", wid, round_no)),
             )
+            _require_finite(trained.flat, f"worker {wid}", "parameters", round_no, config)
             worker.params = trained
             contributions.append(
                 LocalContribution(params=trained, sample_count=worker.sample_count)
@@ -375,7 +378,16 @@ def run_round(
         others = [peer_params[other] for other in peer_params if other != gid]
         groups[gid] = weighted_aggregate(peer_params[gid], contributions, others, config.weights)
 
-    return _score_round(workers, round_no)
+    return _score_round(workers, round_no, config)
+
+
+def _require_finite(values, owner: str, what: str, round_no: int, config: ExperimentConfig):
+    """Stop a run whose SGD diverged instead of reporting nan metrics from then on."""
+    if not np.isfinite(values).all():
+        raise ConfigError(
+            f"{owner}: non-finite {what} after round {round_no}; "
+            f"training diverged under eta {config.train.learning_rate!r}"
+        )
 
 
 def _validation_f1(worker: WorkerState, params: ModelParams) -> float:
@@ -383,11 +395,13 @@ def _validation_f1(worker: WorkerState, params: ModelParams) -> float:
     return macro_f1_score(worker.validation.labels, predict(params, worker.validation.features))
 
 
-def _score_round(workers: dict[int, WorkerState], round_no: int) -> RoundReport:
+def _score_round(
+    workers: dict[int, WorkerState], round_no: int, config: ExperimentConfig
+) -> RoundReport:
     """Score every worker under its current parameters, in worker-id order.
 
     Appends the validation macro-F1 to the worker's history and reports the
-    test-shard metrics and the training loss.
+    test-shard metrics and the training loss, which must be finite.
     """
     rows = []
     for wid in sorted(workers):
@@ -408,6 +422,7 @@ def _score_round(workers: dict[int, WorkerState], round_no: int) -> RoundReport:
                 train_loss=mean_loss(worker.params, worker.train),
             )
         )
+        _require_finite(rows[-1].train_loss, f"worker {wid}", "training loss", round_no, config)
     return RoundReport(round_no=round_no, workers=tuple(rows))
 
 
@@ -616,9 +631,10 @@ def _run_centralized(
             pooled,
             replace(config.train, seed=derive_seed(config.seed, "train", 0, round_no)),
         )
+        _require_finite(model.flat, "the pooled model", "parameters", round_no, config)
         for worker in workers.values():
             worker.params = model.copy()
-        report = _score_round(workers, round_no)
+        report = _score_round(workers, round_no, config)
         reports.append(report)
         if sinks.on_round:
             sinks.on_round(report)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from segfl import orchestrator
+from segfl import config as config_module, orchestrator
 from segfl.cli import cmd_compare, cmd_report, cmd_run, main
 from segfl.config import ConfigError, load_config
 from segfl.flowdata import write_flow_csv
@@ -265,6 +265,47 @@ def test_main_exit_codes_for_config_errors(tmp_path, capsys, monkeypatch):
 
     assert main(["report", str(tmp_path)]) == 2
     assert "rounds.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, batch, named",
+    [
+        ("segmented_fl", 32, "worker 1: non-finite parameters after round 1"),
+        ("fl", 32, "worker 1: non-finite parameters after round 1"),
+        ("centralized", 32, "the pooled model: non-finite parameters after round 1"),
+        # Fewer, larger steps leave huge but finite parameters whose forward pass overflows.
+        ("segmented_fl", 128, "worker 1: non-finite training loss after round 1"),
+    ],
+)
+def test_diverging_eta_exits_2_naming_worker_round_and_eta(tmp_path, capsys, mode, batch, named):
+    config = _write_config(tmp_path, mode=mode, J=2, B=batch, eta=1.0e300)
+    out_root = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):  # overflow in the forward pass, before the check
+        assert main(["run", str(config), "--out", str(out_root)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: {named}; training diverged under eta 1e+300" in err
+    assert "Traceback" not in err
+    (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+    assert json.loads((run_dir / "manifest.json").read_text())["status"] == "failed"
+    assert _read_csv(run_dir / "rounds.csv") == [], "no round is reported with nan metrics"
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_yaml_syntax_error_and_key_lines_under_both_loaders(tmp_path, monkeypatch, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML was built without libyaml")
+    monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+    path = tmp_path / "c.yaml"
+    path.write_text("J: 2\nhidden_dims: [8, 4\nseed: 1\n")
+    with pytest.raises(ConfigError, match="not valid YAML") as info:
+        load_config(path)
+    assert info.value.line == 3
+    path.write_text("J: 2\ndata:\n  n_workers: 2\n  flavour: odd\n")
+    with pytest.raises(ConfigError, match="unknown data key") as info:
+        load_config(path)
+    assert info.value.line == 4
+    path.write_text("J: 2\nhidden_dims: [8]\n")
+    assert load_config(path).snapshot["hidden_dims"] == [8]
 
 
 def test_huge_target_ratio_keeps_every_majority_row(tmp_path, capsys):

@@ -6,6 +6,7 @@ import csv
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from segfl.flowdata import (
     train_test_split,
     write_flow_csv,
 )
+from segfl.synthgen import generate, make_profile, to_records
 
 # CIDDS-style export: extra address/date columns that the parser must ignore.
 _HEADER = "Date first seen,Duration,Proto,Src IP Addr,Src Pt,Dst IP Addr,Dst Pt,Packets,Bytes,Flags,class"
@@ -621,6 +623,21 @@ def test_block_parser_keeps_one_str_per_distinct_token(tmp_path, monkeypatch):
     for column in (table.protocol, table.flags, table.label):
         tokens = column.tolist()
         assert len({id(token) for token in tokens}) == len(set(tokens))
+
+
+def test_parse_scratch_memory_stays_under_one_large_block(tmp_path):
+    # 40,000 rows fit one 65,536-line block, whose line list, record array and
+    # per-field strs need about 15 MiB beyond the table; 16,384-line blocks about 6.
+    path = tmp_path / "flows.csv"
+    write_flow_csv(to_records(generate(make_profile("A"), 40_000, seed=0)), path)
+    tracemalloc.start()
+    try:
+        table = parse_flow_csv(path, CANONICAL_COLUMN_MAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 40_000
+    assert peak - sum(column.nbytes for column in table.columns()) < 10 * 2**20
 
 
 _DURATION = _ORACLE_SLOTS.index("duration")

@@ -144,6 +144,26 @@ def test_flow_files_are_prepared_one_raw_shard_at_a_time(tmp_path, monkeypatch):
     assert alive_at_read == [0, 0, 0, 0]
 
 
+def test_unscaled_training_copy_is_dropped_before_the_validation_split(monkeypatch):
+    splits = []  # weak references to each split's (train, test), two splits per worker
+    raw_train_dead = []
+    split = orchestrator.train_test_split
+
+    def tracked(*args):
+        if len(splits) % 2:  # the worker's validation split
+            raw_train_dead.append(splits[-1][0]() is None)
+        result = split(*args)
+        splits.append(tuple(map(weakref.ref, result)))
+        return result
+
+    monkeypatch.setattr(orchestrator, "train_test_split", tracked)
+    for target_ratio in (2.0, 1.0e6):  # NearMiss-3 drops rows, then has nothing to drop
+        splits.clear()
+        resample = ResampleConfig(neighbors_k=3, target_ratio=target_ratio)
+        assert len(build_worker_data(_small_synthetic(resample=resample))) == 2
+    assert raw_train_dead == [True] * 4
+
+
 def test_broadcast_initial_puts_everyone_in_one_group():
     rng = np.random.default_rng(0)
     workers_list = [_toy_worker(wid, rng) for wid in (1, 2, 3)]
