@@ -36,7 +36,7 @@ from segfl.flowdata import check_shares
 from segfl.orchestrator import DEFAULT_SHARD_SIZE, ConfigError, DataSpec, ExperimentConfig
 from segfl.resample import ResampleConfig
 from segfl.segmentation import SegmentationConfig
-from segfl.synthgen import check_class_mix, check_divergence, check_profiles
+from segfl.synthgen import check_class_mix, check_divergence, check_profiles, check_sizes
 
 
 _DATA_KEYS = {
@@ -260,19 +260,13 @@ def _build_data_spec(data_raw: dict, fail) -> DataSpec:
         n_workers = data_raw.get("n_workers", defaults.n_workers)
         if not _is_positive_int(n_workers):
             fail("data.n_workers", f"data.n_workers must be a positive integer, got {n_workers!r}")
-        sizes = data_raw.get("sizes", DEFAULT_SHARD_SIZE)
-        if _is_int(sizes):
-            sizes = [sizes] * n_workers
-        if not isinstance(sizes, list) or not all(_is_positive_int(s) for s in sizes):
-            fail("data.sizes", f"data.sizes must be positive integers, got {sizes!r}")
-        if len(sizes) != n_workers:
-            fail("data.sizes", f"data.sizes has {len(sizes)} entries for {n_workers} workers")
+        sizes = checked("sizes", lambda value: check_sizes(value, n_workers), DEFAULT_SHARD_SIZE)
         class_mix = data_raw.get("class_mix")
         return DataSpec(
             source="synthetic",
             n_workers=n_workers,
             profiles=checked("profiles", check_profiles, defaults.profiles),
-            sizes=tuple(sizes),
+            sizes=sizes,
             divergence=checked("divergence", check_divergence, defaults.divergence),
             class_mix=None if class_mix is None else checked("class_mix", check_class_mix, None),
         )

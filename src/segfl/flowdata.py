@@ -106,6 +106,9 @@ class LabeledDataset:
                 f"{len(self.features)} feature rows"
             )
 
+    def __len__(self) -> int:
+        return len(self.labels)
+
     @property
     def sample_count(self) -> int:
         return len(self.labels)
@@ -138,20 +141,15 @@ class EncodingMap:
     label_codes: dict[str, int] = field(default_factory=lambda: dict(CLASS_CODES))
 
     def encode(self, table: FlowTable) -> LabeledDataset:
-        """Turn a parsed flow table into a numeric LabeledDataset."""
-        protocol = _lookup(self.protocol_codes, table.protocol, "unseen protocol")
-        flags = _lookup(self.flags_codes, table.flags, "unseen flags")
-        ports_counts = [table.src_port, table.dst_port, table.packets, table.bytes]
-        features = np.column_stack([table.duration, protocol, *ports_counts, flags])
-        return LabeledDataset(features, _lookup(self.label_codes, table.label, "unknown class"))
+        """Turn a parsed flow table into a numeric LabeledDataset.
 
-
-def _lookup(codes: dict[str, int], tokens: np.ndarray, what: str) -> np.ndarray:
-    """Each token's code; the first token without one raises ValueError."""
-    try:
-        return np.fromiter(map(codes.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    except KeyError as exc:
-        raise ValueError(f"{what} token {exc.args[0]!r}") from None
+        Raises:
+            ValueError: naming the first protocol token without a code, else the
+                first such flags token, else the first such class token.
+        """
+        rows = _EncodedRows(self, len(table))
+        rows.add([_distinct(c.tolist()) if c.dtype == object else c for c in table.columns()])
+        return rows.result()
 
 
 def _lexicographic_codes(tokens) -> dict[str, int]:
@@ -178,9 +176,10 @@ class ScalerParams:
     mins: np.ndarray
     ranges: np.ndarray
 
-    def transform(self, features: np.ndarray) -> np.ndarray:
+    def transform(self, features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The scaled features, written to ``out`` (``features`` itself may be it) if given."""
         varying = self.ranges > 0
-        scaled = np.asarray(features, dtype=np.float64) - self.mins  # the one new array
+        scaled = np.subtract(features, self.mins, out=out)  # the one new array without out
         scaled /= np.where(varying, self.ranges, 1.0)
         scaled[..., ~varying] = 0.0
         return scaled
@@ -194,7 +193,13 @@ def fit_scaler(dataset: LabeledDataset) -> ScalerParams:
     return ScalerParams(mins=mins, ranges=ranges)
 
 
-def scale_dataset(dataset: LabeledDataset, scaler: ScalerParams) -> LabeledDataset:
+def scale_dataset(
+    dataset: LabeledDataset, scaler: ScalerParams, in_place: bool = False
+) -> LabeledDataset:
+    """The scaled dataset: a copy, or ``dataset`` itself with ``in_place``."""
+    if in_place:
+        scaler.transform(dataset.features, out=dataset.features)
+        return dataset
     return LabeledDataset(scaler.transform(dataset.features), dataset.labels.copy())
 
 
@@ -226,7 +231,8 @@ def parse_flow_csv(
     path,
     column_map: dict[str, str],
     rejects_path=None,
-) -> FlowTable:
+    encoding: EncodingMap | None = None,
+) -> FlowTable | LabeledDataset:
     """Parse a delimited flow export into a table of accepted rows.
 
     Args:
@@ -236,11 +242,19 @@ def parse_flow_csv(
             mentioned (addresses, timestamps, ...) are ignored.
         rejects_path: optional file that receives one ``<line_no>\\t<reason>``
             line per skipped row.
+        encoding: when given, each block of rows is encoded as it is read, into
+            one feature matrix sized by a count of the file's lines, and the
+            result is ``encoding.encode`` of the table, made without the table.
 
     Returns:
-        The accepted rows in file order.  Rows that fail to parse and rows
-        whose class is outside {normal, attacker, victim} are skipped and
-        recorded in the rejects report.
+        The accepted rows in file order, as a FlowTable or, with ``encoding``, a
+        LabeledDataset.  Rows that fail to parse and rows whose class is outside
+        {normal, attacker, victim} are skipped and recorded in the rejects report.
+
+    Raises:
+        ValueError: a bad column map or header; with ``encoding``, also the error
+            ``encode`` raises for the first accepted token it has no code for,
+            after the rejects are reported.
     """
     canonical_needed = set(FEATURE_NAMES) | {CLASS_COLUMN}
     mapped = set(column_map.values())
@@ -248,10 +262,9 @@ def parse_flow_csv(
     if missing:
         raise ValueError(f"column_map does not cover attributes: {sorted(missing)}")
 
-    parts: list[list[np.ndarray]] = []
+    rows = _TableRows() if encoding is None else _EncodedRows(encoding, _line_bound(path))
     rejects: list[tuple[int, str]] = []
     dropped_classes: dict[str, int] = {}
-    shared: dict[str, str] = {}  # one str object per distinct cleaned token
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -270,12 +283,13 @@ def parse_flow_csv(
         while block := list(islice(fh, _BLOCK_LINES)):
             if any('"' in line for line in block):
                 # A quoted field may span blocks, so csv.reader takes the rest of the file.
-                rows = csv.reader(chain(block, fh))
-                parts.append(_coerce_rows(rows, lines_before, positions, rejects, dropped_classes))
+                csv_rows = csv.reader(chain(block, fh))
+                rows.add(_coerce_rows(csv_rows, lines_before, positions, rejects, dropped_classes))
             else:
-                parts += _parse_pieces(
-                    block, lines_before + 1, positions, rejects, dropped_classes, shared
-                )
+                for columns in _parse_pieces(
+                    block, lines_before + 1, positions, rejects, dropped_classes
+                ):
+                    rows.add(columns)
             lines_before += len(block)
 
     if rejects_path is not None:
@@ -284,36 +298,109 @@ def parse_flow_csv(
                 out.write(f"{line_no}\t{reason}\n")
     if dropped_classes:
         logger.info("dropped rows by unsupported class: %s", dict(sorted(dropped_classes.items())))
-    table = FlowTable(*(map(np.concatenate, zip(*parts)) if parts else [()] * len(_COLUMN_DTYPES)))
     if rejects:
-        logger.info("rejected %d of %d data rows", len(rejects), len(rejects) + len(table))
-    return table
+        logger.info("rejected %d of %d data rows", len(rejects), len(rejects) + rows.count)
+    return rows.result()
 
 
-def _parse_pieces(lines, first_line, positions, rejects, dropped_classes, shared):
+def _line_bound(path) -> int:
+    """At least the number of lines in ``path`` as a text file reads them: a line
+    ends at each "\\n", "\\r" or "\\r\\n", and the last one may have no end."""
+    ends, last = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            ends += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            ends -= last == b"\r" and chunk.startswith(b"\n")
+            last = chunk[-1:]
+    return ends + 1
+
+
+class _TableRows:
+    """Block columns gathered into one FlowTable; equal tokens are one str object."""
+
+    def __init__(self):
+        self.parts: list[list[np.ndarray]] = []
+        self.shared: dict[str, str] = {}
+        self.count = 0
+
+    def add(self, columns: list) -> None:
+        self.parts.append([self._tokens(c) if isinstance(c, tuple) else c for c in columns])
+        self.count += len(columns[0])
+
+    def _tokens(self, column: tuple[list[str], np.ndarray]) -> np.ndarray:
+        distinct, inverse = column
+        return np.array([self.shared.setdefault(t, t) for t in distinct], dtype=object)[inverse]
+
+    def result(self) -> FlowTable:
+        parts = self.parts or [[()] * len(_COLUMN_DTYPES)]
+        return FlowTable(*map(np.concatenate, zip(*parts)))
+
+
+class _EncodedRows:
+    """Block columns encoded into one preallocated feature matrix and label vector:
+    the columns in ``FEATURE_NAMES`` order, tokens by their codes, all as float64."""
+
+    def __init__(self, encoding: EncodingMap, capacity: int):
+        self.codes = (encoding.protocol_codes, encoding.flags_codes, encoding.label_codes)
+        self.unseen: list[str | None] = [None] * 3  # each table's first token without a code
+        self.features = np.empty((capacity, len(FEATURE_NAMES)))
+        self.labels = np.empty(capacity, dtype=np.int64)
+        self.count = 0
+
+    def add(self, columns: list) -> None:
+        duration, protocol, src_port, dst_port, packets, nbytes, flags, label = columns
+        rows = slice(self.count, self.count + len(duration))
+        block = self.features[rows]
+        for col, values in enumerate([duration, self._encode(0, protocol), src_port, dst_port,
+                                      packets, nbytes, self._encode(1, flags)]):
+            block[:, col] = values
+        self.labels[rows] = self._encode(2, label)
+        self.count = rows.stop
+
+    def _encode(self, table: int, column: tuple[list[str], np.ndarray]) -> np.ndarray:
+        distinct, inverse = column
+        codes = np.array([self.codes[table].get(token, -1) for token in distinct], np.int64)
+        codes = codes[inverse]
+        if self.unseen[table] is None and codes.min(initial=0) < 0:
+            self.unseen[table] = distinct[inverse[np.argmax(codes < 0)]]
+        return codes
+
+    def result(self) -> LabeledDataset:
+        """The encoded rows; encode's ValueError for the first token without a code."""
+        for what, token in zip(("unseen protocol", "unseen flags", "unknown class"), self.unseen):
+            if token is not None:
+                raise ValueError(f"{what} token {token!r}")
+        # No view of the buffers outlives add(); numpy's reference check would also
+        # count a profiler's bound-method reference.
+        self.features.resize((self.count, len(FEATURE_NAMES)), refcheck=False)
+        self.labels.resize(self.count, refcheck=False)
+        return LabeledDataset(self.features, self.labels)
+
+
+def _parse_pieces(lines, first_line, positions, rejects, dropped_classes):
     """Columns of quote-free ``lines`` from file line ``first_line``, one list per piece.
 
     A piece that ``_parse_block`` refuses is halved until it has ``_PIECE_LINES`` lines
     or fewer, and then goes through csv.reader and ``_coerce_row``.
     """
-    columns = _parse_block(lines, first_line, positions, rejects, dropped_classes, shared)
+    columns = _parse_block(lines, first_line, positions, rejects, dropped_classes)
     if columns is not None:
         return [columns]
     if len(lines) <= _PIECE_LINES:
         rows = csv.reader(lines)
         return [_coerce_rows(rows, first_line - 1, positions, rejects, dropped_classes)]
     half = len(lines) // 2
-    context = positions, rejects, dropped_classes, shared
+    context = positions, rejects, dropped_classes
     return [*_parse_pieces(lines[:half], first_line, *context),
             *_parse_pieces(lines[half:], first_line + half, *context)]
 
 
-def _parse_block(lines, first_line, positions, rejects, dropped_classes, shared):
+def _parse_block(lines, first_line, positions, rejects, dropped_classes):
     """Quote-free ``lines``' columns by np.loadtxt; line i is row i, on line ``first_line + i``.
 
     None, recording nothing, if csv.reader could read a line differently (a NUL before
-    Python 3.11, an over-long field) or a row breaks a ``_coerce_row`` rule.  Equal
-    cleaned tokens are one str object, the one kept in ``shared``.
+    Python 3.11, an over-long field) or a row breaks a ``_coerce_row`` rule.  The empty
+    token rule and the class filter are decided once per distinct cleaned token.
     """
     if any("\x00" in line for line in lines) or max(map(len, lines)) > csv.field_size_limit():
         return None
@@ -328,33 +415,32 @@ def _parse_block(lines, first_line, positions, rejects, dropped_classes, shared)
         return None
     duration, ports = table["duration"], [table["src_port"], table["dst_port"]]
     counts = [np.rint(table["packets"]), np.rint(table["bytes"])]  # half-to-even, as round()
-    protocol = _shared_tokens(table["protocol"], str.strip, shared)
-    flags = _shared_tokens(table["flags"], str.strip, shared)
+    protocol = _distinct(table["protocol"].tolist(), str.strip)
+    flags = _distinct(table["flags"].tolist(), str.strip)
     valid = np.isfinite(duration) & (duration >= 0)
     valid &= (np.minimum(*ports) >= 0) & (np.maximum(*ports) <= _PORT_MAX)
     valid &= (np.minimum(*counts) >= 0) & (np.maximum(*counts) < 2.0**63)  # NaN fails too
     # loadtxt skips blank lines, which would shift the line numbers.
-    if len(table) != len(lines) or not (valid.all() and all(protocol) and all(flags)):
+    if len(table) != len(lines) or not valid.all() or "" in protocol[0] or "" in flags[0]:
         return None
 
-    label = _shared_tokens(table[CLASS_COLUMN], lambda token: token.strip().lower(), shared)
-    keep = np.fromiter((token in CLASS_CODES for token in label), bool, len(label))
+    labels, inverse = _distinct(table[CLASS_COLUMN].tolist(), lambda token: token.strip().lower())
+    keep = np.array([label in CLASS_CODES for label in labels], dtype=bool)[inverse]
     for i in np.flatnonzero(~keep).tolist():
-        rejects.append((first_line + i, f"unsupported class {label[i]!r}"))
-        dropped_classes[label[i]] = dropped_classes.get(label[i], 0) + 1
-    columns = [duration, protocol, *ports, *counts, flags, label]
-    return [np.asarray(column, dtype)[keep] for column, dtype in zip(columns, _COLUMN_DTYPES)]
+        label = labels[inverse[i]]
+        rejects.append((first_line + i, f"unsupported class {label!r}"))
+        dropped_classes[label] = dropped_classes.get(label, 0) + 1
+    columns = [duration, protocol, *ports, *counts, flags, (labels, inverse)]
+    return [(column[0], column[1][keep]) if dtype is object else np.asarray(column, dtype)[keep]
+            for column, dtype in zip(columns, _COLUMN_DTYPES)]
 
 
-def _shared_tokens(column: np.ndarray, clean, shared: dict[str, str]) -> list[str]:
-    """``clean`` of each token, called once per distinct token; equal results are the
-    str object that ``shared`` holds for them."""
-    tokens = column.tolist()
-    memo = {}
-    for token in set(tokens):
-        value = clean(token)
-        memo[token] = shared.setdefault(value, value)
-    return [memo[token] for token in tokens]
+def _distinct(tokens: list[str], clean=None) -> tuple[list[str], np.ndarray]:
+    """A token column as its distinct ``clean``-ed tokens and each row's index into them;
+    ``clean`` runs once per distinct token."""
+    index: dict[str, int] = {}
+    of_token = {t: index.setdefault(clean(t) if clean else t, len(index)) for t in set(tokens)}
+    return list(index), np.fromiter(map(of_token.__getitem__, tokens), np.intp, len(tokens))
 
 
 def _coerce_rows(rows, lines_before, positions, rejects, dropped_classes):
@@ -376,7 +462,9 @@ def _coerce_rows(rows, lines_before, positions, rejects, dropped_classes):
             dropped_classes[label] = dropped_classes.get(label, 0) + 1
             continue
         accepted.append(coerced)
-    return FlowTable(*(zip(*accepted) if accepted else [()] * len(_COLUMN_DTYPES))).columns()
+    columns = zip(*accepted) if accepted else [()] * len(_COLUMN_DTYPES)
+    return [_distinct(list(column)) if dtype is object else np.asarray(column, dtype)
+            for column, dtype in zip(columns, _COLUMN_DTYPES)]
 
 
 def _coerce_row(row: list[str], positions: dict[str, int]) -> tuple:
@@ -437,9 +525,15 @@ def _largest_remainder_counts(total: int, weights: np.ndarray) -> np.ndarray:
 
 
 def train_test_split(
-    dataset: LabeledDataset, test_fraction: float = 0.10, seed: int = 0
+    dataset: LabeledDataset, test_fraction: float = 0.10, seed: int = 0, in_place: bool = False
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Stratified split; per-class test counts stay within 1 of the exact share."""
+    """Stratified split; per-class test counts stay within 1 of the exact share.
+
+    With ``in_place`` the training rows are moved down inside ``dataset``'s own arrays,
+    which are then shrunk, and ``dataset`` itself is the training part.  No other
+    array may view them.  Arrays that are views, read-only or not C-contiguous are
+    copied instead, never written.  The test part is always a copy.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     labels = dataset.labels
@@ -464,7 +558,29 @@ def train_test_split(
     test_mask = np.zeros(n, dtype=bool)
     if test_idx:
         test_mask[np.concatenate(test_idx)] = True
-    return dataset.subset(np.flatnonzero(~test_mask)), dataset.subset(np.flatnonzero(test_mask))
+    test = dataset.subset(np.flatnonzero(test_mask))
+    train_rows = np.flatnonzero(~test_mask)
+    arrays = dataset.features, dataset.labels
+    if in_place and all(a.flags.owndata and a.flags.writeable and a.flags.c_contiguous
+                        for a in arrays):
+        return _compact(dataset, train_rows), test
+    return dataset.subset(train_rows), test
+
+
+# Rows moved per step when a dataset is compacted in place.
+_COMPACT_ROWS = 4096
+
+
+def _compact(dataset: LabeledDataset, rows: np.ndarray) -> LabeledDataset:
+    """``dataset`` holding only its ``rows`` (ascending), moved down in chunks inside its
+    own arrays: each chunk's rows are read before they are written, and since
+    ``rows[i] >= i``, no chunk reads a row that an earlier chunk wrote."""
+    for array in (dataset.features, dataset.labels):
+        for start in range(0, len(rows), _COMPACT_ROWS):
+            chunk = rows[start : start + _COMPACT_ROWS]
+            array[start : start + len(chunk)] = array[chunk]
+        array.resize((len(rows), *array.shape[1:]), refcheck=False)
+    return dataset
 
 
 def check_shares(shares) -> np.ndarray:

@@ -219,61 +219,64 @@ def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
 def _prepare_worker(
     config: ExperimentConfig, wid: int, shard: LabeledDataset, placeholder: ModelParams
 ) -> WorkerState:
-    """One worker's state from its raw shard; at most two training-sized copies live at once."""
+    """One worker's state from its raw shard, which it takes over.
+
+    The training rows are compacted and scaled inside the shard's own arrays, so
+    when NearMiss-3 keeps every row no training-sized copy is made; only the test
+    and validation rows are copied out.
+    """
     # The split is stratified, so every class needs a row on each side.
-    _require_classes(wid, "raw", shard, min_rows=2)
-    train_raw, test_raw = train_test_split(
-        shard, config.test_fraction, derive_seed(config.seed, "split", wid)
+    raw_counts = _require_classes(wid, "raw", shard, min_rows=2)
+    train, test = train_test_split(
+        shard, config.test_fraction, derive_seed(config.seed, "split", wid), in_place=True
     )
+    del shard  # now train itself, unless its arrays were views and train is a copy
     # Scoring a shard of one class leaves AUROC or F1 meaningless mid-run.
-    _require_classes(wid, "test", test_raw, min_rows=1)
-    scaler = fit_scaler(train_raw)
-    train_scaled = scale_dataset(train_raw, scaler)
-    del train_raw
-    test_scaled = scale_dataset(test_raw, scaler)
-    slim = nearmiss3_undersample(train_scaled, config.resample)
-    del train_scaled  # slim itself when NearMiss-3 has nothing to drop
+    test_counts = _require_classes(wid, "test", test, min_rows=1)
+    scaler = fit_scaler(train)
+    scale_dataset(train, scaler, in_place=True)
+    scale_dataset(test, scaler, in_place=True)
+    slim = nearmiss3_undersample(train, config.resample)
+    del train  # slim itself when NearMiss-3 has nothing to drop
+    sample_count = slim.sample_count
     train_final, validation = train_test_split(
-        slim, VALIDATION_FRACTION, derive_seed(config.seed, "val", wid)
+        slim, VALIDATION_FRACTION, derive_seed(config.seed, "val", wid), in_place=True
     )
     _require_classes(wid, "train", train_final, min_rows=1)
     _require_classes(wid, "validation", validation, min_rows=1)
     # A test shard short of a class would average AUROC over fewer classes.
-    _require_raw_classes(wid, test_raw, shard)
+    if np.any((raw_counts > 0) & (test_counts == 0)):
+        raise ConfigError(
+            f"worker {wid}: the test shard has class counts {_counts_text(test_counts)}; "
+            f"it needs every class of the raw shard ({_counts_text(raw_counts)})"
+        )
     return WorkerState(
         worker_id=wid,
         group_id=0,
         train=train_final,
         validation=validation,
-        test=test_scaled,
-        sample_count=slim.sample_count,
+        test=test,
+        sample_count=sample_count,
         params=placeholder.copy(),
     )
 
 
-def _counts_text(shard: LabeledDataset) -> str:
-    counts = np.bincount(shard.labels, minlength=len(CLASS_NAMES))
+def _counts_text(counts: np.ndarray) -> str:
     return ", ".join(f"{name} {n}" for name, n in zip(CLASS_NAMES, counts))
 
 
-def _require_classes(wid: int, shard_name: str, shard: LabeledDataset, min_rows: int) -> None:
-    """Reject a shard without two classes of at least ``min_rows`` rows each."""
+def _require_classes(
+    wid: int, shard_name: str, shard: LabeledDataset, min_rows: int
+) -> np.ndarray:
+    """The shard's class counts; ConfigError unless two classes have ``min_rows`` rows each."""
     counts = np.bincount(shard.labels, minlength=len(CLASS_NAMES))
     held = counts[counts > 0]
     if len(held) < 2 or held.min() < min_rows:
         raise ConfigError(
-            f"worker {wid}: the {shard_name} shard has class counts {_counts_text(shard)}; "
+            f"worker {wid}: the {shard_name} shard has class counts {_counts_text(counts)}; "
             f"it needs 2 or more classes with {min_rows} or more rows each"
         )
-
-
-def _require_raw_classes(wid: int, test: LabeledDataset, raw: LabeledDataset) -> None:
-    """Reject a test shard that lacks a class its raw shard holds."""
-    if np.setdiff1d(raw.labels, test.labels).size:
-        raise ConfigError(
-            f"worker {wid}: the test shard has class counts {_counts_text(test)}; "
-            f"it needs every class of the raw shard ({_counts_text(raw)})"
-        )
+    return counts
 
 
 def _load_raw_shards(config: ExperimentConfig) -> Iterable[LabeledDataset]:
@@ -308,7 +311,7 @@ def _load_raw_shards(config: ExperimentConfig) -> Iterable[LabeledDataset]:
 def _read_flows(path, column_map: dict[str, str], owner: str) -> LabeledDataset:
     """Parse and encode one flow file; an unreadable file or unseen token is a ConfigError."""
     try:
-        return default_encoding().encode(parse_flow_csv(path, column_map))
+        return parse_flow_csv(path, column_map, encoding=default_encoding())
     except OSError as exc:
         raise ConfigError(f"{owner}: {path}: {exc.strerror or exc}") from None
     except ValueError as exc:

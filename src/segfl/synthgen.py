@@ -237,15 +237,45 @@ class EnvironmentProfile:
         check_class_mix(self.class_mix)
 
 
+# The largest knob: the normal class's second mode shrinks from weight 0.38 (base) to
+# 0.30 (alternative), so extrapolating it reaches 0 at 0.38 / 0.08 and is negative after.
+MAX_DIVERGENCE = 4.75
+
+
 def check_divergence(divergence) -> float:
-    """The knob as a float; ValueError unless it is a number >= 0."""
+    """The knob as a float; ValueError unless it is a number from 0 to ``MAX_DIVERGENCE``."""
     try:
         value = float(divergence)
     except (TypeError, ValueError):
         value = float("nan")
     if not value >= 0:
         raise ValueError(f"divergence must be a number >= 0, got {divergence!r}")
+    if not value <= MAX_DIVERGENCE:
+        raise ValueError(
+            f"divergence must be at most {MAX_DIVERGENCE:g}, where a class's mixture "
+            f"weight reaches 0; got {divergence!r}"
+        )
     return value
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_sizes(sizes, n_workers: int) -> tuple[int, ...]:
+    """One row count per worker, one integer standing for all; ValueError unless each
+    is an integer from 1 to the int64 maximum and there is one per worker."""
+    listed = [sizes] * n_workers if _is_int(sizes) else sizes
+    if not isinstance(listed, (list, tuple)) or not all(_is_int(s) and s >= 1 for s in listed):
+        raise ValueError(f"sizes must be positive integers, got {sizes!r}")
+    if max(listed, default=0) > _INT64_MAX:
+        raise ValueError(f"sizes must be at most {_INT64_MAX} (int64), got {sizes!r}")
+    if len(listed) != n_workers:
+        raise ValueError(f"sizes has {len(listed)} entries for {n_workers} workers")
+    return tuple(map(int, listed))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_profiles(profiles) -> tuple[str, ...]:
@@ -285,7 +315,7 @@ def make_profile(
     class_mix: tuple[float, float, float] = DEFAULT_CLASS_MIX,
 ) -> EnvironmentProfile:
     """Interpolate the built-in base and alternative environments."""
-    t = float(divergence)
+    t = check_divergence(divergence)
     params = tuple(
         ClassParams(
             components=tuple(
@@ -398,9 +428,8 @@ def make_scenario(
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     check_profiles(profiles)
-    sizes = np.broadcast_to(np.asarray(sizes, dtype=np.int64), (n_workers,))
-    if np.any(sizes < 1):
-        raise ValueError("every worker size must be >= 1")
+    sizes = check_sizes(sizes, n_workers)
+    divergence = check_divergence(divergence)
 
     distinct = list(dict.fromkeys(profiles))
     knobs = {
@@ -413,5 +442,5 @@ def make_scenario(
     datasets = []
     for i, pid in enumerate(assignment):
         worker_seed = np.random.SeedSequence([int(seed), 7919, i]).generate_state(1)[0]
-        datasets.append(generate(built[pid], int(sizes[i]), int(worker_seed)))
+        datasets.append(generate(built[pid], sizes[i], int(worker_seed)))
     return ScenarioData(datasets=tuple(datasets), assignment=assignment, profiles=built)

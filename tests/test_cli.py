@@ -383,6 +383,20 @@ def _line_of(path: Path, text: str) -> int:
             "column_map:",
             "data.column_map must map strings to strings, got 5: 'a'",
         ),
+        # Past 4.75 make_profile would extrapolate a mixture weight below 0.
+        ({"divergence": 5}, "divergence:", "data.divergence must be at most 4.75, where a class"),
+        ({"divergence": 1e308}, "divergence:", "data.divergence must be at most 4.75, where a"),
+        (
+            {"divergence": float("inf")},
+            "divergence:",
+            "data.divergence must be at most 4.75, where a class's mixture weight reaches 0; "
+            "got inf",
+        ),
+        (
+            {"sizes": [2**70, 400]},
+            "sizes:",
+            f"data.sizes must be at most {2**63 - 1} (int64), got [{2**70}, 400]",
+        ),
     ],
 )
 def test_bad_data_block_exits_2_with_its_line(tmp_path, capsys, data, key, message):

@@ -29,6 +29,14 @@ from segfl.flowdata import (
     train_test_split,
     write_flow_csv,
 )
+from segfl.nnet import LayerSpec, ModelParams
+from segfl.orchestrator import (
+    VALIDATION_FRACTION,
+    ExperimentConfig,
+    _prepare_worker,
+    derive_seed,
+)
+from segfl.resample import ResampleConfig, nearmiss3_undersample
 from segfl.synthgen import generate, make_profile, to_records
 
 # CIDDS-style export: extra address/date columns that the parser must ignore.
@@ -690,3 +698,155 @@ def test_refused_blocks_are_halved_down_to_small_pieces(
     assert sum(n for _, n in tiles) == n_rows
     by_row = [n for _, n, read in calls if not read and n <= piece]
     assert 0 < len(by_row) <= len(bad)
+
+
+# --- Encoded parse and in-place preparation against the frozen pipeline -----
+#
+# Before rows were encoded as they were parsed and training rows compacted in
+# place, a flow file went through a FlowTable (the per-row oracle above reads
+# the same table), EncodingMap.encode's matrix, and copies for the split, the
+# scaled training rows and the validation split.  _frozen_encode and
+# _frozen_prepare are those steps as they were; the new path must give the
+# same bytes, rejects, log lines and errors.
+
+
+def _frozen_lookup(codes, tokens, what):
+    try:
+        return np.fromiter(map(codes.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    except KeyError as exc:
+        raise ValueError(f"{what} token {exc.args[0]!r}") from None
+
+
+def _frozen_encode(table):
+    encoding = default_encoding()
+    protocol = _frozen_lookup(encoding.protocol_codes, table.protocol, "unseen protocol")
+    flags = _frozen_lookup(encoding.flags_codes, table.flags, "unseen flags")
+    ports_counts = [table.src_port, table.dst_port, table.packets, table.bytes]
+    features = np.column_stack([table.duration, protocol, *ports_counts, flags])
+    labels = _frozen_lookup(encoding.label_codes, table.label, "unknown class")
+    return LabeledDataset(features, labels)
+
+
+def _frozen_split(dataset, test_fraction, seed):
+    labels = dataset.labels
+    classes = np.unique(labels)
+    n = dataset.sample_count
+    total_test = int(round(n * test_fraction))
+    class_sizes = np.array([(labels == cls).sum() for cls in classes], dtype=np.float64)
+    per_class = _largest_remainder_counts(total_test, class_sizes)
+    rng = np.random.default_rng(seed)
+    test_idx = []
+    for cls, take in zip(classes, per_class):
+        members = np.flatnonzero(labels == cls)
+        test_idx.append(members[rng.permutation(len(members))[:take]])
+    test_mask = np.zeros(n, dtype=bool)
+    test_mask[np.concatenate(test_idx)] = True
+    return dataset.subset(np.flatnonzero(~test_mask)), dataset.subset(np.flatnonzero(test_mask))
+
+
+def _frozen_prepare(config, wid, shard):
+    """(train, validation, test, sample_count) as the orchestrator made them."""
+    train_raw, test_raw = _frozen_split(
+        shard, config.test_fraction, derive_seed(config.seed, "split", wid)
+    )
+    mins = train_raw.features.min(axis=0)
+    ranges = train_raw.features.max(axis=0) - mins
+
+    def scaled(dataset):
+        varying = ranges > 0
+        features = np.asarray(dataset.features, dtype=np.float64) - mins
+        features /= np.where(varying, ranges, 1.0)
+        features[..., ~varying] = 0.0
+        return LabeledDataset(features, dataset.labels.copy())
+
+    slim = nearmiss3_undersample(scaled(train_raw), config.resample)
+    val_seed = derive_seed(config.seed, "val", wid)
+    train, validation = _frozen_split(slim, VALIDATION_FRACTION, val_seed)
+    return train, validation, scaled(test_raw), slim.sample_count
+
+
+def _placeholder():
+    spec = LayerSpec(len(FEATURE_NAMES), (4,))
+    return ModelParams(np.zeros(spec.n_params), spec)
+
+
+def _assert_same_bytes(ours: LabeledDataset, theirs: LabeledDataset):
+    assert ours.features.shape == theirs.features.shape
+    assert ours.features.tobytes() == theirs.features.tobytes()
+    assert ours.labels.tobytes() == theirs.labels.tobytes()
+
+
+@pytest.mark.parametrize("target_ratio", [1.0, 2.0])  # NearMiss-3 drops rows; keeps the shard
+@pytest.mark.parametrize("seed", range(4))
+def test_encoded_parse_and_preparation_match_the_frozen_pipeline(
+    seed, target_ratio, tmp_path, caplog, monkeypatch
+):
+    # Blank lines, CRLF or LF, a quoted block read row by row, unsupported classes
+    # and rejected rows, over many 7-line blocks.
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 7)
+    rng = np.random.default_rng(100 + seed)
+    path = tmp_path / "flows.csv"
+    newline = "\r\n" if seed % 2 else "\n"
+    path.write_bytes(_oracle_file(rng, 600, newline, 0.03, True).encode())
+    with caplog.at_level(logging.INFO, logger="segfl.flowdata"):
+        shard = parse_flow_csv(
+            path, _ORACLE_MAP, rejects_path=tmp_path / "rejects.txt", encoding=default_encoding()
+        )
+    messages = [record.getMessage() for record in caplog.records]
+    table, expected_messages = _oracle_parse(path, _ORACLE_MAP, tmp_path / "expected.txt")
+    assert (tmp_path / "rejects.txt").read_text() == (tmp_path / "expected.txt").read_text()
+    assert messages == expected_messages
+    expected = _frozen_encode(table)
+    _assert_same_bytes(shard, expected)
+    assert len(shard) == len(table) > 400
+
+    config = ExperimentConfig(resample=ResampleConfig(3, target_ratio), seed=seed)
+    buffer = shard.features
+    worker = _prepare_worker(config, 1, shard, _placeholder())
+    train, validation, test, sample_count = _frozen_prepare(config, 1, expected)
+    _assert_same_bytes(worker.train, train)
+    _assert_same_bytes(worker.validation, validation)
+    _assert_same_bytes(worker.test, test)
+    assert worker.sample_count == sample_count
+    n_train = len(expected) - len(test)
+    if target_ratio == 1.0:
+        assert sample_count < n_train
+    else:  # nothing dropped: the training rows stayed in the parsed buffer
+        assert sample_count == n_train
+        assert worker.train.features is buffer
+
+
+def test_encoded_parse_names_the_first_unseen_token_as_encode_did(tmp_path, caplog, monkeypatch):
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 4)
+    header = ",".join(FEATURE_NAMES) + ",class"
+    good = "0.5,TCP,80,22,7,532,.AP.SF,normal"
+    lines = [
+        good,
+        "0.5,QUIC,80,22,7,532,.AP.SF,suspicious",  # rejected: its protocol never counts
+        "0.5,TCP,80,22,7,532,XYZ,victim",  # the first unseen flags, in the first block
+        good,
+        good.replace("532", "2.1 M"),  # a block read row by row
+        "0.5,TCP,80,22,7,532, QRS ,attacker",
+        '0.5,TCP,80,22,7,532,".A....",normal',  # the rest of the file goes through csv
+        "0.5, SCTP ,80,22,7,532,.AP.SF,victim",  # the first unseen protocol
+        "0.5,DCCP,80,22,7,532,.AP.SF,normal",
+        "abc,TCP,80,22,7,532,.AP.SF,normal",
+    ]
+    encoding = default_encoding()
+    errors = []
+    for kept in (lines, [line for line in lines if "SCTP" not in line and "DCCP" not in line]):
+        path = tmp_path / "flows.csv"
+        path.write_text("\r\n".join([header, *kept, ""]))
+        caplog.clear()
+        expected_path = tmp_path / "expected.txt"
+        table, expected_messages = _oracle_parse(path, CANONICAL_COLUMN_MAP, expected_path)
+        with pytest.raises(ValueError) as frozen:
+            _frozen_encode(table)
+        with caplog.at_level(logging.INFO, logger="segfl.flowdata"):
+            with pytest.raises(ValueError) as ours:
+                parse_flow_csv(path, CANONICAL_COLUMN_MAP, tmp_path / "rejects.txt", encoding)
+        assert str(ours.value) == str(frozen.value)
+        assert [record.getMessage() for record in caplog.records] == expected_messages
+        assert (tmp_path / "rejects.txt").read_text() == expected_path.read_text()
+        errors.append(str(ours.value))
+    assert errors == ["unseen protocol token 'SCTP'", "unseen flags token 'XYZ'"]

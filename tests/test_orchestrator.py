@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from segfl.aggregation import AggregationWeights
-from segfl.flowdata import LabeledDataset, write_flow_csv
+from segfl.flowdata import CANONICAL_COLUMN_MAP, LabeledDataset, write_flow_csv
 from segfl.nnet import LayerSpec, ModelParams, TrainConfig, init_params, train_local
 from segfl import orchestrator
 from segfl.orchestrator import (
@@ -29,7 +30,7 @@ from segfl.orchestrator import (
 )
 from segfl.resample import ResampleConfig
 from segfl.segmentation import SegmentationConfig
-from segfl.synthgen import generate, make_profile, to_records
+from segfl.synthgen import DEFAULT_CLASS_MIX, generate, make_profile, to_records
 
 _TOY_SPEC = LayerSpec(input_dim=2, hidden_dims=(), output_dim=3)
 
@@ -144,24 +145,77 @@ def test_flow_files_are_prepared_one_raw_shard_at_a_time(tmp_path, monkeypatch):
     assert alive_at_read == [0, 0, 0, 0]
 
 
-def test_unscaled_training_copy_is_dropped_before_the_validation_split(monkeypatch):
-    splits = []  # weak references to each split's (train, test), two splits per worker
-    raw_train_dead = []
-    split = orchestrator.train_test_split
+# NearMiss-3 keeps a balanced shard whole and undersamples one of the default mix.
+_NEARMISS_CASES = pytest.mark.parametrize(
+    "class_mix",
+    [(1 / 3, 1 / 3, 1 / 3), DEFAULT_CLASS_MIX],
+    ids=["nearmiss-keeps", "nearmiss-drops"],
+)
 
-    def tracked(*args):
-        if len(splits) % 2:  # the worker's validation split
-            raw_train_dead.append(splits[-1][0]() is None)
-        result = split(*args)
-        splits.append(tuple(map(weakref.ref, result)))
+
+@_NEARMISS_CASES
+def test_set_up_holds_one_training_sized_buffer(tmp_path, monkeypatch, class_mix):
+    # A 100k-row file.  Before the parser wrote encoded rows into one buffer and
+    # the training rows were compacted inside it, set-up peaked about 13 MiB above
+    # the raw shard, and NearMiss-3 started with two shard-sized copies alive.
+    import scipy.spatial  # noqa: F401  NearMiss-3 imports it on first use; not set-up's memory
+
+    path = tmp_path / "flows.csv"
+    write_flow_csv(to_records(generate(make_profile("A", class_mix=class_mix), 100_000)), path)
+    at_nearmiss = []
+    nearmiss = orchestrator.nearmiss3_undersample
+
+    def measured(dataset, config):
+        at_nearmiss.append(tracemalloc.get_traced_memory())
+        result = nearmiss(dataset, config)
+        tracemalloc.reset_peak()  # its KD-tree scratch has its own bound, _BLOCK_ELEMENTS
         return result
 
-    monkeypatch.setattr(orchestrator, "train_test_split", tracked)
-    for target_ratio in (2.0, 1.0e6):  # NearMiss-3 drops rows, then has nothing to drop
-        splits.clear()
-        resample = ResampleConfig(neighbors_k=3, target_ratio=target_ratio)
-        assert len(build_worker_data(_small_synthetic(resample=resample))) == 2
-    assert raw_train_dead == [True] * 4
+    monkeypatch.setattr(orchestrator, "nearmiss3_undersample", measured)
+    config = _small_synthetic(resample=ResampleConfig(neighbors_k=3, target_ratio=2.0))
+    spec = LayerSpec(7, config.hidden_dims)
+    tracemalloc.start()
+    try:
+        shard = orchestrator._read_flows(path, CANONICAL_COLUMN_MAP, "worker 1")
+        raw = shard.features.nbytes + shard.labels.nbytes
+        worker = orchestrator._prepare_worker(
+            config, 1, shard, ModelParams(np.zeros(spec.n_params), spec)
+        )
+        del shard
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for d in (worker.train, worker.validation, worker.test)
+               for a in (d.features, d.labels))
+    (current, before), = at_nearmiss
+    assert (worker.sample_count < 80_000) == (class_mix == DEFAULT_CLASS_MIX)
+    assert current < raw + 2**20  # the shard's own buffer and the test rows
+    assert max(before, peak) - max(raw, kept) < 10 * 2**20
+
+
+@_NEARMISS_CASES
+def test_a_shard_of_views_prepares_like_a_copy_and_stays_unchanged(class_mix):
+    data = generate(make_profile("A", class_mix=class_mix), 3000, seed=4)
+    wide_features, wide_labels = np.hstack([data.features] * 2), np.repeat(data.labels, 2)
+    views = LabeledDataset(wide_features[:, :7], wide_labels[::2])
+    assert not views.features.flags.owndata and not views.labels.flags.owndata
+    fortran = np.asfortranarray(data.features)  # owns its data, but not in row order
+    before = wide_features.tobytes(), wide_labels.tobytes(), fortran.tobytes()
+    config = _small_synthetic()
+    spec = LayerSpec(7, config.hidden_dims)
+    placeholder = ModelParams(np.zeros(spec.n_params), spec)
+    copy = LabeledDataset(data.features.copy(), data.labels.copy())
+    from_copy = orchestrator._prepare_worker(config, 1, copy, placeholder)
+    for shard in (views, LabeledDataset(fortran, wide_labels[::2].copy())):
+        prepared = orchestrator._prepare_worker(config, 1, shard, placeholder)
+        for name in ("train", "validation", "test"):
+            ours, theirs = getattr(prepared, name), getattr(from_copy, name)
+            assert ours.features.tobytes() == theirs.features.tobytes()
+            assert ours.labels.tobytes() == theirs.labels.tobytes()
+        assert prepared.sample_count == from_copy.sample_count
+    assert (wide_features.tobytes(), wide_labels.tobytes(), fortran.tobytes()) == before
+    # NearMiss-3 keeps a balanced shard, whose own arrays then hold the training set.
+    assert (from_copy.train is copy) == (class_mix != DEFAULT_CLASS_MIX)
 
 
 def test_broadcast_initial_puts_everyone_in_one_group():

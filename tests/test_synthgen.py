@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from segfl import synthgen
+
 from segfl.flowdata import (
     default_encoding,
     fit_scaler,
@@ -14,6 +16,7 @@ from segfl.flowdata import (
 )
 from segfl.synthgen import (
     DEFAULT_CLASS_MIX,
+    MAX_DIVERGENCE,
     generate,
     make_profile,
     make_scenario,
@@ -161,3 +164,20 @@ def test_scenario_validation():
         make_scenario(2, (), sizes=10)
     with pytest.raises(ValueError, match="size"):
         make_scenario(2, ("A",), sizes=(10, 0))
+    with pytest.raises(ValueError, match="int64"):
+        make_scenario(2, ("A",), sizes=(10, 2**63))
+    with pytest.raises(ValueError, match="divergence must be at most 4.75.*got inf"):
+        make_scenario(2, ("A", "B"), sizes=10, divergence=float("inf"))
+
+
+def test_divergence_stops_where_a_mixture_weight_reaches_zero():
+    weights = [w for c in make_profile("B", MAX_DIVERGENCE).class_params for w in c.weights()]
+    assert min(weights) == 0.0
+    assert generate(make_profile("B", MAX_DIVERGENCE), 500, seed=1).sample_count == 500
+    # Just past the bound, the interpolation would make that weight negative.
+    beyond = MAX_DIVERGENCE * (1 + 1e-9)
+    base, alt = synthgen._BASE[0].components[1], synthgen._ALT[0].components[1]
+    assert synthgen._lerp(base.weight, alt.weight, beyond) < 0
+    for value in (beyond, 5, 1e308, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="divergence must be"):
+            make_profile("B", value)
