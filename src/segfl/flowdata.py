@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice, product
@@ -176,13 +178,13 @@ class ScalerParams:
     mins: np.ndarray
     ranges: np.ndarray
 
-    def transform(self, features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The scaled features, written to ``out`` (``features`` itself may be it) if given."""
+    def transform(self, features: np.ndarray) -> np.ndarray:
+        """Scale the float64 ``features`` in place; returns them."""
         varying = self.ranges > 0
-        scaled = np.subtract(features, self.mins, out=out)  # the one new array without out
-        scaled /= np.where(varying, self.ranges, 1.0)
-        scaled[..., ~varying] = 0.0
-        return scaled
+        features -= self.mins
+        features /= np.where(varying, self.ranges, 1.0)
+        features[..., ~varying] = 0.0
+        return features
 
 
 def fit_scaler(dataset: LabeledDataset) -> ScalerParams:
@@ -193,14 +195,10 @@ def fit_scaler(dataset: LabeledDataset) -> ScalerParams:
     return ScalerParams(mins=mins, ranges=ranges)
 
 
-def scale_dataset(
-    dataset: LabeledDataset, scaler: ScalerParams, in_place: bool = False
-) -> LabeledDataset:
-    """The scaled dataset: a copy, or ``dataset`` itself with ``in_place``."""
-    if in_place:
-        scaler.transform(dataset.features, out=dataset.features)
-        return dataset
-    return LabeledDataset(scaler.transform(dataset.features), dataset.labels.copy())
+def scale_dataset(dataset: LabeledDataset, scaler: ScalerParams) -> LabeledDataset:
+    """Scale ``dataset``'s features in place; returns ``dataset``."""
+    scaler.transform(dataset.features)
+    return dataset
 
 
 def _parse_count(token: str, name: str) -> int:
@@ -252,9 +250,9 @@ def parse_flow_csv(
         {normal, attacker, victim} are skipped and recorded in the rejects report.
 
     Raises:
-        ValueError: a bad column map or header; with ``encoding``, also the error
-            ``encode`` raises for the first accepted token it has no code for,
-            after the rejects are reported.
+        ValueError: a bad column map or header; with ``encoding``, also a path
+            that is not a regular file, and the error ``encode`` raises for the
+            first accepted token it has no code for, after the rejects are reported.
     """
     canonical_needed = set(FEATURE_NAMES) | {CLASS_COLUMN}
     mapped = set(column_map.values())
@@ -305,7 +303,14 @@ def parse_flow_csv(
 
 def _line_bound(path) -> int:
     """At least the number of lines in ``path`` as a text file reads them: a line
-    ends at each "\\n", "\\r" or "\\r\\n", and the last one may have no end."""
+    ends at each "\\n", "\\r" or "\\r\\n", and the last one may have no end.
+
+    Raises:
+        ValueError: ``path`` is not a regular file (a pipe, say), which this
+            first pass would drain before the parse reads it.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError("not a regular file; flow files are read twice")
     ends, last = 0, b""
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
@@ -525,14 +530,15 @@ def _largest_remainder_counts(total: int, weights: np.ndarray) -> np.ndarray:
 
 
 def train_test_split(
-    dataset: LabeledDataset, test_fraction: float = 0.10, seed: int = 0, in_place: bool = False
+    dataset: LabeledDataset, test_fraction: float = 0.10, seed: int = 0
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Stratified split; per-class test counts stay within 1 of the exact share.
 
-    With ``in_place`` the training rows are moved down inside ``dataset``'s own arrays,
-    which are then shrunk, and ``dataset`` itself is the training part.  No other
-    array may view them.  Arrays that are views, read-only or not C-contiguous are
-    copied instead, never written.  The test part is always a copy.
+    The split takes ``dataset`` over: the test part is a copy of its test rows, and
+    the training rows are moved down inside ``dataset``'s own arrays, which are then
+    shrunk, so ``dataset`` itself is the training part.  No other array may view
+    them.  Arrays that are views, read-only or not C-contiguous are copied instead,
+    never written.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -561,8 +567,7 @@ def train_test_split(
     test = dataset.subset(np.flatnonzero(test_mask))
     train_rows = np.flatnonzero(~test_mask)
     arrays = dataset.features, dataset.labels
-    if in_place and all(a.flags.owndata and a.flags.writeable and a.flags.c_contiguous
-                        for a in arrays):
+    if all(a.flags.owndata and a.flags.writeable and a.flags.c_contiguous for a in arrays):
         return _compact(dataset, train_rows), test
     return dataset.subset(train_rows), test
 

@@ -228,19 +228,19 @@ def _prepare_worker(
     # The split is stratified, so every class needs a row on each side.
     raw_counts = _require_classes(wid, "raw", shard, min_rows=2)
     train, test = train_test_split(
-        shard, config.test_fraction, derive_seed(config.seed, "split", wid), in_place=True
+        shard, config.test_fraction, derive_seed(config.seed, "split", wid)
     )
     del shard  # now train itself, unless its arrays were views and train is a copy
     # Scoring a shard of one class leaves AUROC or F1 meaningless mid-run.
     test_counts = _require_classes(wid, "test", test, min_rows=1)
     scaler = fit_scaler(train)
-    scale_dataset(train, scaler, in_place=True)
-    scale_dataset(test, scaler, in_place=True)
+    scale_dataset(train, scaler)
+    scale_dataset(test, scaler)
     slim = nearmiss3_undersample(train, config.resample)
     del train  # slim itself when NearMiss-3 has nothing to drop
     sample_count = slim.sample_count
     train_final, validation = train_test_split(
-        slim, VALIDATION_FRACTION, derive_seed(config.seed, "val", wid), in_place=True
+        slim, VALIDATION_FRACTION, derive_seed(config.seed, "val", wid)
     )
     _require_classes(wid, "train", train_final, min_rows=1)
     _require_classes(wid, "validation", validation, min_rows=1)

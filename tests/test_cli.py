@@ -445,6 +445,7 @@ def test_unseen_token_in_a_flow_file_exits_2_naming_worker_and_path(
     "fault, reason",
     [
         ("missing", "No such file or directory"),
+        ("fifo", "not a regular file; flow files are read twice"),
         ("empty", "empty file, no header row"),
         ("header", "column 'protocol' not in header"),
         ("column_map", "column_map does not cover attributes: ['flags']"),
@@ -461,6 +462,9 @@ def test_unreadable_flow_file_exits_2_naming_worker_and_path(
     owner, path, mapping = "worker 2", second, {}
     if fault == "missing":
         second.unlink()
+    elif fault == "fifo":  # refused before it is opened, so nothing waits for a writer
+        second.unlink()
+        os.mkfifo(second)
     elif fault == "empty":
         second.write_text("")
     elif fault == "header":

@@ -194,10 +194,17 @@ def test_scaler_is_unclamped_outside_fit_range():
 def test_scale_dataset_keeps_fit_data_in_unit_range():
     rng = np.random.default_rng(11)
     data = LabeledDataset(rng.normal(size=(50, 4)) * 100, rng.integers(0, 3, size=50))
+    labels = data.labels.copy()
     scaled = scale_dataset(data, fit_scaler(data))
+    assert scaled is data  # scaled in place
     assert scaled.features.min() >= 0.0
     assert scaled.features.max() <= 1.0
-    assert np.array_equal(scaled.labels, data.labels)
+    assert np.array_equal(scaled.labels, labels)
+
+
+def _copy(dataset):
+    """A dataset of its own arrays, for a split that takes its input over."""
+    return LabeledDataset(dataset.features.copy(), dataset.labels.copy())
 
 
 def _random_dataset(rng, n, n_classes=3, n_features=2):
@@ -215,8 +222,8 @@ def test_split_sizes_are_exact_for_round_fractions():
 
 def test_split_is_deterministic_per_seed():
     data = _random_dataset(np.random.default_rng(1), 200)
-    a_train, a_test = train_test_split(data, 0.25, seed=42)
-    b_train, b_test = train_test_split(data, 0.25, seed=42)
+    a_train, a_test = train_test_split(_copy(data), 0.25, seed=42)
+    b_train, b_test = train_test_split(_copy(data), 0.25, seed=42)
     assert np.array_equal(a_train.features, b_train.features)
     assert np.array_equal(a_test.features, b_test.features)
     c_train, _ = train_test_split(data, 0.25, seed=43)
@@ -231,7 +238,7 @@ def test_split_preserves_class_ratio_within_one_sample():
         labels = np.repeat(np.arange(3), sizes)
         data = LabeledDataset(rng.normal(size=(len(labels), 2)), labels)
         fraction = float(rng.uniform(0.1, 0.4))
-        _, test = train_test_split(data, fraction, seed=trial)
+        _, test = train_test_split(_copy(data), fraction, seed=trial)
         total_test = int(round(data.sample_count * fraction))
         for cls, size in enumerate(sizes):
             exact = total_test * size / data.sample_count
@@ -244,9 +251,27 @@ def test_split_is_a_partition_of_the_input():
     data = LabeledDataset(
         np.arange(60, dtype=np.float64).reshape(60, 1), rng.integers(0, 3, size=60)
     )
-    train, test = train_test_split(data, 0.3, seed=9)
+    train, test = train_test_split(_copy(data), 0.3, seed=9)
     recombined = sorted(np.concatenate([train.features[:, 0], test.features[:, 0]]).tolist())
     assert recombined == data.features[:, 0].tolist()
+
+
+def test_split_takes_its_own_arrays_over_and_copies_any_other():
+    data = _random_dataset(np.random.default_rng(6), 500)
+    owned = _copy(data)
+    buffer = owned.features
+    train, test = train_test_split(owned, 0.2, seed=1)
+    assert train is owned and train.features is buffer  # compacted, then shrunk
+    read_only = _copy(data)
+    read_only.features.flags.writeable = False
+    before = data.features.tobytes(), data.labels.tobytes()
+    for other in (LabeledDataset(data.features[:], data.labels[:]), read_only):
+        other_train, other_test = train_test_split(other, 0.2, seed=1)
+        assert other_train is not other
+        for ours, theirs in ((train, other_train), (test, other_test)):
+            assert ours.features.tobytes() == theirs.features.tobytes()
+            assert ours.labels.tobytes() == theirs.labels.tobytes()
+    assert (data.features.tobytes(), data.labels.tobytes()) == before
 
 
 def test_split_rejects_tiny_classes_and_bad_fractions():
