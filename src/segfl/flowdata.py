@@ -62,7 +62,7 @@ _BLOCK_DTYPE = [("duration", "f8"), ("protocol", "O"), ("src_port", "i8"), ("dst
 
 @dataclass(frozen=True)
 class FlowTable:
-    """Accepted flow rows as columns of coerced, not yet encoded, tokens.
+    """Flow rows as columns of tokens, as ``write_flow_csv`` writes them.
 
     One array per canonical attribute plus the class tokens, all in row
     order: ``duration`` float64; ports and counts int64; ``protocol``,
@@ -143,7 +143,7 @@ class EncodingMap:
     label_codes: dict[str, int] = field(default_factory=lambda: dict(CLASS_CODES))
 
     def encode(self, table: FlowTable) -> LabeledDataset:
-        """Turn a parsed flow table into a numeric LabeledDataset.
+        """Turn a flow table into a numeric LabeledDataset, as parse_flow_csv encodes.
 
         Raises:
             ValueError: naming the first protocol token without a code, else the
@@ -225,13 +225,11 @@ def _parse_port(token: str) -> int:
     return port
 
 
-def parse_flow_csv(
-    path,
-    column_map: dict[str, str],
-    rejects_path=None,
-    encoding: EncodingMap | None = None,
-) -> FlowTable | LabeledDataset:
-    """Parse a delimited flow export into a table of accepted rows.
+def parse_flow_csv(path, column_map: dict[str, str], rejects_path=None) -> LabeledDataset:
+    """Parse a delimited flow export into the encoded dataset of its accepted rows.
+
+    Each block of rows is encoded by ``default_encoding()`` as it is read, into one
+    feature matrix sized by a count of the file's lines.
 
     Args:
         path: CSV file with a header row.
@@ -240,19 +238,16 @@ def parse_flow_csv(
             mentioned (addresses, timestamps, ...) are ignored.
         rejects_path: optional file that receives one ``<line_no>\\t<reason>``
             line per skipped row.
-        encoding: when given, each block of rows is encoded as it is read, into
-            one feature matrix sized by a count of the file's lines, and the
-            result is ``encoding.encode`` of the table, made without the table.
 
     Returns:
-        The accepted rows in file order, as a FlowTable or, with ``encoding``, a
-        LabeledDataset.  Rows that fail to parse and rows whose class is outside
-        {normal, attacker, victim} are skipped and recorded in the rejects report.
+        The accepted rows in file order.  Rows that fail to parse and rows whose
+        class is outside {normal, attacker, victim} are skipped and recorded in
+        the rejects report.
 
     Raises:
-        ValueError: a bad column map or header; with ``encoding``, also a path
-            that is not a regular file, and the error ``encode`` raises for the
-            first accepted token it has no code for, after the rejects are reported.
+        ValueError: a bad column map or header, a path that is not a regular file,
+            and the error ``EncodingMap.encode`` raises for the first accepted token
+            it has no code for, after the rejects are reported.
     """
     canonical_needed = set(FEATURE_NAMES) | {CLASS_COLUMN}
     mapped = set(column_map.values())
@@ -260,7 +255,7 @@ def parse_flow_csv(
     if missing:
         raise ValueError(f"column_map does not cover attributes: {sorted(missing)}")
 
-    rows = _TableRows() if encoding is None else _EncodedRows(encoding, _line_bound(path))
+    rows = _EncodedRows(default_encoding(), _line_bound(path))
     rejects: list[tuple[int, str]] = []
     dropped_classes: dict[str, int] = {}
 
@@ -318,27 +313,6 @@ def _line_bound(path) -> int:
             ends -= last == b"\r" and chunk.startswith(b"\n")
             last = chunk[-1:]
     return ends + 1
-
-
-class _TableRows:
-    """Block columns gathered into one FlowTable; equal tokens are one str object."""
-
-    def __init__(self):
-        self.parts: list[list[np.ndarray]] = []
-        self.shared: dict[str, str] = {}
-        self.count = 0
-
-    def add(self, columns: list) -> None:
-        self.parts.append([self._tokens(c) if isinstance(c, tuple) else c for c in columns])
-        self.count += len(columns[0])
-
-    def _tokens(self, column: tuple[list[str], np.ndarray]) -> np.ndarray:
-        distinct, inverse = column
-        return np.array([self.shared.setdefault(t, t) for t in distinct], dtype=object)[inverse]
-
-    def result(self) -> FlowTable:
-        parts = self.parts or [[()] * len(_COLUMN_DTYPES)]
-        return FlowTable(*map(np.concatenate, zip(*parts)))
 
 
 class _EncodedRows:

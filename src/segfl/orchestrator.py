@@ -32,7 +32,6 @@ from segfl.flowdata import (
     FEATURE_NAMES,
     LabeledDataset,
     concat_datasets,
-    default_encoding,
     fit_scaler,
     parse_flow_csv,
     partition_workers,
@@ -311,7 +310,7 @@ def _load_raw_shards(config: ExperimentConfig) -> Iterable[LabeledDataset]:
 def _read_flows(path, column_map: dict[str, str], owner: str) -> LabeledDataset:
     """Parse and encode one flow file; an unreadable file or unseen token is a ConfigError."""
     try:
-        return parse_flow_csv(path, column_map, encoding=default_encoding())
+        return parse_flow_csv(path, column_map)
     except OSError as exc:
         raise ConfigError(f"{owner}: {path}: {exc.strerror or exc}") from None
     except ValueError as exc:

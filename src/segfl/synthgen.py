@@ -13,6 +13,7 @@ diverged one increasingly badly, which is exactly what drives segmentation.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,11 +260,14 @@ def check_divergence(divergence) -> float:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# A generated row is 7 float64 features and an int64 label; every shard is held at once.
+_ROW_BYTES = 64
 
 
 def check_sizes(sizes, n_workers: int) -> tuple[int, ...]:
     """One row count per worker, one integer standing for all; ValueError unless each
-    is an integer from 1 to the int64 maximum and there is one per worker."""
+    is an integer from 1 to the int64 maximum, there is one per worker, and all the
+    shards' rows fit in physical memory at ``_ROW_BYTES`` each."""
     listed = [sizes] * n_workers if _is_int(sizes) else sizes
     if not isinstance(listed, (list, tuple)) or not all(_is_int(s) and s >= 1 for s in listed):
         raise ValueError(f"sizes must be positive integers, got {sizes!r}")
@@ -271,6 +275,12 @@ def check_sizes(sizes, n_workers: int) -> tuple[int, ...]:
         raise ValueError(f"sizes must be at most {_INT64_MAX} (int64), got {sizes!r}")
     if len(listed) != n_workers:
         raise ValueError(f"sizes has {len(listed)} entries for {n_workers} workers")
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if sum(listed) * _ROW_BYTES > memory:
+        raise ValueError(
+            f"sizes must fit in memory: {sum(listed)} rows at {_ROW_BYTES} B need more than "
+            f"the {memory} B of physical memory, got {sizes!r}"
+        )
     return tuple(map(int, listed))
 
 

@@ -571,7 +571,11 @@ _EXPORT_COLUMN_MAP = {
 
 
 def _maybe_corpus_total() -> int | None:
-    """Accepted-row count over real flow exports, when a directory is supplied."""
+    """Accepted-row count over real flow exports, when a directory is supplied.
+
+    The rows go through the parser's encoder, so a token outside the shipped
+    vocabulary is an error here, as it is in ``segfl run``.
+    """
     root = os.environ.get("SEGFL_CIDDS_DIR", "data/cidds")
     candidates = sorted(Path(root).glob("**/*.csv")) if Path(root).is_dir() else []
     if not candidates:

@@ -18,7 +18,7 @@ import pytest
 
 from segfl import orchestrator
 from segfl.flowdata import CANONICAL_COLUMN_MAP, EncodingMap, default_encoding, parse_flow_csv
-from segfl.synthgen import make_scenario
+from segfl.synthgen import make_scenario, to_records
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -72,20 +72,22 @@ def test_ingest_generator_calls_round_trip(tmp_path, monkeypatch, caplog, worklo
     targets = [t for t in tracing.full_targets() if t[2].startswith("flowdata.")]
     for w, dataset in enumerate(scenario.datasets, start=1):
         path = tmp_path / f"shard_{w}.csv"
-        table = parse_flow_csv(path, CANONICAL_COLUMN_MAP)
-        assert len(table) == rows
-        encoded = default_encoding().encode(table)
-        assert np.array_equal(encoded.labels, dataset.labels)
-        assert np.array_equal(encoded.features, dataset.features)
+        shard = parse_flow_csv(path, CANONICAL_COLUMN_MAP)
+        assert len(shard) == rows
+        assert np.array_equal(shard.labels, dataset.labels)
+        assert np.array_equal(shard.features, dataset.features)
 
         # The traced path: the parse counter takes len() of the result, the
         # reject counter reads parse_flow_csv's log line, and encode is
-        # wrapped on the EncodingMap class.
+        # wrapped on the EncodingMap class; encoding the shard's records gives
+        # the shard's bytes back.
         with path.open("a") as fh:
             fh.write("-1,TCP,1,2,3,4,.A....,normal\n")
         with recorder.patched(targets):
             traced = orchestrator.parse_flow_csv(path, CANONICAL_COLUMN_MAP)
-            EncodingMap.encode(default_encoding(), traced)
+            encoded = EncodingMap.encode(default_encoding(), to_records(traced))
+        assert encoded.features.tobytes() == traced.features.tobytes()
+        assert encoded.labels.tobytes() == traced.labels.tobytes()
     metrics = tracing.layer_metrics(recorder.spans, 0)
     assert metrics["flowdata.parse_rows"] == rows * workloads.INGEST_WORKERS
     assert metrics["flowdata.reject_rows"] == workloads.INGEST_WORKERS

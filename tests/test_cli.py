@@ -397,6 +397,12 @@ def _line_of(path: Path, text: str) -> int:
             "sizes:",
             f"data.sizes must be at most {2**63 - 1} (int64), got [{2**70}, 400]",
         ),
+        # Within int64 but beyond memory: refused before anything is allocated.
+        (
+            {"sizes": [2**40, 400]},
+            "sizes:",
+            f"data.sizes must fit in memory: {2**40 + 400} rows at 64 B need more than the ",
+        ),
     ],
 )
 def test_bad_data_block_exits_2_with_its_line(tmp_path, capsys, data, key, message):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -98,9 +100,8 @@ def test_generated_data_round_trips_through_csv(tmp_path):
     path = tmp_path / "flows.csv"
     write_flow_csv(to_records(data), path)
     parsed = parse_flow_csv(path, CANONICAL_COLUMN_MAP)
-    encoded = default_encoding().encode(parsed)
-    assert np.array_equal(encoded.labels, data.labels)
-    assert np.allclose(encoded.features, data.features, rtol=0, atol=0)
+    assert np.array_equal(parsed.labels, data.labels)
+    assert np.array_equal(parsed.features, data.features)
 
 
 def test_generate_rejects_bad_sizes():
@@ -166,6 +167,10 @@ def test_scenario_validation():
         make_scenario(2, ("A",), sizes=(10, 0))
     with pytest.raises(ValueError, match="int64"):
         make_scenario(2, ("A",), sizes=(10, 2**63))
+    # Each shard alone fits in physical memory at 64 B a row; both together do not.
+    half = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 64 // 2 + 1
+    with pytest.raises(ValueError, match=f"sizes must fit in memory: {2 * half} rows at 64 B"):
+        make_scenario(2, ("A",), sizes=half)
     with pytest.raises(ValueError, match="divergence must be at most 4.75.*got inf"):
         make_scenario(2, ("A", "B"), sizes=10, divergence=float("inf"))
 
