@@ -1,98 +1,118 @@
 """Experiment configuration files: flat YAML keyed by the protocol symbols.
 
-Recognized keys (defaults in parentheses):
-
-    mode            centralized | fl | segmented_fl (segmented_fl)
-    J               federated rounds (15)
-    N_t             trainers per group per round (whole member list)
-    E, B, eta       local epochs (1), minibatch size (128), SGD step (0.01)
-    alpha, beta, gamma   aggregation blend, must sum to 1 (0.2 / 0.6 / 0.2)
-    h_f             threshold fineness (7)
-    h_j             rounds between evaluations (3)
-    R_e             validation window length (3)
-    max_groups      live-group cap (3)
-    seed            master seed (0)
-    hidden_dims     hidden layer widths ([64, 32])
-    test_fraction   per-worker holdout share (0.10)
-    resample_k      NearMiss neighbour count (3)
-    target_ratio    majority target over smallest class (2.0)
-    out_dir         output root used when neither --out nor SEGFL_OUT is set
-    data            nested mapping describing the data source
+Every top-level key but ``data`` is one row of ``_KEYS``: the ``ExperimentConfig``
+field(s) it sets and the kind of value it takes. A key left out takes its
+field's default; the README's Configuration table lists them. ``data`` is a
+nested mapping describing the data source, with the keys in ``_DATA_KEYS``.
 
 Unknown keys are rejected so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Optional
 
 import yaml
 
-from segfl.aggregation import AggregationWeights
-from segfl.nnet import TrainConfig
 from segfl.flowdata import check_shares
 from segfl.orchestrator import DEFAULT_SHARD_SIZE, ConfigError, DataSpec, ExperimentConfig
-from segfl.resample import ResampleConfig
-from segfl.segmentation import SegmentationConfig
-from segfl.synthgen import check_class_mix, check_divergence, check_profiles, check_sizes
+from segfl.synthgen import _is_int, check_class_mix, check_divergence, check_profiles, check_sizes
 
 
-_DATA_KEYS = {
-    "source",
-    "n_workers",
-    "profiles",
-    "sizes",
-    "divergence",
-    "class_mix",
-    "paths",
-    "corpus",
-    "shares",
-    "column_map",
+def _is_positive_int(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _is_number(value) -> bool:
+    """A float, or an integer within float range (float() of a larger one overflows)."""
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
+
+
+# How a message names each kind of value -> whether a value is of that kind.
+_IS_KIND = {
+    "any": lambda value: True,
+    "a string": lambda value: isinstance(value, str),
+    "an integer": _is_int,
+    "a positive integer": _is_positive_int,
+    "a number": _is_number,
+    "a list of positive integers": lambda value: (
+        isinstance(value, list) and all(map(_is_positive_int, value))
+    ),
+    "a mapping": lambda value: isinstance(value, dict),
+}
+# The field's form of a value of these kinds; the others are stored as they are.
+_FORM = {"a number": float, "a list of positive integers": tuple}
+
+# Every top-level key but data -> (the ExperimentConfig fields it sets, its kind).
+# The default is the first field's; a key that sets no field defaults to None.
+_KEYS = {
+    "mode": (("mode",), "any"),  # ExperimentConfig names the modes
+    "J": (("rounds",), "an integer"),
+    "N_t": (("participants_per_round",), "a positive integer"),
+    "E": (("train.epochs",), "an integer"),
+    "B": (("train.batch_size",), "an integer"),
+    "eta": (("train.learning_rate",), "a number"),
+    "alpha": (("weights.alpha",), "a number"),
+    "beta": (("weights.beta",), "a number"),
+    "gamma": (("weights.gamma",), "a number"),
+    "h_f": (("segmentation.fineness",), "an integer"),
+    "h_j": (("segmentation.eval_every",), "an integer"),
+    "R_e": (("segmentation.window",), "an integer"),
+    "max_groups": (("segmentation.max_groups",), "an integer"),
+    "seed": (("seed", "train.seed"), "an integer"),
+    "hidden_dims": (("hidden_dims",), "a list of positive integers"),
+    "test_fraction": (("test_fraction",), "a number"),
+    "resample_k": (("resample.neighbors_k",), "an integer"),
+    "target_ratio": (("resample.target_ratio",), "a number"),
+    "out_dir": ((), "a string"),  # the output root, read by the CLI
 }
 
+# Config dataclass field -> the key that sets it. Each __post_init__ message
+# begins with the field's name, which an error report swaps for the key.
+_KEY_OF = {path.rpartition(".")[2]: key for key, (paths, _) in _KEYS.items() for path in paths}
 
-# Config dataclass field -> the key that sets it, where the two names differ.
-# Each __post_init__ message begins with the field's name, which an error
-# report swaps for the key.
-_KEY_OF_FIELD = {
-    "rounds": "J",
-    "participants_per_round": "N_t",
-    "epochs": "E",
-    "batch_size": "B",
-    "learning_rate": "eta",
-    "fineness": "h_f",
-    "eval_every": "h_j",
-    "window": "R_e",
-    "neighbors_k": "resample_k",
+# Each data source -> the data keys it reads, each setting the DataSpec field of its name.
+_SOURCE_KEYS = {
+    "synthetic": ("n_workers", "profiles", "sizes", "divergence", "class_mix"),
+    "files": ("paths", "column_map"),
+    "corpus": ("corpus", "shares", "column_map"),
 }
+_DATA_KEYS = {"source"}.union(*_SOURCE_KEYS.values())
 
 
 def _defaults() -> dict[str, Any]:
     """Every top-level key but ``data``, with its value when the file leaves it out."""
     config = ExperimentConfig()
-    return {
-        "mode": config.mode,
-        "J": config.rounds,
-        "N_t": config.participants_per_round,
-        "E": config.train.epochs,
-        "B": config.train.batch_size,
-        "eta": config.train.learning_rate,
-        "alpha": config.weights.alpha,
-        "beta": config.weights.beta,
-        "gamma": config.weights.gamma,
-        "h_f": config.segmentation.fineness,
-        "h_j": config.segmentation.eval_every,
-        "R_e": config.segmentation.window,
-        "max_groups": config.segmentation.max_groups,
-        "seed": config.seed,
-        "hidden_dims": list(config.hidden_dims),
-        "test_fraction": config.test_fraction,
-        "resample_k": config.resample.neighbors_k,
-        "target_ratio": config.resample.target_ratio,
-        "out_dir": None,
-    }
+    defaults = {}
+    for key, (paths, _) in _KEYS.items():
+        value = attrgetter(paths[0])(config) if paths else None
+        defaults[key] = list(value) if isinstance(value, tuple) else value
+    return defaults
+
+
+def _checked(key: str, kind: str, value, default, fail):
+    """``value`` in its field's form; ``fail`` unless it is ``kind``, or None as ``default`` is."""
+    if value is None and default is None:
+        return None
+    if not _IS_KIND[kind](value):
+        fail(key, f"{key} must be {kind}, got {value!r}")
+    return _FORM.get(kind, lambda v: v)(value)
+
+
+def _experiment(fields: dict[str, Any], data: DataSpec) -> ExperimentConfig:
+    """The default ExperimentConfig with each (dotted) field set, sub-configs first."""
+    default = ExperimentConfig()
+    top: dict[str, Any] = {"data": data}
+    nested: dict[str, dict[str, Any]] = {}
+    for path, value in fields.items():
+        head, _, name = path.rpartition(".")
+        (nested.setdefault(head, {}) if head else top)[name] = value
+    subs = {head: replace(getattr(default, head), **values) for head, values in nested.items()}
+    return replace(default, **subs, **top)
 
 
 @dataclass
@@ -125,7 +145,7 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     """Load, validate, and resolve a config file.
 
     Args:
-        path: YAML file with the keys documented above.
+        path: YAML file with the keys of ``_KEYS`` and ``data``.
         overrides: optional key -> value replacements (e.g. a --seed flag),
             applied before validation and reflected in the snapshot.
 
@@ -162,68 +182,26 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     def fail(key: str, message: str):
         raise ConfigError(message, lines.get(key))
 
-    resolved = _defaults()
-    unknown = sorted(set(raw) - set(resolved) - {"data"})
+    defaults = _defaults()
+    unknown = sorted(set(raw) - set(_KEYS) - {"data"})
     if unknown:
         fail(unknown[0], f"unknown config key(s): {', '.join(unknown)}")
-    resolved.update({k: v for k, v in raw.items() if k != "data"})
+    resolved = {**defaults, **{k: v for k, v in raw.items() if k != "data"}}
+    fields: dict[str, Any] = {}
+    for key, (paths, kind) in _KEYS.items():
+        fields.update(dict.fromkeys(paths, _checked(key, kind, resolved[key], defaults[key], fail)))
 
-    for key in ("J", "E", "B", "h_f", "h_j", "R_e", "max_groups", "seed", "resample_k"):
-        if not _is_int(resolved[key]):
-            fail(key, f"{key} must be an integer, got {resolved[key]!r}")
-    if resolved["N_t"] is not None and not _is_positive_int(resolved["N_t"]):
-        fail("N_t", f"N_t must be a positive integer, got {resolved['N_t']!r}")
-    hidden = resolved["hidden_dims"]
-    if not isinstance(hidden, list) or not all(_is_positive_int(h) for h in hidden):
-        fail("hidden_dims", f"hidden_dims must be a list of positive integers, got {hidden!r}")
-    for key in ("eta", "alpha", "beta", "gamma", "test_fraction", "target_ratio"):
-        if not isinstance(resolved[key], (int, float)) or isinstance(resolved[key], bool):
-            fail(key, f"{key} must be a number, got {resolved[key]!r}")
-    if resolved["out_dir"] is not None and not isinstance(resolved["out_dir"], str):
-        fail("out_dir", f"out_dir must be a string, got {resolved['out_dir']!r}")
-
-    data_raw = raw.get("data") or {}
-    if not isinstance(data_raw, dict):
-        fail("data", "data must be a mapping")
+    data_raw = _checked("data", "a mapping", raw.get("data"), None, fail) or {}
     unknown_data = sorted(set(data_raw) - _DATA_KEYS)
     if unknown_data:
         fail(f"data.{unknown_data[0]}", f"unknown data key(s): {', '.join(unknown_data)}")
 
     data_spec = _build_data_spec(data_raw, fail)
     try:
-        experiment = ExperimentConfig(
-            mode=resolved["mode"],
-            rounds=resolved["J"],
-            participants_per_round=resolved["N_t"],
-            train=TrainConfig(
-                epochs=resolved["E"],
-                batch_size=resolved["B"],
-                learning_rate=float(resolved["eta"]),
-                seed=resolved["seed"],
-            ),
-            weights=AggregationWeights(
-                alpha=float(resolved["alpha"]),
-                beta=float(resolved["beta"]),
-                gamma=float(resolved["gamma"]),
-            ),
-            segmentation=SegmentationConfig(
-                fineness=resolved["h_f"],
-                eval_every=resolved["h_j"],
-                window=resolved["R_e"],
-                max_groups=resolved["max_groups"],
-            ),
-            hidden_dims=tuple(resolved["hidden_dims"]),
-            resample=ResampleConfig(
-                neighbors_k=resolved["resample_k"],
-                target_ratio=float(resolved["target_ratio"]),
-            ),
-            test_fraction=float(resolved["test_fraction"]),
-            seed=resolved["seed"],
-            data=data_spec,
-        )
+        experiment = _experiment(fields, data_spec)
     except ValueError as exc:
         name, _, rest = str(exc).partition(" ")
-        key = _KEY_OF_FIELD.get(name, name if name in resolved else None)
+        key = _KEY_OF.get(name)
         if key is None:
             raise ConfigError(str(exc)) from None
         message = f"{key} {rest}"
@@ -238,14 +216,6 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     return LoadedConfig(experiment=experiment, snapshot=snapshot, out_dir=resolved["out_dir"])
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_positive_int(value) -> bool:
-    return _is_int(value) and value >= 1
-
-
 def _build_data_spec(data_raw: dict, fail) -> DataSpec:
     def checked(name: str, check, default):
         """``check`` on data.<name> or its default, a ValueError reported at the key's line."""
@@ -254,12 +224,13 @@ def _build_data_spec(data_raw: dict, fail) -> DataSpec:
         except ValueError as exc:
             fail(f"data.{name}", f"data.{exc}")
 
+    def of_kind(name: str, kind: str, default):
+        return _checked(f"data.{name}", kind, data_raw.get(name, default), default, fail)
+
     source = data_raw.get("source", "synthetic")
     if source == "synthetic":
         defaults = DataSpec()
-        n_workers = data_raw.get("n_workers", defaults.n_workers)
-        if not _is_positive_int(n_workers):
-            fail("data.n_workers", f"data.n_workers must be a positive integer, got {n_workers!r}")
+        n_workers = of_kind("n_workers", "a positive integer", defaults.n_workers)
         sizes = checked("sizes", lambda value: check_sizes(value, n_workers), DEFAULT_SHARD_SIZE)
         class_mix = data_raw.get("class_mix")
         return DataSpec(
@@ -270,20 +241,18 @@ def _build_data_spec(data_raw: dict, fail) -> DataSpec:
             divergence=checked("divergence", check_divergence, defaults.divergence),
             class_mix=None if class_mix is None else checked("class_mix", check_class_mix, None),
         )
-    column_map = data_raw.get("column_map")
-    if column_map is not None and not isinstance(column_map, dict):
-        fail("data.column_map", f"data.column_map must be a mapping, got {column_map!r}")
+    column_map = of_kind("column_map", "a mapping", None)
     for source_name, name in (column_map or {}).items():
         if not (isinstance(source_name, str) and isinstance(name, str)):
             got = f"{source_name!r}: {name!r}"
             fail("data.column_map", f"data.column_map must map strings to strings, got {got}")
     if source == "files":
         paths = data_raw.get("paths", [])
-        if not isinstance(paths, list) or not paths:
+        if not (isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths)):
             fail("data.paths", f"data.paths must list one flow file per worker, got {paths!r}")
-        return DataSpec(source="files", paths=tuple(map(str, paths)), column_map=column_map)
+        return DataSpec(source="files", paths=tuple(paths), column_map=column_map)
     if source == "corpus":
-        corpus = str(data_raw.get("corpus", ""))
+        corpus = of_kind("corpus", "a string", "")
         if not corpus or not data_raw.get("shares"):
             fail("data.source", "data source 'corpus' needs data.corpus and data.shares")
         shares = tuple(checked("shares", check_shares, ()).tolist())
@@ -292,21 +261,10 @@ def _build_data_spec(data_raw: dict, fail) -> DataSpec:
 
 
 def _data_snapshot(spec: DataSpec) -> dict:
-    if spec.source == "synthetic":
-        snapshot = {
-            "source": spec.source,
-            "n_workers": spec.n_workers,
-            "profiles": list(spec.profiles),
-            "sizes": list(spec.sizes),
-            "divergence": spec.divergence,
-        }
-        if spec.class_mix is not None:
-            snapshot["class_mix"] = list(spec.class_mix)
-        return snapshot
-    if spec.source == "files":
-        snapshot = {"source": spec.source, "paths": list(spec.paths)}
-    else:
-        snapshot = {"source": spec.source, "corpus": spec.corpus, "shares": list(spec.shares)}
-    if spec.column_map is not None:
-        snapshot["column_map"] = dict(spec.column_map)
+    """The source and the fields its keys set, tuples as lists; an unset field is left out."""
+    snapshot = {"source": spec.source}
+    for name in _SOURCE_KEYS[spec.source]:
+        value = getattr(spec, name)
+        if value is not None:
+            snapshot[name] = list(value) if isinstance(value, tuple) else value
     return snapshot

@@ -17,6 +17,7 @@ from segfl.cli import cmd_compare, cmd_report, cmd_run, main
 from segfl.config import ConfigError, load_config
 from segfl.flowdata import write_flow_csv
 from segfl.orchestrator import ExperimentConfig
+from segfl.reporting import run_id_for
 from segfl.synthgen import generate, make_profile, to_records
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -128,6 +129,7 @@ def test_load_config_rejects_bad_mode_and_counts(tmp_path):
         # Non-finite values, which pass every "x < 0" rule.
         ("eta: .nan\n", "eta must be finite, got nan"),
         ("eta: .inf\n", "eta must be finite, got inf"),
+        (f"eta: {10**400}\n", "eta must be a number, got 1000"),  # float() would overflow
         ("target_ratio: .inf\n", "target_ratio must be finite, got inf"),
         ("target_ratio: .nan\n", "target_ratio must be finite, got nan"),
         ("alpha: .nan\n", "alpha must be non-negative, got nan"),
@@ -171,6 +173,24 @@ def test_load_config_seed_override(tmp_path):
     assert load_config(path).experiment.seed == 3
     assert load_config(path, overrides={"seed": 9}).experiment.seed == 9
     assert load_config(path, overrides={"seed": None}).experiment.seed == 3
+
+
+@pytest.mark.parametrize(
+    "name, run_id, compare_id",
+    [
+        ("quick.yaml", "bfb6c3b61154", "4f5164671286"),
+        ("segmentation_demo.yaml", "f1aaba952a08", "b3b58fa09523"),
+        (None, "15589bccacc4", "682370bc4c41"),  # an empty file
+    ],
+)
+def test_run_ids_of_the_shipped_configs_stay(tmp_path, name, run_id, compare_id):
+    # Run directories are named by the snapshot: a reordered or retyped value moves them all.
+    path = _REPO / "configs" / name if name else tmp_path / "empty.yaml"
+    if name is None:
+        path.write_text("")
+    snapshot = load_config(path).snapshot
+    assert run_id_for({"command": "run", **snapshot}) == run_id
+    assert run_id_for({"command": "compare", **snapshot}) == compare_id
 
 
 def test_load_config_missing_file(tmp_path):
@@ -403,10 +423,28 @@ def _line_of(path: Path, text: str) -> int:
             "sizes:",
             f"data.sizes must fit in memory: {2**40 + 400} rows at 64 B need more than the ",
         ),
+        # Not read as the paths "None" and "5".
+        (
+            {"source": "corpus", "corpus": None, "shares": [1.0]},
+            "corpus:",
+            "data.corpus must be a string, got None",
+        ),
+        (
+            {"source": "files", "paths": [None, 5]},
+            "paths:",
+            "data.paths must list one flow file per worker, got [None, 5]",
+        ),
+        # Only an empty data block (null) stands for the synthetic defaults.
+        ([], "data:", "data must be a mapping, got []"),
+        (0, "data:", "data must be a mapping, got 0"),
+        (False, "data:", "data must be a mapping, got False"),
+        (5, "data:", "data must be a mapping, got 5"),
     ],
 )
 def test_bad_data_block_exits_2_with_its_line(tmp_path, capsys, data, key, message):
-    config = _write_config(tmp_path, data={**_QUICK["data"], **data})
+    if isinstance(data, dict):
+        data = {**_QUICK["data"], **data}
+    config = _write_config(tmp_path, data=data)
     for command in ("run", "compare"):
         assert main([command, str(config), "--out", str(tmp_path / command)]) == 2
         err = capsys.readouterr().err
