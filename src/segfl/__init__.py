@@ -8,4 +8,6 @@ a new one.  Everything is deterministic under a fixed seed.
 
 from segfl.orchestrator import DataSpec, ExperimentConfig, ExperimentResult, run_experiment
 
+__all__ = ["DataSpec", "ExperimentConfig", "ExperimentResult", "run_experiment"]
+
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ import yaml
 
 from segfl.config import ConfigError, LoadedConfig, load_config
 from segfl.orchestrator import MODES, RunSinks, build_worker_data, run_experiment
-from segfl import reporting
 from segfl.reporting import (
     CHECKPOINT_DIR,
     COMPARE_FILE,

@@ -252,9 +252,11 @@ def _build_data_spec(data_raw: dict, fail) -> DataSpec:
             fail("data.paths", f"data.paths must list one flow file per worker, got {paths!r}")
         return DataSpec(source="files", paths=tuple(paths), column_map=column_map)
     if source == "corpus":
-        corpus = of_kind("corpus", "a string", "")
-        if not corpus or not data_raw.get("shares"):
+        if not {"corpus", "shares"} <= set(data_raw):
             fail("data.source", "data source 'corpus' needs data.corpus and data.shares")
+        corpus = of_kind("corpus", "a string", "")
+        if not corpus:
+            fail("data.corpus", "data.corpus must name a flow file, got ''")
         shares = tuple(checked("shares", check_shares, ()).tolist())
         return DataSpec(source="corpus", corpus=corpus, shares=shares, column_map=column_map)
     fail("data.source", f"data.source must be synthetic, files, or corpus; got {source!r}")

@@ -566,7 +566,7 @@ def check_shares(shares) -> np.ndarray:
     """The shares as float64 weights; ValueError unless non-empty, non-negative, summing to 1."""
     try:
         weights = np.asarray(shares, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         weights = np.empty(0)
     if weights.ndim != 1 or weights.size == 0:
         raise ValueError(f"shares must be a non-empty list of numbers, got {shares!r}")

@@ -29,7 +29,6 @@ from segfl.aggregation import AggregationWeights, LocalContribution, weighted_ag
 from segfl.flowdata import (
     CANONICAL_COLUMN_MAP,
     CLASS_NAMES,
-    FEATURE_NAMES,
     LabeledDataset,
     concat_datasets,
     fit_scaler,
@@ -140,7 +139,7 @@ class WorkerState:
     validation: LabeledDataset
     test: LabeledDataset
     sample_count: int  # undersampled training-shard size, weights aggregation
-    params: ModelParams
+    params: Optional[ModelParams] = None  # None until broadcast_initial
     val_history: list[float] = field(default_factory=list)
 
 
@@ -200,24 +199,20 @@ def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
     on its own training rows, undersamples the scaled training shard, and
     holds out a fixed validation slice from the result.  The undersampled
     size (before the validation holdout) is the worker's aggregation weight.
-    Parameters are placeholders until ``broadcast_initial``.  Flow files are
+    Workers have no parameters until ``broadcast_initial``.  Flow files are
     read one at a time, each after the worker before it is prepared.
 
     Raises:
         ConfigError: a shard cannot be split or scored, before any training.
     """
-    spec = LayerSpec(len(FEATURE_NAMES), config.hidden_dims)
-    placeholder = ModelParams(np.zeros(spec.n_params), spec)
     workers: list[WorkerState] = []
     for shard in _load_raw_shards(config):
-        workers.append(_prepare_worker(config, len(workers) + 1, shard, placeholder))
+        workers.append(_prepare_worker(config, len(workers) + 1, shard))
         del shard  # so the next file is read without this raw shard
     return workers
 
 
-def _prepare_worker(
-    config: ExperimentConfig, wid: int, shard: LabeledDataset, placeholder: ModelParams
-) -> WorkerState:
+def _prepare_worker(config: ExperimentConfig, wid: int, shard: LabeledDataset) -> WorkerState:
     """One worker's state from its raw shard, which it takes over.
 
     The training rows are compacted and scaled inside the shard's own arrays, so
@@ -256,7 +251,6 @@ def _prepare_worker(
         validation=validation,
         test=test,
         sample_count=sample_count,
-        params=placeholder.copy(),
     )
 
 
@@ -320,14 +314,13 @@ def _read_flows(path, column_map: dict[str, str], owner: str) -> LabeledDataset:
 def broadcast_initial(
     workers: list[WorkerState], config: ExperimentConfig
 ) -> tuple[dict[int, WorkerState], dict[int, ModelParams]]:
-    """Create the initial single group and push its parameters to everyone."""
+    """One initial group holding everyone: fresh copies of ``workers``, which stay unchanged."""
     spec = LayerSpec(workers[0].train.features.shape[1], config.hidden_dims)
     global_params = init_params(spec, derive_seed(config.seed, "init"))
-    worker_map = {}
-    for worker in workers:
-        worker.group_id = 1
-        worker.params = global_params.copy()
-        worker_map[worker.worker_id] = worker
+    worker_map = {
+        w.worker_id: replace(w, group_id=1, params=global_params.copy(), val_history=[])
+        for w in workers
+    }
     return worker_map, {1: global_params}
 
 
@@ -380,6 +373,27 @@ def run_round(
         others = [peer_params[other] for other in peer_params if other != gid]
         groups[gid] = weighted_aggregate(peer_params[gid], contributions, others, config.weights)
 
+    return _score_round(workers, round_no, config)
+
+
+def _run_pooled_round(
+    workers: dict[int, WorkerState],
+    groups: dict[int, ModelParams],
+    pooled: LabeledDataset,
+    round_no: int,
+    config: ExperimentConfig,
+) -> RoundReport:
+    """One centralized round: group 1's model trains on the pooled shards, everyone gets it.
+
+    The pooled model trains for the same total epoch count as a federated run (rounds x
+    epochs), scored on every worker's shards after each block so learning curves line up.
+    """
+    train = replace(config.train, seed=derive_seed(config.seed, "train", 0, round_no))
+    model = train_local(groups[1], pooled, train)
+    _require_finite(model.flat, "the pooled model", "parameters", round_no, config)
+    groups[1] = model
+    for worker in workers.values():
+        worker.params = model.copy()
     return _score_round(workers, round_no, config)
 
 
@@ -561,7 +575,8 @@ def run_experiment(
         sinks: optional streaming hooks (per-round reports, timeline events,
             checkpoint directory).
         prepared_workers: reuse shards from a previous ``build_worker_data``
-            call with the same config; they are reset, not mutated.
+            call with the same config; the run starts from fresh states
+            (``broadcast_initial``) and never writes them.
 
     Returns:
         ExperimentResult with one report per round, the segmentation
@@ -569,22 +584,21 @@ def run_experiment(
     """
     sinks = sinks or RunSinks()
     if prepared_workers is None:
-        workers_list = build_worker_data(config)
-    else:
-        workers_list = [_reset_worker(w) for w in prepared_workers]
-
+        prepared_workers = build_worker_data(config)
+    workers, groups = broadcast_initial(prepared_workers, config)
     if config.mode == "centralized":
-        return _run_centralized(workers_list, config, sinks)
-
-    workers, groups = broadcast_initial(workers_list, config)
+        pooled = concat_datasets([workers[wid].train for wid in sorted(workers)])
     reports: list[RoundReport] = []
     timeline: list[TimelineEvent] = []
     for round_no in range(1, config.rounds + 1):
-        report = run_round(workers, groups, round_no, config)
+        if config.mode == "centralized":
+            report = _run_pooled_round(workers, groups, pooled, round_no, config)
+        else:
+            report = run_round(workers, groups, round_no, config)
         reports.append(report)
         if sinks.on_round:
             sinks.on_round(report)
-        if round_no % config.segmentation.eval_every == 0:
+        if config.mode != "centralized" and round_no % config.segmentation.eval_every == 0:
             if config.mode == "segmented_fl":
                 events = evaluate_and_segment(workers, groups, round_no, config)
                 timeline.extend(events)
@@ -596,49 +610,3 @@ def run_experiment(
         reports=tuple(reports), timeline=tuple(timeline), workers=workers, groups=groups
     )
 
-
-def _reset_worker(worker: WorkerState) -> WorkerState:
-    return WorkerState(
-        worker_id=worker.worker_id,
-        group_id=0,
-        train=worker.train,
-        validation=worker.validation,
-        test=worker.test,
-        sample_count=worker.sample_count,
-        params=worker.params.copy(),
-        val_history=[],
-    )
-
-
-def _run_centralized(
-    workers_list: list[WorkerState], config: ExperimentConfig, sinks: RunSinks
-) -> ExperimentResult:
-    """One model on the pooled undersampled shards, scored per worker shard.
-
-    The pooled model trains for the same total epoch count as a federated
-    run (rounds x epochs) and is evaluated against every worker's test shard
-    after each round-sized block so learning curves line up.
-    """
-    workers = {w.worker_id: w for w in workers_list}
-    pooled = concat_datasets([workers[wid].train for wid in sorted(workers)])
-    spec = LayerSpec(pooled.features.shape[1], config.hidden_dims)
-    model = init_params(spec, derive_seed(config.seed, "init"))
-    for worker in workers.values():
-        worker.group_id = 1
-
-    reports = []
-    for round_no in range(1, config.rounds + 1):
-        model = train_local(
-            model,
-            pooled,
-            replace(config.train, seed=derive_seed(config.seed, "train", 0, round_no)),
-        )
-        _require_finite(model.flat, "the pooled model", "parameters", round_no, config)
-        for worker in workers.values():
-            worker.params = model.copy()
-        report = _score_round(workers, round_no, config)
-        reports.append(report)
-        if sinks.on_round:
-            sinks.on_round(report)
-
-    return ExperimentResult(reports=tuple(reports), timeline=(), workers=workers, groups={1: model})

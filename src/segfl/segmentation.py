@@ -39,7 +39,7 @@ class SegmentationConfig:
     max_groups: int = 3
 
     def __post_init__(self):
-        cutoff = 0.5 - self.fineness * _FINENESS_STEP
+        cutoff = threshold(self)
         if self.fineness < 0 or cutoff <= 0:
             raise ValueError(f"fineness {self.fineness} leaves no usable threshold {cutoff}")
         for name in ("eval_every", "window", "max_groups"):
@@ -48,7 +48,10 @@ class SegmentationConfig:
 
 
 def threshold(config: SegmentationConfig) -> float:
-    return 0.5 - config.fineness * _FINENESS_STEP
+    try:
+        return 0.5 - config.fineness * _FINENESS_STEP
+    except OverflowError:  # a fineness beyond float range
+        return float("-inf") if config.fineness > 0 else float("inf")
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,8 @@ def check_divergence(divergence) -> float:
     """The knob as a float; ValueError unless it is a number from 0 to ``MAX_DIVERGENCE``."""
     try:
         value = float(divergence)
+    except OverflowError:  # an integer beyond float range
+        value = float("inf") if divergence > 0 else float("-inf")
     except (TypeError, ValueError):
         value = float("nan")
     if not value >= 0:
@@ -299,7 +301,7 @@ def check_class_mix(class_mix) -> tuple[float, ...]:
     """The shares as floats; ValueError unless they are 3 non-negative shares summing to 1."""
     try:
         mix = np.asarray(class_mix, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         mix = np.empty(0)
     if mix.shape != (len(CLASS_NAMES),) or np.any(mix < 0) or not abs(mix.sum() - 1.0) <= 1e-9:
         raise ValueError(f"class_mix must be 3 non-negative shares summing to 1, got {class_mix!r}")

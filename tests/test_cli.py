@@ -119,6 +119,7 @@ def test_load_config_rejects_bad_mode_and_counts(tmp_path):
         ("B: 0\n", "B must be >= 1, got 0"),
         ("eta: -0.5\n", "eta must be >= 0, got -0.5"),
         ("h_f: 50\n", "h_f 50 leaves no usable threshold"),
+        (f"h_f: {10**400}\n", r"h_f 10{400} leaves no usable threshold -inf"),
         ("h_j: 0\n", "h_j must be >= 1, got 0"),
         ("R_e: 0\n", "R_e must be >= 1, got 0"),
         ("max_groups: 0\n", "max_groups must be >= 1, got 0"),
@@ -439,6 +440,40 @@ def _line_of(path: Path, text: str) -> int:
         (0, "data:", "data must be a mapping, got 0"),
         (False, "data:", "data must be a mapping, got False"),
         (5, "data:", "data must be a mapping, got 5"),
+        # A corpus key that is present but unusable answers at its own line.
+        (
+            {"source": "corpus", "corpus": "flows.csv", "shares": 0},
+            "shares:",
+            "data.shares must be a non-empty list of numbers, got 0",
+        ),
+        (
+            {"source": "corpus", "corpus": "flows.csv", "shares": None},
+            "shares:",
+            "data.shares must be a non-empty list of numbers, got None",
+        ),
+        (
+            {"source": "corpus", "corpus": "", "shares": [1.0]},
+            "corpus:",
+            "data.corpus must name a flow file, got ''",
+        ),
+        # Only a missing one answers at data.source.
+        (
+            {"source": "corpus", "shares": [1.0]},
+            "source:",
+            "data source 'corpus' needs data.corpus and data.shares",
+        ),
+        # Integers beyond float range.
+        ({"divergence": 10**400}, "divergence:", "data.divergence must be at most 4.75, where"),
+        (
+            {"class_mix": [10**400, 0, 0]},
+            "class_mix:",
+            "data.class_mix must be 3 non-negative shares summing to 1",
+        ),
+        (
+            {"source": "corpus", "corpus": "flows.csv", "shares": [10**400]},
+            "shares:",
+            "data.shares must be a non-empty list of numbers",
+        ),
     ],
 )
 def test_bad_data_block_exits_2_with_its_line(tmp_path, capsys, data, key, message):

@@ -1,10 +1,10 @@
-"""Every config key against the same twelve wrong values, in process.
+"""Every config key against the same thirteen wrong values, in process.
 
 Each (key, value) case must end one of three ways:
 
-- ``load_config`` raises a ``ConfigError`` at the key's line (for ``data`` and
-  its keys, at a line of the data block: a rule across two data keys, such as
-  one size per worker, answers at one of them);
+- ``load_config`` raises a ``ConfigError`` at the key's line (for ``data``, at a
+  line of its block; ``data.n_workers`` against a shorter ``sizes`` list answers
+  at ``sizes``, the list that is short);
 - set-up raises a ``ConfigError`` naming a worker or the corpus;
 - the config is accepted, and ``build_worker_data`` and ``broadcast_initial`` run.
 
@@ -29,7 +29,10 @@ from segfl.synthgen import generate, make_profile, to_records
 
 _REPO = Path(__file__).resolve().parents[1]
 
-VALUES = [5, -1, 0, "x", True, None, [1], {"a": 1}, float("nan"), float("inf"), 1e308, 2**70]
+# 10**400 is an integer beyond float range: float() of it overflows.
+VALUES = [
+    5, -1, 0, "x", True, None, [1], {"a": 1}, float("nan"), float("inf"), 1e308, 2**70, 10**400
+]
 
 SOURCES = ("synthetic", "files", "corpus")
 
@@ -69,7 +72,10 @@ def mutated(config: dict, key: str, value) -> tuple[str, set[int]]:
         return text, {next(i for i, row in rows if row.startswith(f"{key}:"))}
     start = next(i for i, row in rows if row.startswith("data:"))
     end = next((i for i, row in rows if i > start and not row.startswith(" ")), len(rows) + 1)
-    return text, set(range(start, end))
+    if key == "data":  # a key inside the mapping answers at its own line
+        return text, set(range(start, end))
+    names = {key[len("data.") :]} | ({"sizes"} if key == "data.n_workers" else set())
+    return text, {i for i, row in rows[start:end] if row.strip().partition(":")[0] in names}
 
 
 def outcome(path: Path) -> tuple[str, object, str]:

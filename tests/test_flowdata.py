@@ -29,7 +29,6 @@ from segfl.flowdata import (
     train_test_split,
     write_flow_csv,
 )
-from segfl.nnet import LayerSpec, ModelParams
 from segfl.orchestrator import (
     VALIDATION_FRACTION,
     ExperimentConfig,
@@ -799,11 +798,6 @@ def _frozen_prepare(config, wid, shard):
     return train, validation, scaled(test_raw), slim.sample_count
 
 
-def _placeholder():
-    spec = LayerSpec(len(FEATURE_NAMES), (4,))
-    return ModelParams(np.zeros(spec.n_params), spec)
-
-
 @pytest.mark.parametrize("target_ratio", [1.0, 2.0])  # NearMiss-3 drops rows; keeps the shard
 @pytest.mark.parametrize("seed", range(4))
 def test_encoded_parse_and_preparation_match_the_frozen_pipeline(
@@ -828,7 +822,7 @@ def test_encoded_parse_and_preparation_match_the_frozen_pipeline(
 
     config = ExperimentConfig(resample=ResampleConfig(3, target_ratio), seed=seed)
     buffer = shard.features
-    worker = _prepare_worker(config, 1, shard, _placeholder())
+    worker = _prepare_worker(config, 1, shard)
     train, validation, test, sample_count = _frozen_prepare(config, 1, expected)
     _assert_same_bytes(worker.train, train)
     _assert_same_bytes(worker.validation, validation)

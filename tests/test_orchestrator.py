@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from segfl.aggregation import AggregationWeights
-from segfl.flowdata import CANONICAL_COLUMN_MAP, LabeledDataset, write_flow_csv
+from segfl.flowdata import (
+    CANONICAL_COLUMN_MAP,
+    LabeledDataset,
+    concat_datasets,
+    write_flow_csv,
+)
 from segfl.nnet import LayerSpec, ModelParams, TrainConfig, init_params, train_local
 from segfl import orchestrator
 from segfl.orchestrator import (
@@ -173,14 +178,11 @@ def test_set_up_holds_one_training_sized_buffer(tmp_path, monkeypatch, class_mix
 
     monkeypatch.setattr(orchestrator, "nearmiss3_undersample", measured)
     config = _small_synthetic(resample=ResampleConfig(neighbors_k=3, target_ratio=2.0))
-    spec = LayerSpec(7, config.hidden_dims)
     tracemalloc.start()
     try:
         shard = orchestrator._read_flows(path, CANONICAL_COLUMN_MAP, "worker 1")
         raw = shard.features.nbytes + shard.labels.nbytes
-        worker = orchestrator._prepare_worker(
-            config, 1, shard, ModelParams(np.zeros(spec.n_params), spec)
-        )
+        worker = orchestrator._prepare_worker(config, 1, shard)
         del shard
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -202,12 +204,10 @@ def test_a_shard_of_views_prepares_like_a_copy_and_stays_unchanged(class_mix):
     fortran = np.asfortranarray(data.features)  # owns its data, but not in row order
     before = wide_features.tobytes(), wide_labels.tobytes(), fortran.tobytes()
     config = _small_synthetic()
-    spec = LayerSpec(7, config.hidden_dims)
-    placeholder = ModelParams(np.zeros(spec.n_params), spec)
     copy = LabeledDataset(data.features.copy(), data.labels.copy())
-    from_copy = orchestrator._prepare_worker(config, 1, copy, placeholder)
+    from_copy = orchestrator._prepare_worker(config, 1, copy)
     for shard in (views, LabeledDataset(fortran, wide_labels[::2].copy())):
-        prepared = orchestrator._prepare_worker(config, 1, shard, placeholder)
+        prepared = orchestrator._prepare_worker(config, 1, shard)
         for name in ("train", "validation", "test"):
             ours, theirs = getattr(prepared, name), getattr(from_copy, name)
             assert ours.features.tobytes() == theirs.features.tobytes()
@@ -411,6 +411,17 @@ def test_prepared_workers_are_reset_not_reused():
     second = run_experiment(config, prepared_workers=prepared)
     assert fresh.reports == first.reports == second.reports
 
+    # Every run starts from fresh states and leaves the prepared ones as built.
+    def untouched():
+        return all(w.group_id == 0 and w.params is None and w.val_history == [] for w in prepared)
+
+    assert untouched()
+    broadcast_initial(prepared, config)
+    assert untouched()
+    for mode in orchestrator.MODES:
+        run_experiment(replace(config, mode=mode), prepared_workers=prepared)
+        assert untouched(), mode
+
 
 def test_segmented_equals_fl_before_any_boundary():
     config = _small_synthetic(rounds=2, segmentation=SegmentationConfig(eval_every=3, window=3))
@@ -449,16 +460,29 @@ def test_boundaries_fire_on_schedule_and_stream_to_sinks(tmp_path):
 
 
 def test_centralized_trains_one_shared_model():
-    config = _small_synthetic(mode="centralized", rounds=2)
+    config = _small_synthetic(mode="centralized", rounds=3)
     result = run_experiment(config)
-    assert len(result.reports) == 2
     assert result.timeline == ()
     assert set(result.groups) == {1}
     flats = [result.workers[wid].params.flat for wid in sorted(result.workers)]
     assert np.array_equal(flats[0], flats[1])
-    for report in result.reports:
-        assert [row.worker_id for row in report.workers] == [1, 2]
-        assert all(row.group_id == 1 for row in report.workers)
+
+    # The reference loop: one model trained on the id-ordered pooled training
+    # shards, a round's epochs at a time, and scored by every worker after each.
+    workers = {w.worker_id: w for w in build_worker_data(config)}
+    pooled = concat_datasets([workers[wid].train for wid in sorted(workers)])
+    model = init_params(
+        LayerSpec(pooled.features.shape[1], config.hidden_dims), derive_seed(config.seed, "init")
+    )
+    reports = []
+    for round_no in range(1, config.rounds + 1):
+        train = replace(config.train, seed=derive_seed(config.seed, "train", 0, round_no))
+        model = train_local(model, pooled, train)
+        for worker in workers.values():
+            worker.group_id, worker.params = 1, model
+        reports.append(orchestrator._score_round(workers, round_no, config))
+    assert result.reports == tuple(reports)
+    assert np.array_equal(result.groups[1].flat, model.flat)
 
 
 def test_config_validation():
