@@ -83,7 +83,7 @@ def cmd_run(config_path, seed=None, out=None) -> int:
     )
     try:
         run_experiment(loaded.experiment, sinks)
-    except Exception:
+    except BaseException:  # an interrupt too
         manifest.write_finished("failed", outputs)
         raise
     finally:
@@ -124,7 +124,7 @@ def cmd_compare(config_path, seed=None, out=None) -> int:
                     timeline_writer.close()
             final_reports[mode] = result.reports[-1]
         write_compare(final_reports, run_dir / COMPARE_FILE)
-    except Exception:
+    except BaseException:  # an interrupt too
         manifest.write_finished("failed", outputs)
         raise
     manifest.write_finished("complete", outputs)

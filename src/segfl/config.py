@@ -1,11 +1,9 @@
 """Experiment configuration files: flat YAML keyed by the protocol symbols.
 
-Every top-level key but ``data`` is one row of ``_KEYS``: the ``ExperimentConfig``
-field(s) it sets and the kind of value it takes. A key left out takes its
-field's default; the README's Configuration table lists them. ``data`` is a
-nested mapping describing the data source, with the keys in ``_DATA_KEYS``.
-
-Unknown keys are rejected so typos cannot silently fall back to defaults.
+Every key, ``data.*`` for those of the nested ``data`` block, is one row of ``_KEYS``.
+A key left out takes its default; the README's Configuration table lists them.
+Unknown keys, repeated keys and data keys that the block's source does not read are
+rejected, so a typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -14,12 +12,12 @@ import sys
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import yaml
 
 from segfl.flowdata import check_shares
-from segfl.orchestrator import DEFAULT_SHARD_SIZE, ConfigError, DataSpec, ExperimentConfig
+from segfl.orchestrator import DEFAULT_SHARD_SIZE, ConfigError, ExperimentConfig
 from segfl.synthgen import _is_int, check_class_mix, check_divergence, check_profiles, check_sizes
 
 
@@ -47,72 +45,135 @@ _IS_KIND = {
 # The field's form of a value of these kinds; the others are stored as they are.
 _FORM = {"a number": float, "a list of positive integers": tuple}
 
-# Every top-level key but data -> (the ExperimentConfig fields it sets, its kind).
-# The default is the first field's; a key that sets no field defaults to None.
+
+def _of_kind(name: str, kind, value):
+    """``value`` in its field's form; ValueError unless ``kind`` (a check, or in ``_IS_KIND``)."""
+    if callable(kind):
+        return kind(value)
+    if not _IS_KIND[kind](value):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return _FORM.get(kind, lambda v: v)(value)
+
+
+def _column_map(column_map) -> dict[str, str]:
+    for source_name, name in _of_kind("column_map", "a mapping", column_map).items():
+        if not (isinstance(source_name, str) and isinstance(name, str)):
+            got = f"{source_name!r}: {name!r}"
+            raise ValueError(f"column_map must map strings to strings, got {got}")
+    return column_map
+
+
+def _paths(paths) -> tuple[str, ...]:
+    if not (isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths)):
+        raise ValueError(f"paths must list one flow file per worker, got {paths!r}")
+    return tuple(paths)
+
+
+def _corpus(corpus) -> str:
+    if corpus == "":
+        raise ValueError("corpus must name a flow file, got ''")
+    return _of_kind("corpus", "a string", corpus)
+
+
+class _Key(NamedTuple):
+    fields: tuple[str, ...]  # the (dotted) ExperimentConfig fields it sets
+    kind: Any  # a kind named in _IS_KIND, or a check returning the field's form
+    sources: Optional[tuple[str, ...]] = None  # the only data sources reading it; None: all
+    default: Any = ...  # ...: the first field's default, or None when it sets none
+
+
+# Every key, in the order its block's keys are checked.
 _KEYS = {
-    "mode": (("mode",), "any"),  # ExperimentConfig names the modes
-    "J": (("rounds",), "an integer"),
-    "N_t": (("participants_per_round",), "a positive integer"),
-    "E": (("train.epochs",), "an integer"),
-    "B": (("train.batch_size",), "an integer"),
-    "eta": (("train.learning_rate",), "a number"),
-    "alpha": (("weights.alpha",), "a number"),
-    "beta": (("weights.beta",), "a number"),
-    "gamma": (("weights.gamma",), "a number"),
-    "h_f": (("segmentation.fineness",), "an integer"),
-    "h_j": (("segmentation.eval_every",), "an integer"),
-    "R_e": (("segmentation.window",), "an integer"),
-    "max_groups": (("segmentation.max_groups",), "an integer"),
-    "seed": (("seed", "train.seed"), "an integer"),
-    "hidden_dims": (("hidden_dims",), "a list of positive integers"),
-    "test_fraction": (("test_fraction",), "a number"),
-    "resample_k": (("resample.neighbors_k",), "an integer"),
-    "target_ratio": (("resample.target_ratio",), "a number"),
-    "out_dir": ((), "a string"),  # the output root, read by the CLI
+    "mode": _Key(("mode",), "any"),  # ExperimentConfig names the modes
+    "J": _Key(("rounds",), "an integer"),
+    "N_t": _Key(("participants_per_round",), "a positive integer"),
+    "E": _Key(("train.epochs",), "an integer"),
+    "B": _Key(("train.batch_size",), "an integer"),
+    "eta": _Key(("train.learning_rate",), "a number"),
+    "alpha": _Key(("weights.alpha",), "a number"),
+    "beta": _Key(("weights.beta",), "a number"),
+    "gamma": _Key(("weights.gamma",), "a number"),
+    "h_f": _Key(("segmentation.fineness",), "an integer"),
+    "h_j": _Key(("segmentation.eval_every",), "an integer"),
+    "R_e": _Key(("segmentation.window",), "an integer"),
+    "max_groups": _Key(("segmentation.max_groups",), "an integer"),
+    "seed": _Key(("seed", "train.seed"), "an integer"),
+    "hidden_dims": _Key(("hidden_dims",), "a list of positive integers"),
+    "test_fraction": _Key(("test_fraction",), "a number"),
+    "resample_k": _Key(("resample.neighbors_k",), "an integer"),
+    "target_ratio": _Key(("resample.target_ratio",), "a number"),
+    "out_dir": _Key((), "a string"),  # the output root, read by the CLI
+    "data": _Key((), "a mapping"),  # the block of the data.* keys; null stands for {}
+    "data.source": _Key(("data.source",), "any"),  # checked first: it picks the rows
+    "data.n_workers": _Key(("data.n_workers",), "a positive integer", ("synthetic",)),
+    # An integer stands for every worker's size; checked against n_workers.
+    "data.sizes": _Key(("data.sizes",), check_sizes, ("synthetic",), DEFAULT_SHARD_SIZE),
+    "data.profiles": _Key(("data.profiles",), check_profiles, ("synthetic",)),
+    "data.divergence": _Key(("data.divergence",), check_divergence, ("synthetic",)),
+    "data.class_mix": _Key(("data.class_mix",), check_class_mix, ("synthetic",)),
+    "data.column_map": _Key(("data.column_map",), _column_map, ("files", "corpus")),
+    "data.paths": _Key(("data.paths",), _paths, ("files",)),
+    "data.corpus": _Key(("data.corpus",), _corpus, ("corpus",)),
+    "data.shares": _Key(("data.shares",), lambda v: tuple(check_shares(v).tolist()), ("corpus",)),
 }
 
 # Config dataclass field -> the key that sets it. Each __post_init__ message
 # begins with the field's name, which an error report swaps for the key.
-_KEY_OF = {path.rpartition(".")[2]: key for key, (paths, _) in _KEYS.items() for path in paths}
-
-# Each data source -> the data keys it reads, each setting the DataSpec field of its name.
-_SOURCE_KEYS = {
-    "synthetic": ("n_workers", "profiles", "sizes", "divergence", "class_mix"),
-    "files": ("paths", "column_map"),
-    "corpus": ("corpus", "shares", "column_map"),
-}
-_DATA_KEYS = {"source"}.union(*_SOURCE_KEYS.values())
+_KEY_OF = {path.rpartition(".")[2]: key for key, row in _KEYS.items() for path in row.fields}
 
 
-def _defaults() -> dict[str, Any]:
-    """Every top-level key but ``data``, with its value when the file leaves it out."""
-    config = ExperimentConfig()
-    defaults = {}
-    for key, (paths, _) in _KEYS.items():
-        value = attrgetter(paths[0])(config) if paths else None
-        defaults[key] = list(value) if isinstance(value, tuple) else value
-    return defaults
-
-
-def _checked(key: str, kind: str, value, default, fail):
-    """``value`` in its field's form; ``fail`` unless it is ``kind``, or None as ``default`` is."""
-    if value is None and default is None:
-        return None
-    if not _IS_KIND[kind](value):
-        fail(key, f"{key} must be {kind}, got {value!r}")
-    return _FORM.get(kind, lambda v: v)(value)
-
-
-def _experiment(fields: dict[str, Any], data: DataSpec) -> ExperimentConfig:
+def _experiment(fields: dict[str, Any]) -> ExperimentConfig:
     """The default ExperimentConfig with each (dotted) field set, sub-configs first."""
     default = ExperimentConfig()
-    top: dict[str, Any] = {"data": data}
+    top: dict[str, Any] = {}
     nested: dict[str, dict[str, Any]] = {}
     for path, value in fields.items():
         head, _, name = path.rpartition(".")
         (nested.setdefault(head, {}) if head else top)[name] = value
     subs = {head: replace(getattr(default, head), **values) for head, values in nested.items()}
     return replace(default, **subs, **top)
+
+
+def _read(block: dict, prefix: str, fail) -> dict[str, tuple[Any, Any]]:
+    """Each key of one block (``prefix`` "" or "data.") that its source reads -> (the
+    snapshot's value: a kind's as given, a check's result, tuples as lists; the field's
+    form). A key of another source fails at its line once the source's own keys pass."""
+    rows = {key.rpartition(".")[2]: key for key in _KEYS if key.rpartition(".")[0] == prefix[:-1]}
+    unknown = sorted(map(str, set(block) - set(rows)))
+    if unknown:
+        what = prefix[:-1] or "config"
+        fail(prefix + unknown[0], f"unknown {what} key(s): {', '.join(unknown)}")
+    source = block.get("source", "synthetic")
+    if source not in ("synthetic", "files", "corpus"):
+        fail("data.source", f"data.source must be synthetic, files, or corpus; got {source!r}")
+    if source == "corpus" and not {"corpus", "shares"} <= set(block):
+        fail("data.source", "data source 'corpus' needs data.corpus and data.shares")
+    config, read = ExperimentConfig(), {}
+    for name, key in rows.items():
+        row = _KEYS[key]
+        if row.sources is not None and source not in row.sources:
+            continue
+        default = row.default  # ...: the first field's, or None for a key setting none
+        if default is ...:
+            default = attrgetter(row.fields[0])(config) if row.fields else None
+        given = block.get(name, list(default) if isinstance(default, tuple) else default)
+        try:
+            if given is None and default is None:  # an unset value left unset
+                value = None
+            elif key == "data.sizes":  # a size per worker
+                value = check_sizes(given, read["data.n_workers"][1])
+            else:
+                value = _of_kind(name, row.kind, given)
+        except ValueError as exc:
+            fail(key, f"{prefix}{exc}")
+        shown = list(value) if isinstance(value, tuple) else value
+        read[key] = shown if callable(row.kind) else given, value
+    for name in block:
+        sources = _KEYS[prefix + name].sources
+        if sources is not None and source not in sources:
+            only = " or ".join(sources)
+            fail(prefix + name, f"{prefix}{name} is read only by data.source {only}, not {source}")
+    return read
 
 
 @dataclass
@@ -129,15 +190,20 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _key_lines(root: Optional[yaml.Node]) -> dict[str, int]:
-    """Map config keys (top level and data.*) to their 1-based file lines."""
+    """Map config keys (top level and data.*) to their 1-based file lines; a key given
+    twice in one mapping is a ConfigError at its second line."""
     lines: dict[str, int] = {}
-    if not isinstance(root, yaml.MappingNode):
-        return lines
-    for key_node, value_node in root.value:
-        lines[key_node.value] = key_node.start_mark.line + 1
-        if key_node.value == "data" and isinstance(value_node, yaml.MappingNode):
-            for sub_key, _ in value_node.value:
-                lines[f"data.{sub_key.value}"] = sub_key.start_mark.line + 1
+    mappings = [("", root)]
+    for prefix, node in mappings:
+        if not isinstance(node, yaml.MappingNode):
+            continue
+        for key_node, value_node in node.value:
+            key, line = f"{prefix}{key_node.value}", key_node.start_mark.line + 1
+            if key in lines:
+                raise ConfigError(f"{key} is given twice, first at line {lines[key]}", line)
+            lines[key] = line
+            if key == "data":
+                mappings.append(("data.", value_node))
     return lines
 
 
@@ -145,7 +211,7 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     """Load, validate, and resolve a config file.
 
     Args:
-        path: YAML file with the keys of ``_KEYS`` and ``data``.
+        path: YAML file with the keys of ``_KEYS``, ``data.*`` nested under ``data``.
         overrides: optional key -> value replacements (e.g. a --seed flag),
             applied before validation and reflected in the snapshot.
 
@@ -182,23 +248,11 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     def fail(key: str, message: str):
         raise ConfigError(message, lines.get(key))
 
-    defaults = _defaults()
-    unknown = sorted(set(raw) - set(_KEYS) - {"data"})
-    if unknown:
-        fail(unknown[0], f"unknown config key(s): {', '.join(unknown)}")
-    resolved = {**defaults, **{k: v for k, v in raw.items() if k != "data"}}
-    fields: dict[str, Any] = {}
-    for key, (paths, kind) in _KEYS.items():
-        fields.update(dict.fromkeys(paths, _checked(key, kind, resolved[key], defaults[key], fail)))
-
-    data_raw = _checked("data", "a mapping", raw.get("data"), None, fail) or {}
-    unknown_data = sorted(set(data_raw) - _DATA_KEYS)
-    if unknown_data:
-        fail(f"data.{unknown_data[0]}", f"unknown data key(s): {', '.join(unknown_data)}")
-
-    data_spec = _build_data_spec(data_raw, fail)
+    top = _read(raw, "", fail)
+    data = _read(top["data"][1] or {}, "data.", fail)
+    fields = {p: v for key, (_, v) in {**top, **data}.items() for p in _KEYS[key].fields}
     try:
-        experiment = _experiment(fields, data_spec)
+        experiment = _experiment(fields)
     except ValueError as exc:
         name, _, rest = str(exc).partition(" ")
         key = _KEY_OF.get(name)
@@ -209,64 +263,9 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
             key = min(("alpha", "beta", "gamma"), key=lambda k: lines.get(k, float("inf")))
         fail(key, message)
 
-    snapshot = {k: v for k, v in sorted(resolved.items()) if k != "out_dir"}
-    snapshot["data"] = dict(sorted(_data_snapshot(data_spec).items()))
-    if resolved["out_dir"] is not None:
-        snapshot["out_dir"] = resolved["out_dir"]
-    return LoadedConfig(experiment=experiment, snapshot=snapshot, out_dir=resolved["out_dir"])
-
-
-def _build_data_spec(data_raw: dict, fail) -> DataSpec:
-    def checked(name: str, check, default):
-        """``check`` on data.<name> or its default, a ValueError reported at the key's line."""
-        try:
-            return check(data_raw.get(name, default))
-        except ValueError as exc:
-            fail(f"data.{name}", f"data.{exc}")
-
-    def of_kind(name: str, kind: str, default):
-        return _checked(f"data.{name}", kind, data_raw.get(name, default), default, fail)
-
-    source = data_raw.get("source", "synthetic")
-    if source == "synthetic":
-        defaults = DataSpec()
-        n_workers = of_kind("n_workers", "a positive integer", defaults.n_workers)
-        sizes = checked("sizes", lambda value: check_sizes(value, n_workers), DEFAULT_SHARD_SIZE)
-        class_mix = data_raw.get("class_mix")
-        return DataSpec(
-            source="synthetic",
-            n_workers=n_workers,
-            profiles=checked("profiles", check_profiles, defaults.profiles),
-            sizes=sizes,
-            divergence=checked("divergence", check_divergence, defaults.divergence),
-            class_mix=None if class_mix is None else checked("class_mix", check_class_mix, None),
-        )
-    column_map = of_kind("column_map", "a mapping", None)
-    for source_name, name in (column_map or {}).items():
-        if not (isinstance(source_name, str) and isinstance(name, str)):
-            got = f"{source_name!r}: {name!r}"
-            fail("data.column_map", f"data.column_map must map strings to strings, got {got}")
-    if source == "files":
-        paths = data_raw.get("paths", [])
-        if not (isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths)):
-            fail("data.paths", f"data.paths must list one flow file per worker, got {paths!r}")
-        return DataSpec(source="files", paths=tuple(paths), column_map=column_map)
-    if source == "corpus":
-        if not {"corpus", "shares"} <= set(data_raw):
-            fail("data.source", "data source 'corpus' needs data.corpus and data.shares")
-        corpus = of_kind("corpus", "a string", "")
-        if not corpus:
-            fail("data.corpus", "data.corpus must name a flow file, got ''")
-        shares = tuple(checked("shares", check_shares, ()).tolist())
-        return DataSpec(source="corpus", corpus=corpus, shares=shares, column_map=column_map)
-    fail("data.source", f"data.source must be synthetic, files, or corpus; got {source!r}")
-
-
-def _data_snapshot(spec: DataSpec) -> dict:
-    """The source and the fields its keys set, tuples as lists; an unset field is left out."""
-    snapshot = {"source": spec.source}
-    for name in _SOURCE_KEYS[spec.source]:
-        value = getattr(spec, name)
-        if value is not None:
-            snapshot[name] = list(value) if isinstance(value, tuple) else value
-    return snapshot
+    out_dir = top["out_dir"][1]
+    snapshot = {key: shown for key, (shown, _) in top.items() if key not in ("data", "out_dir")}
+    snapshot["data"] = {k.partition(".")[2]: v for k, (v, _) in data.items() if v is not None}
+    if out_dir is not None:
+        snapshot["out_dir"] = out_dir
+    return LoadedConfig(experiment=experiment, snapshot=snapshot, out_dir=out_dir)

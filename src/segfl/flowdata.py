@@ -566,7 +566,9 @@ def check_shares(shares) -> np.ndarray:
     """The shares as float64 weights; ValueError unless non-empty, non-negative, summing to 1."""
     try:
         weights = np.asarray(shares, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # an integer beyond float range
+        raise ValueError(f"shares must be finite, got {shares!r}") from None
+    except (TypeError, ValueError):
         weights = np.empty(0)
     if weights.ndim != 1 or weights.size == 0:
         raise ValueError(f"shares must be a non-empty list of numbers, got {shares!r}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -29,6 +30,7 @@ from segfl.aggregation import AggregationWeights, LocalContribution, weighted_ag
 from segfl.flowdata import (
     CANONICAL_COLUMN_MAP,
     CLASS_NAMES,
+    FEATURE_NAMES,
     LabeledDataset,
     concat_datasets,
     fit_scaler,
@@ -127,6 +129,19 @@ class ExperimentConfig:
             )
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        # Every worker and every live group (each has a member) holds a float64 vector at once.
+        spec = self.data
+        workers = {"files": len(spec.paths), "corpus": len(spec.shares)}.get(spec.source)
+        workers = workers or spec.n_workers
+        vectors = workers + min(workers, self.segmentation.max_groups)
+        size = LayerSpec(len(FEATURE_NAMES), self.hidden_dims).n_params
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if vectors * size * 8 > memory:
+            raise ValueError(
+                f"hidden_dims must fit in memory: {vectors} parameter vectors of {size} values "
+                f"at 8 B need more than the {memory} B of physical memory, "
+                f"got {list(self.hidden_dims)}"
+            )
 
 
 @dataclass
@@ -233,6 +248,8 @@ def _prepare_worker(config: ExperimentConfig, wid: int, shard: LabeledDataset) -
     slim = nearmiss3_undersample(train, config.resample)
     del train  # slim itself when NearMiss-3 has nothing to drop
     sample_count = slim.sample_count
+    # NearMiss-3 or the test split can leave a class one row, too few to stratify.
+    _require_classes(wid, "undersampled", slim, min_rows=2)
     train_final, validation = train_test_split(
         slim, VALIDATION_FRACTION, derive_seed(config.seed, "val", wid)
     )

@@ -17,7 +17,7 @@ from segfl.cli import cmd_compare, cmd_report, cmd_run, main
 from segfl.config import ConfigError, load_config
 from segfl.flowdata import write_flow_csv
 from segfl.orchestrator import ExperimentConfig
-from segfl.reporting import run_id_for
+from segfl.reporting import RoundsWriter, run_id_for
 from segfl.synthgen import generate, make_profile, to_records
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -83,6 +83,10 @@ def test_load_config_reports_unknown_key_with_line(tmp_path):
     with pytest.raises(ConfigError, match="unknown config key.*learning_rate") as info:
         load_config(path)
     assert info.value.line == 3
+    path.write_text("J: 2\n5: 1\nx: 2\n")  # unknown keys of two types, sorted as text
+    with pytest.raises(ConfigError, match=r"unknown config key\(s\): 5, x") as info:
+        load_config(path)
+    assert info.value.line == 2
 
 
 def test_load_config_reports_blend_violation_with_values(tmp_path):
@@ -127,6 +131,11 @@ def test_load_config_rejects_bad_mode_and_counts(tmp_path):
         ("target_ratio: 0.5\n", "target_ratio must be >= 1, got 0.5"),
         ("test_fraction: 1.0\n", r"test_fraction must be in \(0, 1\), got 1.0"),
         ("out_dir: 5\n", "out_dir must be a string, got 5"),
+        # 4 workers and 3 groups, each holding 1,000,012,000,003 values: about 56 TB.
+        (
+            "hidden_dims: [1000000, 1000000]\n",
+            "hidden_dims must fit in memory: 7 parameter vectors of 1000012000003 values at 8 B",
+        ),
         # Non-finite values, which pass every "x < 0" rule.
         ("eta: .nan\n", "eta must be finite, got nan"),
         ("eta: .inf\n", "eta must be finite, got inf"),
@@ -472,7 +481,29 @@ def _line_of(path: Path, text: str) -> int:
         (
             {"source": "corpus", "corpus": "flows.csv", "shares": [10**400]},
             "shares:",
-            "data.shares must be a non-empty list of numbers",
+            f"data.shares must be finite, got [{10**400}]",
+        ),
+        # A key that only another source reads answers at its own line, once the
+        # source's own keys pass (the synthetic keys above come first in the file).
+        (
+            {"column_map": {"class": "label"}},
+            "column_map:",
+            "data.column_map is read only by data.source files or corpus, not synthetic",
+        ),
+        (
+            {"paths": ["flows.csv"]},
+            "paths:",
+            "data.paths is read only by data.source files, not synthetic",
+        ),
+        (
+            {"source": "files", "paths": ["flows.csv"]},
+            "divergence:",
+            "data.divergence is read only by data.source synthetic, not files",
+        ),
+        (
+            {"source": "corpus", "corpus": "flows.csv", "shares": [1.0]},
+            "divergence:",
+            "data.divergence is read only by data.source synthetic, not corpus",
         ),
     ],
 )
@@ -484,6 +515,52 @@ def test_bad_data_block_exits_2_with_its_line(tmp_path, capsys, data, key, messa
         assert main([command, str(config), "--out", str(tmp_path / command)]) == 2
         err = capsys.readouterr().err
         assert f"{config}:{_line_of(config, key)}: {message}" in err, err
+
+
+def test_paths_without_a_source_line_exits_2_before_set_up(tmp_path, capsys, monkeypatch):
+    def no_set_up(*args):
+        raise AssertionError("set-up started on a data key the source does not read")
+
+    monkeypatch.setattr(orchestrator, "_load_raw_shards", no_set_up)
+    config = tmp_path / "c.yaml"
+    config.write_text("J: 2\ndata:\n  paths: [nope.csv]\n")  # a synthetic block
+    for command in ("run", "compare"):
+        assert main([command, str(config), "--out", str(tmp_path / command)]) == 2
+        message = "data.paths is read only by data.source files, not synthetic"
+        assert f"{config}:3: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("J: 6\nseed: 1\nJ: 2\n", 3, "J is given twice, first at line 1"),
+        (
+            "data:\n  sizes: [400, 400]\n  n_workers: 2\n  sizes: [300, 300]\n",
+            4,
+            "data.sizes is given twice, first at line 2",
+        ),
+        ("data:\n  n_workers: 2\nJ: 2\ndata:\n  n_workers: 3\n", 4, "data is given twice"),
+    ],
+)
+def test_a_repeated_key_exits_2_at_its_second_line(tmp_path, capsys, text, line, message):
+    config = tmp_path / "c.yaml"
+    config.write_text(text)
+    for command in ("run", "compare"):
+        assert main([command, str(config), "--out", str(tmp_path / command)]) == 2
+        assert f"{config}:{line}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_interrupted_run_leaves_a_failed_manifest(tmp_path, monkeypatch, command):
+    def interrupt(self, report):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(RoundsWriter, "write", interrupt)
+    out_root = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main([command, str(_write_config(tmp_path)), "--out", str(out_root)])
+    (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+    assert json.loads((run_dir / "manifest.json").read_text())["status"] == "failed"
 
 
 def _flow_files(directory: Path, count: int) -> list[Path]:
