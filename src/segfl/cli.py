@@ -1,4 +1,4 @@
-"""Command-line entry points: run, compare, report.
+"""Command-line entry points: run and compare.
 
 Output root resolution order: ``--out`` flag, then the ``SEGFL_OUT``
 environment variable, then the config's ``out_dir``, then ``./runs``.
@@ -11,6 +11,7 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on bad usage or config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -26,16 +27,13 @@ from segfl.reporting import (
     COMPARE_FILE,
     CONFIG_COPY_FILE,
     MANIFEST_FILE,
-    REPORT_FILE,
     ROUNDS_FILE,
     TIMELINE_FILE,
     Manifest,
     RoundsWriter,
     TimelineWriter,
-    read_csv_rows,
     run_id_for,
     write_compare,
-    write_report,
 )
 
 logger = logging.getLogger(__name__)
@@ -43,107 +41,74 @@ logger = logging.getLogger(__name__)
 _OUT_ENV_VAR = "SEGFL_OUT"
 
 
-def _resolve_out_root(flag_value, config_out_dir) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env_value = os.environ.get(_OUT_ENV_VAR)
-    if env_value:
-        return Path(env_value)
-    if config_out_dir:
-        return Path(config_out_dir)
-    return Path("runs")
+@contextlib.contextmanager
+def _run_dir(loaded: LoadedConfig, out_flag, command: str, outputs: list[str]):
+    """One command's run directory, named by its run id and holding ``config.yaml``.
 
-
-def _prepare_run_dir(loaded: LoadedConfig, out_flag, command: str) -> tuple[Path, Manifest]:
+    The manifest lists those of ``outputs`` that exist and says ``running``
+    while the body runs, ``failed`` if it raises (an interrupt too) and
+    ``complete`` once it returns; the run directory is then the last line
+    printed.
+    """
     run_id = run_id_for({"command": command, **loaded.snapshot})
-    run_dir = _resolve_out_root(out_flag, loaded.out_dir) / run_id
+    root = out_flag or os.environ.get(_OUT_ENV_VAR) or loaded.out_dir or "runs"
+    run_dir = Path(root) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / CONFIG_COPY_FILE).write_text(
         yaml.safe_dump(loaded.snapshot, sort_keys=True, default_flow_style=False)
     )
     manifest = Manifest(
-        run_id=run_id, config_snapshot=loaded.snapshot, path=run_dir / MANIFEST_FILE
+        run_id, loaded.snapshot, run_dir / MANIFEST_FILE, [CONFIG_COPY_FILE, *outputs]
     )
-    return run_dir, manifest
+    manifest.write_started()
+    try:
+        yield run_dir
+    except BaseException:
+        manifest.write_finished("failed")
+        raise
+    manifest.write_finished("complete")
+    print(run_dir)
 
 
 def cmd_run(config_path, seed=None, out=None) -> int:
     """Run one experiment, streaming per-round records as they complete."""
     loaded = load_config(config_path, overrides={"seed": seed})
-    run_dir, manifest = _prepare_run_dir(loaded, out, "run")
-    outputs = [CONFIG_COPY_FILE, ROUNDS_FILE, TIMELINE_FILE]
-    manifest.write_started(outputs)
-
-    rounds_writer = RoundsWriter(run_dir / ROUNDS_FILE)
-    timeline_writer = TimelineWriter(run_dir / TIMELINE_FILE)
-    sinks = RunSinks(
-        on_round=rounds_writer.write,
-        on_timeline=timeline_writer.write,
-        checkpoint_dir=run_dir / CHECKPOINT_DIR,
-    )
-    try:
+    outputs = [ROUNDS_FILE, TIMELINE_FILE, CHECKPOINT_DIR]
+    with (
+        _run_dir(loaded, out, "run", outputs) as run_dir,
+        RoundsWriter(run_dir / ROUNDS_FILE) as rounds,
+        TimelineWriter(run_dir / TIMELINE_FILE) as timeline,
+    ):
+        sinks = RunSinks(
+            on_round=rounds.write,
+            on_timeline=timeline.write,
+            checkpoint_dir=run_dir / CHECKPOINT_DIR,
+        )
         run_experiment(loaded.experiment, sinks)
-    except BaseException:  # an interrupt too
-        manifest.write_finished("failed", outputs)
-        raise
-    finally:
-        rounds_writer.close()
-        timeline_writer.close()
-    manifest.write_finished("complete", outputs)
-    print(run_dir)
     return 0
 
 
 def cmd_compare(config_path, seed=None, out=None) -> int:
     """Run centralized, fl, and segmented_fl on identical data and seeds."""
     loaded = load_config(config_path, overrides={"seed": seed})
-    run_dir, manifest = _prepare_run_dir(loaded, out, "compare")
-    outputs = [CONFIG_COPY_FILE, COMPARE_FILE] + [f"{mode}_{ROUNDS_FILE}" for mode in MODES]
-    manifest.write_started(outputs)
-
-    try:
+    # Only segmented_fl emits timeline events, so one timeline file serves all modes.
+    timeline_file = f"segmented_fl_{TIMELINE_FILE}"
+    outputs = [COMPARE_FILE, timeline_file] + [f"{mode}_{ROUNDS_FILE}" for mode in MODES]
+    with (
+        _run_dir(loaded, out, "compare", outputs) as run_dir,
+        TimelineWriter(run_dir / timeline_file) as timeline,
+    ):
         prepared = build_worker_data(loaded.experiment)
         final_reports = {}
         for mode in MODES:
-            mode_config = replace(loaded.experiment, mode=mode)
-            rounds_writer = RoundsWriter(run_dir / f"{mode}_{ROUNDS_FILE}")
-            timeline_writer = (
-                TimelineWriter(run_dir / f"{mode}_{TIMELINE_FILE}")
-                if mode == "segmented_fl"
-                else None
-            )
-            sinks = RunSinks(
-                on_round=rounds_writer.write,
-                on_timeline=timeline_writer.write if timeline_writer else None,
-            )
-            try:
-                result = run_experiment(mode_config, sinks, prepared_workers=prepared)
-            finally:
-                rounds_writer.close()
-                if timeline_writer:
-                    timeline_writer.close()
+            with RoundsWriter(run_dir / f"{mode}_{ROUNDS_FILE}") as rounds:
+                result = run_experiment(
+                    replace(loaded.experiment, mode=mode),
+                    RunSinks(on_round=rounds.write, on_timeline=timeline.write),
+                    prepared_workers=prepared,
+                )
             final_reports[mode] = result.reports[-1]
         write_compare(final_reports, run_dir / COMPARE_FILE)
-    except BaseException:  # an interrupt too
-        manifest.write_finished("failed", outputs)
-        raise
-    manifest.write_finished("complete", outputs)
-    print(run_dir)
-    return 0
-
-
-def cmd_report(run_dir, out=None) -> int:
-    """Derive a plot-ready series file from a finished run directory."""
-    run_dir = Path(run_dir)
-    rounds_path = run_dir / ROUNDS_FILE
-    if not rounds_path.exists():
-        raise ConfigError(f"no {ROUNDS_FILE} under {run_dir}; not a finished run directory?")
-    timeline_path = run_dir / TIMELINE_FILE
-    timeline_rows = read_csv_rows(timeline_path) if timeline_path.exists() else []
-    target_dir = Path(out) if out else run_dir
-    target_dir.mkdir(parents=True, exist_ok=True)
-    write_report(read_csv_rows(rounds_path), timeline_rows, target_dir / REPORT_FILE)
-    print(target_dir / REPORT_FILE)
     return 0
 
 
@@ -154,16 +119,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one experiment from a config file")
-    run_p.add_argument("config", help="YAML experiment config")
-    compare_p = sub.add_parser("compare", help="run all three modes on identical data")
-    compare_p.add_argument("config", help="YAML experiment config")
-    report_p = sub.add_parser("report", help="build plot-ready series from a run directory")
-    report_p.add_argument("run_dir", help="directory produced by 'segfl run'")
-
-    for p in (run_p, compare_p):
+    for command, help_text in (
+        ("run", "run one experiment from a config file"),
+        ("compare", "run all three modes on identical data"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("config", help="YAML experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    for p in (run_p, compare_p, report_p):
         p.add_argument("--out", default=None, help="output root (beats SEGFL_OUT and out_dir)")
     return parser
 
@@ -171,16 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    command = cmd_run if args.command == "run" else cmd_compare
     try:
-        if args.command == "run":
-            return cmd_run(args.config, seed=args.seed, out=args.out)
-        if args.command == "compare":
-            return cmd_compare(args.config, seed=args.seed, out=args.out)
-        return cmd_report(args.run_dir, out=args.out)
+        return command(args.config, seed=args.seed, out=args.out)
     except ConfigError as exc:
         location = f":{exc.line}" if exc.line is not None else ""
-        source = getattr(args, "config", None) or getattr(args, "run_dir", "")
-        print(f"segfl: {source}{location}: {exc}", file=sys.stderr)
+        print(f"segfl: {args.config}{location}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure: outputs are flushed, manifest says failed
         logger.exception("run failed")

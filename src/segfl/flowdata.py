@@ -35,6 +35,11 @@ _SUFFIX_FACTORS = {"K": 1e3, "M": 1e6}
 _PORT_MAX = 65535
 _COUNT_MAX = int(np.iinfo(np.int64).max)  # FlowTable stores counts as int64
 
+
+def physical_memory() -> int:
+    """Bytes of physical memory, the bound that sizes and layer widths are checked against."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
 # Fixed vocabulary used when no corpus is available to fit on: the common IP
 # protocols plus every six-position flag string over the UAPRSF alphabet.
 _PROTOCOL_VOCAB = ("GRE", "ICMP", "IGMP", "TCP", "UDP")

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-N_CLASSES = 3
+from segfl.flowdata import CLASS_NAMES
+
+N_CLASSES = len(CLASS_NAMES)
 
 
 def confusion(true_labels, pred_labels, n_classes: int = N_CLASSES) -> np.ndarray:

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from segfl.flowdata import LabeledDataset
+from segfl.flowdata import CLASS_NAMES, LabeledDataset
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN = (64, 32)
-N_CLASSES = 3
+N_CLASSES = len(CLASS_NAMES)
 # Rows per evaluation block: a multiple of the BLAS kernels' row unroll, so a
 # row's products round as in one call over all rows (up to about 10,000 rows,
 # where that call may switch kernels and differ in the last ulp).

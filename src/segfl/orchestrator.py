@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -36,11 +35,13 @@ from segfl.flowdata import (
     fit_scaler,
     parse_flow_csv,
     partition_workers,
+    physical_memory,
     scale_dataset,
     train_test_split,
 )
 from segfl.metrics import auroc_ovr_macro, confusion, macro_f1_score, prf1
 from segfl.nnet import (
+    DEFAULT_HIDDEN,
     LayerSpec,
     ModelParams,
     TrainConfig,
@@ -112,7 +113,7 @@ class ExperimentConfig:
     train: TrainConfig = TrainConfig()
     weights: AggregationWeights = AggregationWeights()
     segmentation: SegmentationConfig = SegmentationConfig()
-    hidden_dims: tuple[int, ...] = (64, 32)
+    hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN
     resample: ResampleConfig = ResampleConfig()
     test_fraction: float = 0.10
     seed: int = 0
@@ -135,7 +136,7 @@ class ExperimentConfig:
         workers = workers or spec.n_workers
         vectors = workers + min(workers, self.segmentation.max_groups)
         size = LayerSpec(len(FEATURE_NAMES), self.hidden_dims).n_params
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        memory = physical_memory()
         if vectors * size * 8 > memory:
             raise ValueError(
                 f"hidden_dims must fit in memory: {vectors} parameter vectors of {size} values "

@@ -13,7 +13,6 @@ diverged one increasingly badly, which is exactly what drives segmentation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +20,16 @@ import numpy as np
 from segfl.flowdata import (
     CLASS_NAMES,
     FlowTable,
+    _COUNT_MAX,
+    _PORT_MAX,
     LabeledDataset,
-    default_encoding,
     _largest_remainder_counts,
+    default_encoding,
+    physical_memory,
 )
 
 # CIDDS-like imbalance: normal : attacker : victim = 17 : 1.2 : 1.
 DEFAULT_CLASS_MIX = (17 / 19.2, 1.2 / 19.2, 1 / 19.2)
-
-_PORT_MAX = 65535
 
 # Categorical tables are indexed against the shipped fixed vocabulary.
 _ENCODING = default_encoding()
@@ -261,7 +261,6 @@ def check_divergence(divergence) -> float:
     return value
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
 # A generated row is 7 float64 features and an int64 label; every shard is held at once.
 _ROW_BYTES = 64
 
@@ -273,11 +272,11 @@ def check_sizes(sizes, n_workers: int) -> tuple[int, ...]:
     listed = [sizes] * n_workers if _is_int(sizes) else sizes
     if not isinstance(listed, (list, tuple)) or not all(_is_int(s) and s >= 1 for s in listed):
         raise ValueError(f"sizes must be positive integers, got {sizes!r}")
-    if max(listed, default=0) > _INT64_MAX:
-        raise ValueError(f"sizes must be at most {_INT64_MAX} (int64), got {sizes!r}")
+    if max(listed, default=0) > _COUNT_MAX:
+        raise ValueError(f"sizes must be at most {_COUNT_MAX} (int64), got {sizes!r}")
     if len(listed) != n_workers:
         raise ValueError(f"sizes has {len(listed)} entries for {n_workers} workers")
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    memory = physical_memory()
     if sum(listed) * _ROW_BYTES > memory:
         raise ValueError(
             f"sizes must fit in memory: {sum(listed)} rows at {_ROW_BYTES} B need more than "

@@ -1,10 +1,12 @@
-"""Config loading, the three subcommands, output resolution, exit codes."""
+"""Config loading, the run and compare commands, output resolution, exit codes."""
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 import yaml
 
 from segfl import config as config_module, orchestrator
-from segfl.cli import cmd_compare, cmd_report, cmd_run, main
+from segfl.cli import cmd_compare, cmd_run, main
 from segfl.config import ConfigError, load_config
 from segfl.flowdata import write_flow_csv
 from segfl.orchestrator import ExperimentConfig
@@ -203,6 +205,44 @@ def test_run_ids_of_the_shipped_configs_stay(tmp_path, name, run_id, compare_id)
     assert run_id_for({"command": "compare", **snapshot}) == compare_id
 
 
+def _tree_digest(run_dir: Path) -> tuple[int, str]:
+    """File count and sha256 of the sorted "path sha256" lines of every file but the manifest."""
+    pairs = sorted(
+        (path.relative_to(run_dir).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
+        for path in run_dir.rglob("*")
+        if path.is_file() and path.name != "manifest.json"
+    )
+    lines = "".join(f"{name} {digest}\n" for name, digest in pairs)
+    return len(pairs), hashlib.sha256(lines.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "command, name, count, digest",
+    [
+        ("run", "quick", 18, "db5eb7634bf7da68a9a34cbeb1f36acb3eba1eb8b373d5e49eb6c19c199962ca"),
+        (
+            "run",
+            "segmentation_demo",
+            37,
+            "a72f5cf14aee14f00babd717995ceb9f2e07b311631d24315c122d91a6c51323",
+        ),
+        ("compare", "quick", 6, "a6110d3c0d36a25f89c739a8acdd075cb7a1be8105ec2469eb3a49380776d32e"),
+        (
+            "compare",
+            "segmentation_demo",
+            6,
+            "b80babe03f44e49539f23d1364b1b4a9143e58938e637c4f7f517753b49c9918",
+        ),
+    ],
+)
+def test_shipped_configs_write_the_pinned_bytes(tmp_path, capsys, command, name, count, digest):
+    # Every CSV, checkpoint and config copy of the shipped configs, as first recorded.
+    config = _REPO / "configs" / f"{name}.yaml"
+    assert main([command, str(config), "--out", str(tmp_path)]) == 0
+    run_dir = Path(capsys.readouterr().out.strip())
+    assert _tree_digest(run_dir) == (count, digest)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.yaml")
@@ -292,9 +332,6 @@ def test_main_exit_codes_for_config_errors(tmp_path, capsys, monkeypatch):
     bad.write_text("J: 2\nout_dir: 5\n")
     assert main(["run", str(bad)]) == 2
     assert f"{bad}:2: out_dir must be a string, got 5" in capsys.readouterr().err
-
-    assert main(["report", str(tmp_path)]) == 2
-    assert "rounds.csv" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -704,37 +741,39 @@ def test_cmd_compare_builds_all_three_tables(tmp_path, capsys):
                 assert abs(float(label_rows[name][metric]) - expected) < 1e-9, (mode, name, metric)
 
 
-def test_cmd_report_emits_points_and_change_markers(tmp_path, capsys):
-    config = _write_config(tmp_path)
-    out_root = tmp_path / "runs"
-    assert cmd_run(config, out=str(out_root)) == 0
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("run", {"mode": "centralized"}),
+        ("run", {"mode": "fl"}),
+        ("run", {"mode": "fl", "J": 1}),  # no evaluation boundary, so no checkpoints
+        ("run", {"mode": "segmented_fl"}),
+        ("compare", {}),
+    ],
+    ids=["centralized", "fl", "fl-without-boundary", "segmented_fl", "compare"],
+)
+def test_the_manifest_lists_every_output(tmp_path, capsys, command, overrides):
+    config = _write_config(tmp_path, **overrides)
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 0
     run_dir = Path(capsys.readouterr().out.strip())
-
-    assert cmd_report(run_dir) == 0
-    report_path = Path(capsys.readouterr().out.strip())
-    assert report_path == run_dir / "report.csv"
-
-    rows = _read_csv(report_path)
-    points = [r for r in rows if r["kind"] == "point"]
-    markers = [r for r in rows if r["kind"] == "group_change"]
-    assert len(points) == 4 * 2
-    moved = [
-        t for t in _read_csv(run_dir / "timeline.csv") if t["old_group"] != t["new_group"]
-    ]
-    assert len(markers) == len(moved)
-    for marker in markers:
-        assert int(marker["round"]) % 2 == 0, "group changes only at evaluation boundaries"
-        assert marker["from_group"] != marker["to_group"]
+    written = sorted(path.name for path in run_dir.iterdir() if path.name != "manifest.json")
+    assert json.loads((run_dir / "manifest.json").read_text())["outputs"] == written
 
 
-def test_cmd_report_separate_output_dir(tmp_path, capsys):
-    config = _write_config(tmp_path, J=2)
-    assert cmd_run(config, out=str(tmp_path / "runs")) == 0
-    run_dir = Path(capsys.readouterr().out.strip())
-    target = tmp_path / "elsewhere"
-    assert cmd_report(run_dir, out=str(target)) == 0
-    capsys.readouterr()
-    assert (target / "report.csv").exists()
+def _readme_commands() -> list[str]:
+    text = (_REPO / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("segfl ")]
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(_REPO)
+    commands = _readme_commands()
+    assert commands
+    for line in commands:
+        argv = shlex.split(line)[1:] + ["--out", str(tmp_path)]
+        assert main(argv) == 0, line
+        assert Path(capsys.readouterr().out.strip()).parent == tmp_path, line
 
 
 def test_module_entrypoint_smoke(tmp_path):
