@@ -29,9 +29,15 @@ class AggregationWeights:
             if not value >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be non-negative, got {value}")
         total = sum(weights.values())
+        shown = ", ".join(f"{name}={value}" for name, value in weights.items())
         if not abs(total - 1.0) <= _WEIGHT_TOL:
-            shown = ", ".join(f"{name}={value}" for name, value in weights.items())
             raise ValueError(f"alpha + beta + gamma must sum to 1; got {shown} (sum {total!r})")
+        # A group without peer groups (every fl round) renormalises alpha and beta alone.
+        if not self.alpha + self.beta > 0:
+            raise ValueError(
+                f"alpha + beta must be positive, since a group without peers blends only "
+                f"those two; got {shown}"
+            )
 
 
 @dataclass(frozen=True)
@@ -61,8 +67,7 @@ def weighted_aggregate(
 
     The worker term weights each contribution by its sample count over the
     participants' total.  When ``other_globals`` is empty the gamma term is
-    dropped and alpha/beta are renormalized to keep the blend convex; that
-    requires alpha + beta > 0.
+    dropped and alpha/beta are renormalized to keep the blend convex.
 
     Returns a new ModelParams; no input is modified.
     """
@@ -74,8 +79,6 @@ def weighted_aggregate(
     )
 
     if not other_globals:
-        if alpha + beta <= 0:
-            raise ValueError("alpha + beta must be positive when there are no other groups")
         alpha, beta = alpha / (alpha + beta), beta / (alpha + beta)
         gamma = 0.0
 

@@ -23,7 +23,6 @@ import yaml
 from segfl.config import ConfigError, LoadedConfig, load_config
 from segfl.orchestrator import MODES, RunSinks, build_worker_data, run_experiment
 from segfl.reporting import (
-    CHECKPOINT_DIR,
     COMPARE_FILE,
     CONFIG_COPY_FILE,
     MANIFEST_FILE,
@@ -73,17 +72,13 @@ def _run_dir(loaded: LoadedConfig, out_flag, command: str, outputs: list[str]):
 def cmd_run(config_path, seed=None, out=None) -> int:
     """Run one experiment, streaming per-round records as they complete."""
     loaded = load_config(config_path, overrides={"seed": seed})
-    outputs = [ROUNDS_FILE, TIMELINE_FILE, CHECKPOINT_DIR]
+    outputs = [ROUNDS_FILE, TIMELINE_FILE]
     with (
         _run_dir(loaded, out, "run", outputs) as run_dir,
         RoundsWriter(run_dir / ROUNDS_FILE) as rounds,
         TimelineWriter(run_dir / TIMELINE_FILE) as timeline,
     ):
-        sinks = RunSinks(
-            on_round=rounds.write,
-            on_timeline=timeline.write,
-            checkpoint_dir=run_dir / CHECKPOINT_DIR,
-        )
+        sinks = RunSinks(on_round=rounds.write, on_timeline=timeline.write)
         run_experiment(loaded.experiment, sinks)
     return 0
 

@@ -259,7 +259,7 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
         if key is None:
             raise ConfigError(str(exc)) from None
         message = f"{key} {rest}"
-        if rest.startswith("+ beta + gamma"):  # the blend's sum: at the first blend key in the file
+        if rest.startswith("+ beta"):  # a rule of the blend: at the first blend key in the file
             key = min(("alpha", "beta", "gamma"), key=lambda k: lines.get(k, float("inf")))
         fail(key, message)
 

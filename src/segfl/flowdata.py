@@ -264,7 +264,7 @@ def parse_flow_csv(path, column_map: dict[str, str], rejects_path=None) -> Label
     rejects: list[tuple[int, str]] = []
     dropped_classes: dict[str, int] = {}
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is not header text
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -280,9 +280,15 @@ def parse_flow_csv(path, column_map: dict[str, str], rejects_path=None) -> Label
         lines_before = reader.line_num
         while block := list(islice(fh, _BLOCK_LINES)):
             if any('"' in line for line in block):
-                # A quoted field may span blocks, so csv.reader takes the rest of the file.
+                # A quoted field may span blocks, so csv.reader takes the rest of the file,
+                # _BLOCK_LINES rows at a time until a chunk reads no line.
                 csv_rows = csv.reader(chain(block, fh))
-                rows.add(_coerce_rows(csv_rows, lines_before, positions, rejects, dropped_classes))
+                read = -1
+                while read < csv_rows.line_num:
+                    read = csv_rows.line_num
+                    rows.add(
+                        _coerce_rows(csv_rows, lines_before, positions, rejects, dropped_classes)
+                    )
             else:
                 for columns in _parse_pieces(
                     block, lines_before + 1, positions, rejects, dropped_classes
@@ -428,10 +434,10 @@ def _distinct(tokens: list[str], clean=None) -> tuple[list[str], np.ndarray]:
 
 
 def _coerce_rows(rows, lines_before, positions, rejects, dropped_classes):
-    """Columns of the ``rows`` (a csv.reader from file line ``lines_before + 1``)
-    that ``_coerce_row`` accepts; every other row becomes a reject."""
+    """Columns of the next ``_BLOCK_LINES`` of the ``rows`` (a csv.reader from file line
+    ``lines_before + 1``) that ``_coerce_row`` accepts; every other row becomes a reject."""
     accepted: list[tuple] = []
-    for row in rows:
+    for row in islice(rows, _BLOCK_LINES):
         if not row:
             continue
         line_no = lines_before + rows.line_num

@@ -278,20 +278,3 @@ def write_params(params: ModelParams, path) -> None:
         fh.write(struct.pack(f"<{len(dims)}i", *dims))
         fh.write(_HEADER_LEN.pack(len(params.flat)))
         fh.write(params.flat.astype("<f8").tobytes())
-
-
-def read_params(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    (n_dims,) = _HEADER_COUNT.unpack_from(raw, 0)
-    if n_dims < 2:
-        raise ValueError(f"corrupt params file: {n_dims} dims")
-    dims = struct.unpack_from(f"<{n_dims}i", raw, _HEADER_COUNT.size)
-    offset = _HEADER_COUNT.size + 4 * n_dims
-    (length,) = _HEADER_LEN.unpack_from(raw, offset)
-    offset += _HEADER_LEN.size
-    flat = np.frombuffer(raw, dtype="<f8", count=length, offset=offset).astype(np.float64)
-    spec = LayerSpec(input_dim=dims[0], hidden_dims=tuple(dims[1:-1]), output_dim=dims[-1])
-    if length != spec.n_params:
-        raise ValueError(f"corrupt params file: {length} values for dims {dims}")
-    return ModelParams(flat, spec)

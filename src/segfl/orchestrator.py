@@ -49,7 +49,6 @@ from segfl.nnet import (
     init_params,
     mean_loss,
     predict,
-    read_params,
     train_local,
     write_params,
 )
@@ -205,7 +204,6 @@ class RunSinks:
 
     on_round: Optional[Callable[[RoundReport], None]] = None
     on_timeline: Optional[Callable[[list[TimelineEvent]], None]] = None
-    checkpoint_dir: Optional[Path] = None
 
 
 def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
@@ -556,31 +554,6 @@ def write_checkpoint(
     return target
 
 
-def load_checkpoint(path: Path) -> dict:
-    """Read back a checkpoint directory written by ``write_checkpoint``."""
-    path = Path(path)
-    meta = json.loads((path / "meta.json").read_text())
-    return {
-        "round": meta["round"],
-        "groups": {
-            entry["id"]: {
-                "members": entry["members"],
-                "retired": entry["retired"],
-                "params": read_params(path / f"group_{entry['id']:03d}.params"),
-            }
-            for entry in meta["groups"]
-        },
-        "workers": {
-            entry["id"]: {
-                "group": entry["group"],
-                "val_history": entry["val_history"],
-                "params": read_params(path / f"worker_{entry['id']:03d}.params"),
-            }
-            for entry in meta["workers"]
-        },
-    }
-
-
 def run_experiment(
     config: ExperimentConfig,
     sinks: Optional[RunSinks] = None,
@@ -590,8 +563,7 @@ def run_experiment(
 
     Args:
         config: full experiment description.
-        sinks: optional streaming hooks (per-round reports, timeline events,
-            checkpoint directory).
+        sinks: optional streaming hooks (per-round reports, timeline events).
         prepared_workers: reuse shards from a previous ``build_worker_data``
             call with the same config; the run starts from fresh states
             (``broadcast_initial``) and never writes them.
@@ -616,14 +588,11 @@ def run_experiment(
         reports.append(report)
         if sinks.on_round:
             sinks.on_round(report)
-        if config.mode != "centralized" and round_no % config.segmentation.eval_every == 0:
-            if config.mode == "segmented_fl":
-                events = evaluate_and_segment(workers, groups, round_no, config)
-                timeline.extend(events)
-                if sinks.on_timeline and events:
-                    sinks.on_timeline(events)
-            if sinks.checkpoint_dir is not None:
-                write_checkpoint(sinks.checkpoint_dir, round_no, workers, groups)
+        if config.mode == "segmented_fl" and round_no % config.segmentation.eval_every == 0:
+            events = evaluate_and_segment(workers, groups, round_no, config)
+            timeline.extend(events)
+            if sinks.on_timeline and events:
+                sinks.on_timeline(events)
     return ExperimentResult(
         reports=tuple(reports), timeline=tuple(timeline), workers=workers, groups=groups
     )

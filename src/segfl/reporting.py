@@ -24,7 +24,6 @@ TIMELINE_FILE = "timeline.csv"
 COMPARE_FILE = "compare.csv"
 MANIFEST_FILE = "manifest.json"
 CONFIG_COPY_FILE = "config.yaml"
-CHECKPOINT_DIR = "checkpoints"
 
 
 def _fmt(value: float) -> str:
@@ -95,8 +94,8 @@ class TimelineWriter(_CsvWriter):
 class Manifest:
     """``manifest.json``: the run's status, times, config and outputs, rewritten atomically.
 
-    ``outputs`` names what the command may write; each write lists those that exist, so
-    ``checkpoints`` appears only once an evaluation boundary of a federated mode wrote it.
+    ``outputs`` names what the command writes; each write lists those that exist, so the
+    ``running`` manifest names only ``config.yaml`` and a failed one what was opened.
     """
 
     run_id: str

@@ -20,7 +20,7 @@ from segfl.config import ConfigError, load_config
 from segfl.flowdata import write_flow_csv
 from segfl.orchestrator import ExperimentConfig
 from segfl.reporting import RoundsWriter, run_id_for
-from segfl.synthgen import generate, make_profile, to_records
+from segfl.synthgen import DEFAULT_CLASS_MIX, generate, make_profile, make_scenario, to_records
 
 _REPO = Path(__file__).resolve().parents[1]
 
@@ -151,6 +151,8 @@ def test_load_config_rejects_bad_mode_and_counts(tmp_path):
         ("alpha: 0.3\nbeta: .inf\n", r"must sum to 1; got alpha=0.3, beta=inf, gamma=0.2"),
         ("beta: 0.7\n", r"^alpha \+ beta \+ gamma must sum to 1; got alpha=0.2, beta=0.7,"),
         ("gamma: 0.5\nbeta: 0.1\n", r"must sum to 1; got alpha=0.2, beta=0.1, gamma=0.5"),
+        # fl always has one group, which cannot renormalise a blend of gamma alone.
+        ("gamma: 1\nbeta: 0\nalpha: 0\n", r"alpha \+ beta must be positive.*gamma=1"),
     ]:
         path.write_text("J: 2\n" + text)
         with pytest.raises(ConfigError, match=message) as info:
@@ -219,12 +221,12 @@ def _tree_digest(run_dir: Path) -> tuple[int, str]:
 @pytest.mark.parametrize(
     "command, name, count, digest",
     [
-        ("run", "quick", 18, "db5eb7634bf7da68a9a34cbeb1f36acb3eba1eb8b373d5e49eb6c19c199962ca"),
+        ("run", "quick", 3, "d378b4c367d3cc23c687330761786270199f4c9785f42fb43dd7186b36df7250"),
         (
             "run",
             "segmentation_demo",
-            37,
-            "a72f5cf14aee14f00babd717995ceb9f2e07b311631d24315c122d91a6c51323",
+            3,
+            "d441a00ddb56b8ff2ff884b6682c67567d98fe03c7ceb82023ce55d9d72263bb",
         ),
         ("compare", "quick", 6, "a6110d3c0d36a25f89c739a8acdd075cb7a1be8105ec2469eb3a49380776d32e"),
         (
@@ -236,11 +238,47 @@ def _tree_digest(run_dir: Path) -> tuple[int, str]:
     ],
 )
 def test_shipped_configs_write_the_pinned_bytes(tmp_path, capsys, command, name, count, digest):
-    # Every CSV, checkpoint and config copy of the shipped configs, as first recorded.
+    # Every CSV and config copy of the shipped configs, as first recorded.
     config = _REPO / "configs" / f"{name}.yaml"
     assert main([command, str(config), "--out", str(tmp_path)]) == 0
     run_dir = Path(capsys.readouterr().out.strip())
     assert _tree_digest(run_dir) == (count, digest)
+
+
+@pytest.mark.parametrize("name", ["quick", "segmentation_demo"])
+def test_a_synthetic_run_and_its_scenario_read_from_files_write_the_same_bytes(
+    tmp_path, capsys, name
+):
+    # The two data paths meet: the config's scenario, written as flow files and
+    # read back through data.source files, gives the synthetic run's outputs.
+    config = _REPO / "configs" / f"{name}.yaml"
+    experiment = load_config(config).experiment
+    spec = experiment.data
+    scenario = make_scenario(
+        n_workers=spec.n_workers,
+        profiles=spec.profiles,
+        sizes=spec.sizes,
+        divergence=spec.divergence,
+        class_mix=spec.class_mix or DEFAULT_CLASS_MIX,
+        seed=orchestrator.derive_seed(experiment.seed, "data"),
+    )
+    paths = []
+    for wid, dataset in enumerate(scenario.datasets, start=1):
+        paths.append(str(tmp_path / f"worker_{wid}.csv"))
+        write_flow_csv(to_records(dataset), paths[-1])
+    payload = yaml.safe_load(config.read_text())
+    payload["data"] = {"source": "files", "paths": paths}
+    from_files = tmp_path / "from_files.yaml"
+    from_files.write_text(yaml.safe_dump(payload))
+
+    run_dirs = []
+    for path in (config, from_files):
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        run_dirs.append(Path(capsys.readouterr().out.strip()))
+    assert run_dirs[0] != run_dirs[1]
+    assert len((run_dirs[0] / "timeline.csv").read_text().splitlines()) > 1
+    for output in ("rounds.csv", "timeline.csv"):
+        assert (run_dirs[0] / output).read_bytes() == (run_dirs[1] / output).read_bytes()
 
 
 def test_load_config_missing_file(tmp_path):
@@ -270,8 +308,8 @@ def test_cmd_run_writes_a_complete_run_dir(tmp_path, capsys):
 
     timeline = _read_csv(run_dir / "timeline.csv")
     assert {row["round"] for row in timeline} == {"2", "4"}, "boundaries every h_j rounds"
-    assert (run_dir / "checkpoints" / "round_0002").is_dir()
-    assert (run_dir / "checkpoints" / "round_0004").is_dir()
+    written = sorted(path.name for path in run_dir.iterdir())
+    assert written == ["config.yaml", "manifest.json", "rounds.csv", "timeline.csv"]
 
 
 def test_cmd_run_is_reproducible_byte_for_byte(tmp_path, capsys):
@@ -746,11 +784,10 @@ def test_cmd_compare_builds_all_three_tables(tmp_path, capsys):
     [
         ("run", {"mode": "centralized"}),
         ("run", {"mode": "fl"}),
-        ("run", {"mode": "fl", "J": 1}),  # no evaluation boundary, so no checkpoints
         ("run", {"mode": "segmented_fl"}),
         ("compare", {}),
     ],
-    ids=["centralized", "fl", "fl-without-boundary", "segmented_fl", "compare"],
+    ids=["centralized", "fl", "segmented_fl", "compare"],
 )
 def test_the_manifest_lists_every_output(tmp_path, capsys, command, overrides):
     config = _write_config(tmp_path, **overrides)

@@ -143,6 +143,15 @@ def test_parse_roundtrip_is_idempotent(flow_csv, tmp_path):
     _assert_same_bytes(parse_flow_csv(rewritten, CANONICAL_COLUMN_MAP), parsed)
 
 
+def test_parse_skips_a_utf8_byte_order_mark(flow_csv, tmp_path):
+    # Excel's "CSV UTF-8" export starts with one; it is not part of the first column name.
+    parsed = parse_flow_csv(flow_csv, _COLUMN_MAP)
+    canonical, marked = tmp_path / "canonical.csv", tmp_path / "marked.csv"
+    write_flow_csv(to_records(parsed), canonical)  # "duration" is the first column
+    marked.write_bytes(b"\xef\xbb\xbf" + canonical.read_bytes())
+    _assert_same_bytes(parse_flow_csv(marked, CANONICAL_COLUMN_MAP), parsed)
+
+
 def test_label_codes_are_fixed_and_roundtrip():
     encoding = default_encoding()
     assert encoding.protocol_codes == {"GRE": 0, "ICMP": 1, "IGMP": 2, "TCP": 3, "UDP": 4}
@@ -696,6 +705,26 @@ def test_parse_scratch_memory_stays_under_one_large_block(tmp_path):
         tracemalloc.stop()
     assert len(shard) == 40_000
     assert peak - (shard.features.nbytes + shard.labels.nbytes) < 10 * 2**20
+
+
+def test_a_quoted_file_is_parsed_in_bounded_blocks(tmp_path):
+    # One quoted field in the first data row sends the whole file through csv.reader;
+    # it is read a block at a time, so its scratch memory stays near the unquoted parse's.
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    write_flow_csv(to_records(generate(make_profile("A"), 50_000, seed=0)), plain)
+    header, first, rest = plain.read_text().split("\n", 2)
+    duration, tail = first.split(",", 1)
+    quoted.write_text(f'{header}\n"{duration}",{tail}\n{rest}')
+    peaks = []
+    for path in (plain, quoted):
+        tracemalloc.start()
+        try:
+            shard = parse_flow_csv(path, CANONICAL_COLUMN_MAP)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(shard) == 50_000
+    assert peaks[1] < 2 * peaks[0], [peak / 2**20 for peak in peaks]
 
 
 _DURATION = _ORACLE_SLOTS.index("duration")

@@ -19,9 +19,7 @@ from segfl.nnet import (
     loss_and_grad,
     mean_loss,
     predict,
-    read_params,
     train_local,
-    write_params,
 )
 
 
@@ -497,20 +495,3 @@ def test_predict_reads_probability_rows():
     x = np.log(np.array([[0.2, 0.5, 0.3]]))
     assert forward(params, x)[0] == pytest.approx([0.2, 0.5, 0.3], abs=1e-15)
     assert predict(params, x)[0] == 1
-
-
-def test_serialization_roundtrip(tmp_path):
-    spec = LayerSpec(input_dim=5, hidden_dims=(7, 4), output_dim=3)
-    params = init_params(spec, seed=14)
-    path = tmp_path / "model.params"
-    write_params(params, path)
-    loaded = read_params(path)
-    assert loaded.spec == spec
-    assert np.array_equal(loaded.flat, params.flat)
-
-
-def test_serialization_rejects_corrupt_files(tmp_path):
-    path = tmp_path / "bad.params"
-    path.write_bytes(b"\x01\x00\x00\x00")
-    with pytest.raises(ValueError, match="corrupt"):
-        read_params(path)

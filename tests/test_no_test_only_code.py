@@ -16,7 +16,6 @@ _ROOT = Path(__file__).resolve().parents[1]
 # Documented entry points that nothing in src/ or perfbench/ calls.
 _ENTRY_POINTS = {
     "nnet.loss_and_grad",  # the gradient the finite-difference check (acceptance 4) reads
-    "orchestrator.load_checkpoint",  # reads what write_checkpoint writes, until resume lands or both go
 }
 
 

@@ -1,10 +1,11 @@
-"""Round loop, aggregation wiring, regrouping, checkpoints, determinism."""
+"""Round loop, aggregation wiring, regrouping, determinism."""
 
 from __future__ import annotations
 
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from segfl.flowdata import (
 )
 from segfl.nnet import LayerSpec, ModelParams, TrainConfig, init_params, train_local
 from segfl import orchestrator
+from segfl.config import load_config
 from segfl.orchestrator import (
     DataSpec,
     ExperimentConfig,
@@ -27,16 +29,15 @@ from segfl.orchestrator import (
     build_worker_data,
     derive_seed,
     evaluate_and_segment,
-    load_checkpoint,
     run_experiment,
     run_round,
-    write_checkpoint,
     _round_robin_window,
 )
 from segfl.resample import ResampleConfig
 from segfl.segmentation import SegmentationConfig
 from segfl.synthgen import DEFAULT_CLASS_MIX, generate, make_profile, to_records
 
+_REPO = Path(__file__).resolve().parents[1]
 _TOY_SPEC = LayerSpec(input_dim=2, hidden_dims=(), output_dim=3)
 
 
@@ -324,28 +325,7 @@ def test_round_report_rows_are_ordered_and_scored():
         assert len(row.precision) == len(row.recall) == len(row.f1) == 3
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    workers_list = [_toy_worker(wid, rng) for wid in (1, 2, 3)]
-    config = _toy_config()
-    workers, groups = broadcast_initial(workers_list, config)
-    run_round(workers, groups, 1, config)
-
-    target = write_checkpoint(tmp_path, 1, workers, groups)
-    assert target.name == "round_0001"
-    loaded = load_checkpoint(target)
-    assert loaded["round"] == 1
-    assert set(loaded["groups"]) == {1}
-    assert loaded["groups"][1]["members"] == [1, 2, 3]
-    assert loaded["groups"][1]["retired"] is False
-    assert np.array_equal(loaded["groups"][1]["params"].flat, groups[1].flat)
-    for wid in (1, 2, 3):
-        assert loaded["workers"][wid]["group"] == 1
-        assert loaded["workers"][wid]["val_history"] == workers[wid].val_history
-        assert np.array_equal(loaded["workers"][wid]["params"].flat, workers[wid].params.flat)
-
-
-def test_boundary_founds_a_group_that_a_later_plan_moves_into(tmp_path, monkeypatch):
+def test_boundary_founds_a_group_that_a_later_plan_moves_into(monkeypatch):
     # Groups 1-3 are live.  Worker 3 misfits group 1 and fits nowhere, so it
     # founds group 4; worker 5 then misfits group 2 and moves into group 4.
     rng = np.random.default_rng(8)
@@ -381,17 +361,6 @@ def test_boundary_founds_a_group_that_a_later_plan_moves_into(tmp_path, monkeypa
     assert sorted(groups) == [1, 2, 3, 4]
     assert np.array_equal(groups[4].flat, workers[3].params.flat)
 
-    meta = load_checkpoint(write_checkpoint(tmp_path, 1, workers, groups))
-    membership = {gid: (g["members"], g["retired"]) for gid, g in meta["groups"].items()}
-    assert membership == {1: ([1, 2], False), 2: ([4], False), 3: ([6], False), 4: ([3, 5], False)}
-    # Regrouping never empties a group (its best member scores at least 0.5),
-    # so a retired group is set by hand.
-    workers[6].group_id = 1
-    meta = load_checkpoint(write_checkpoint(tmp_path, 2, workers, groups))
-    membership = {gid: (g["members"], g["retired"]) for gid, g in meta["groups"].items()}
-    assert membership == {1: ([1, 2, 6], False), 2: ([4], False), 3: ([], True), 4: ([3, 5], False)}
-    assert np.array_equal(meta["groups"][3]["params"].flat, groups[3].flat)
-
 
 def test_run_experiment_is_deterministic():
     config = _small_synthetic()
@@ -423,6 +392,25 @@ def test_prepared_workers_are_reset_not_reused():
         assert untouched(), mode
 
 
+def test_a_shorter_run_is_the_state_after_its_last_round():
+    # What a checkpoint after round r would hold: every random stream derives from
+    # (seed, tag, worker, round), so a run of r rounds is the longer run's first r.
+    demo = load_config(_REPO / "configs" / "segmentation_demo.yaml").experiment
+    config = replace(demo, rounds=9)
+    full = run_experiment(config)
+    assert [(e.round_no, e.worker_id) for e in full.timeline if e.new_group != e.old_group] == [
+        (6, 3),
+        (9, 4),
+    ]
+    for r in (6, 7):  # the boundary that founds group 2, and the first round after it
+        part = run_experiment(replace(config, rounds=r))
+        assert part.reports == full.reports[:r]
+        assert part.timeline == tuple(e for e in full.timeline if e.round_no <= r)
+        # Round r + 1 of the full run starts from these groups.
+        groups = {row.worker_id: row.group_id for row in full.reports[r].workers}
+        assert {wid: w.group_id for wid, w in part.workers.items()} == groups
+
+
 def test_segmented_equals_fl_before_any_boundary():
     config = _small_synthetic(rounds=2, segmentation=SegmentationConfig(eval_every=3, window=3))
     seg = run_experiment(config)
@@ -437,15 +425,11 @@ def test_fl_mode_never_produces_timeline_events():
     assert set(result.groups) == {1}
 
 
-def test_boundaries_fire_on_schedule_and_stream_to_sinks(tmp_path):
+def test_boundaries_fire_on_schedule_and_stream_to_sinks():
     config = _small_synthetic()  # rounds=4, eval_every=2
     streamed_rounds = []
     streamed_events = []
-    sinks = RunSinks(
-        on_round=streamed_rounds.append,
-        on_timeline=streamed_events.extend,
-        checkpoint_dir=tmp_path,
-    )
+    sinks = RunSinks(on_round=streamed_rounds.append, on_timeline=streamed_events.extend)
     result = run_experiment(config, sinks=sinks)
 
     assert tuple(streamed_rounds) == result.reports
@@ -454,9 +438,6 @@ def test_boundaries_fire_on_schedule_and_stream_to_sinks(tmp_path):
     # Every worker is evaluated at every boundary, whatever its group.
     for boundary in (2, 4):
         assert sorted(e.worker_id for e in result.timeline if e.round_no == boundary) == [1, 2]
-    assert (tmp_path / "round_0002").is_dir()
-    assert (tmp_path / "round_0004").is_dir()
-    assert not (tmp_path / "round_0001").exists()
 
 
 def test_centralized_trains_one_shared_model():
