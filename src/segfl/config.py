@@ -106,7 +106,8 @@ _KEYS = {
     "data": _Key((), "a mapping"),  # the block of the data.* keys; null stands for {}
     "data.source": _Key(("data.source",), "any"),  # checked first: it picks the rows
     "data.n_workers": _Key(("data.n_workers",), "a positive integer", ("synthetic",)),
-    # An integer stands for every worker's size; checked against n_workers.
+    # An integer stands for every worker's size; checked against n_workers. The default
+    # is the scalar, not ExperimentConfig()'s sizes, which are expanded for four workers.
     "data.sizes": _Key(("data.sizes",), check_sizes, ("synthetic",), DEFAULT_SHARD_SIZE),
     "data.profiles": _Key(("data.profiles",), check_profiles, ("synthetic",)),
     "data.divergence": _Key(("data.divergence",), check_divergence, ("synthetic",)),

@@ -250,7 +250,9 @@ def parse_flow_csv(path, column_map: dict[str, str], rejects_path=None) -> Label
         the rejects report.
 
     Raises:
-        ValueError: a bad column map or header, a path that is not a regular file,
+        ValueError: a column map that misses an attribute or maps two columns to
+            one, a header that lacks a mapped column or holds it twice, a path that
+            is not a regular file,
             and the error ``EncodingMap.encode`` raises for the first accepted token
             it has no code for, after the rejects are reported.
     """
@@ -259,6 +261,10 @@ def parse_flow_csv(path, column_map: dict[str, str], rejects_path=None) -> Label
     missing = canonical_needed - mapped
     if missing:
         raise ValueError(f"column_map does not cover attributes: {sorted(missing)}")
+    for canonical in dict.fromkeys(column_map.values()):
+        sources = [source for source, name in column_map.items() if name == canonical]
+        if len(sources) > 1:
+            raise ValueError(f"column_map maps more than one column to {canonical}: {sources}")
 
     rows = _EncodedRows(default_encoding(), _line_bound(path))
     rejects: list[tuple[int, str]] = []
@@ -275,6 +281,8 @@ def parse_flow_csv(path, column_map: dict[str, str], rejects_path=None) -> Label
         for source, canonical in column_map.items():
             if source not in header:
                 raise ValueError(f"column {source!r} not in header")
+            if (times := header.count(source)) > 1:
+                raise ValueError(f"column {source!r} is in the header {times} times")
             positions[canonical] = header.index(source)
 
         lines_before = reader.line_num

@@ -93,7 +93,7 @@ class DataSpec:
     # synthetic
     n_workers: int = 4
     profiles: tuple[str, ...] = ("A", "A", "B", "B")
-    sizes: tuple[int, ...] = (DEFAULT_SHARD_SIZE,) * 4
+    sizes: int | tuple[int, ...] = DEFAULT_SHARD_SIZE  # an integer: each worker's size
     divergence: float = 1.0
     class_mix: Optional[tuple[float, float, float]] = None
     # files: one parsed file per worker
@@ -102,6 +102,13 @@ class DataSpec:
     corpus: str = ""
     shares: tuple[float, ...] = ()
     column_map: Optional[dict[str, str]] = None
+
+    def __post_init__(self):
+        # One size per worker, as a config file's data.sizes is read. The expansion
+        # fixes the worker count at construction: replace(spec, n_workers=...) must
+        # pass sizes with it.
+        if isinstance(self.sizes, (int, np.integer)):
+            object.__setattr__(self, "sizes", (self.sizes,) * self.n_workers)
 
 
 @dataclass(frozen=True)
@@ -213,8 +220,9 @@ def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
     on its own training rows, undersamples the scaled training shard, and
     holds out a fixed validation slice from the result.  The undersampled
     size (before the validation holdout) is the worker's aggregation weight.
-    Workers have no parameters until ``broadcast_initial``.  Flow files are
-    read one at a time, each after the worker before it is prepared.
+    Workers have no parameters until ``broadcast_initial``.  Synthetic shards
+    are drawn and flow files read one at a time, each after the worker before
+    it is prepared.
 
     Raises:
         ConfigError: a shard cannot be split or scored, before any training.
@@ -222,7 +230,7 @@ def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
     workers: list[WorkerState] = []
     for shard in _load_raw_shards(config):
         workers.append(_prepare_worker(config, len(workers) + 1, shard))
-        del shard  # so the next file is read without this raw shard
+        del shard  # so the next shard is drawn or read without this raw one
     return workers
 
 
@@ -289,12 +297,13 @@ def _require_classes(
 
 
 def _load_raw_shards(config: ExperimentConfig) -> Iterable[LabeledDataset]:
-    """Each worker's raw shard in worker order; flow files are read one per ``next``."""
-    from segfl.synthgen import DEFAULT_CLASS_MIX, make_scenario
+    """Each worker's raw shard in worker order; synthetic shards are drawn and flow files
+    read one per ``next``, while a corpus is parsed whole and cut before the first."""
+    from segfl.synthgen import DEFAULT_CLASS_MIX, stream_scenario
 
     spec = config.data
     if spec.source == "synthetic":
-        scenario = make_scenario(
+        _, _, shards = stream_scenario(
             n_workers=spec.n_workers,
             profiles=spec.profiles,
             sizes=spec.sizes,
@@ -302,7 +311,7 @@ def _load_raw_shards(config: ExperimentConfig) -> Iterable[LabeledDataset]:
             class_mix=spec.class_mix or DEFAULT_CLASS_MIX,
             seed=derive_seed(config.seed, "data"),
         )
-        return list(scenario.datasets)
+        return shards
     column_map = spec.column_map or dict(CANONICAL_COLUMN_MAP)
     if spec.source == "files":
         if not spec.paths:

@@ -14,6 +14,7 @@ diverged one increasingly badly, which is exactly what drives segmentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -261,7 +262,8 @@ def check_divergence(divergence) -> float:
     return value
 
 
-# A generated row is 7 float64 features and an int64 label; every shard is held at once.
+# A generated row is 7 float64 features and an int64 label.  Shards are drawn one at a
+# time, but every worker keeps its prepared rows, so all the shards' rows must fit.
 _ROW_BYTES = 64
 
 
@@ -426,7 +428,7 @@ def make_scenario(
     Distinct profile ids are spread evenly over [0, divergence] in order of
     first appearance: the first id is the undiverged base and the last sits
     at the full knob value, so ("A", "A", "B", "B") gives two base workers
-    and two fully diverged ones.
+    and two fully diverged ones.  The datasets are ``stream_scenario``'s draws.
 
     Args:
         n_workers: number of worker datasets.
@@ -435,6 +437,26 @@ def make_scenario(
         divergence: knob value for the most diverged profile.
         class_mix: shared class shares.
         seed: master seed; every worker draws from an independent stream.
+    """
+    assignment, built, shards = stream_scenario(
+        n_workers, profiles, sizes, divergence, class_mix, seed
+    )
+    return ScenarioData(datasets=tuple(shards), assignment=assignment, profiles=built)
+
+
+def stream_scenario(
+    n_workers: int,
+    profiles: tuple[str, ...],
+    sizes,
+    divergence: float = 1.0,
+    class_mix: tuple[float, float, float] = DEFAULT_CLASS_MIX,
+    seed: int = 0,
+) -> tuple[tuple[str, ...], dict[str, EnvironmentProfile], Iterator[LabeledDataset]]:
+    """``make_scenario``'s assignment and profiles, and its datasets drawn one per ``next``.
+
+    The arguments are checked at the call.  Worker *i* draws from its own
+    ``SeedSequence([seed, 7919, i])``, so each shard is the same whether or not
+    the shards before it are still held.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -450,8 +472,9 @@ def make_scenario(
     built = {pid: make_profile(pid, knobs[pid], class_mix) for pid in distinct}
 
     assignment = tuple(profiles[i % len(profiles)] for i in range(n_workers))
-    datasets = []
-    for i, pid in enumerate(assignment):
+
+    def draw(i: int, pid: str) -> LabeledDataset:
         worker_seed = np.random.SeedSequence([int(seed), 7919, i]).generate_state(1)[0]
-        datasets.append(generate(built[pid], sizes[i], int(worker_seed)))
-    return ScenarioData(datasets=tuple(datasets), assignment=assignment, profiles=built)
+        return generate(built[pid], sizes[i], int(worker_seed))
+
+    return assignment, built, (draw(i, pid) for i, pid in enumerate(assignment))

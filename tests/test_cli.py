@@ -17,7 +17,7 @@ import yaml
 from segfl import config as config_module, orchestrator
 from segfl.cli import cmd_compare, cmd_run, main
 from segfl.config import ConfigError, load_config
-from segfl.flowdata import write_flow_csv
+from segfl.flowdata import CANONICAL_COLUMN_MAP, write_flow_csv
 from segfl.orchestrator import ExperimentConfig
 from segfl.reporting import RoundsWriter, run_id_for
 from segfl.synthgen import DEFAULT_CLASS_MIX, generate, make_profile, make_scenario, to_records
@@ -180,6 +180,11 @@ def test_load_config_broadcasts_scalar_sizes(tmp_path):
     path.write_text("data:\n  n_workers: 3\n  sizes: 500\n")
     loaded = load_config(path)
     assert loaded.experiment.data.sizes == (500, 500, 500)
+    path.write_text("data:\n  n_workers: 3\n")  # the default size, for any worker count
+    loaded = load_config(path)
+    assert loaded.experiment.data.sizes == (8000, 8000, 8000)
+    assert loaded.snapshot["data"]["sizes"] == [8000, 8000, 8000]
+    assert run_id_for({"command": "run", **loaded.snapshot}) == "ff20af3c8891"
 
 
 def test_load_config_seed_override(tmp_path):
@@ -680,6 +685,11 @@ def test_unseen_token_in_a_flow_file_exits_2_naming_worker_and_path(
         ("empty", "empty file, no header row"),
         ("header", "column 'protocol' not in header"),
         ("column_map", "column_map does not cover attributes: ['flags']"),
+        (
+            "ambiguous_map",
+            "column_map maps more than one column to duration: ['dur_a', 'duration']",
+        ),
+        ("repeated_column", "column 'bytes' is in the header 2 times"),
     ],
 )
 def test_unreadable_flow_file_exits_2_naming_worker_and_path(
@@ -700,6 +710,11 @@ def test_unreadable_flow_file_exits_2_naming_worker_and_path(
         second.write_text("")
     elif fault == "header":
         second.write_text(second.read_text().replace("protocol", "proto", 1))
+    elif fault == "repeated_column":  # the parser would read the first of the two
+        second.write_text(second.read_text().replace("\n", ",bytes\n", 1))
+    elif fault == "ambiguous_map":  # the map itself is refused, before any file is read
+        column_map = {**CANONICAL_COLUMN_MAP, "dur_a": "duration"}
+        owner, path, mapping = "worker 1", first, {"column_map": column_map}
     else:
         names = ("duration", "protocol", "src_port", "dst_port", "packets", "bytes", "class")
         owner, path, mapping = "worker 1", first, {"column_map": {n: n for n in names}}

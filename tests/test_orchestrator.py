@@ -18,7 +18,7 @@ from segfl.flowdata import (
     write_flow_csv,
 )
 from segfl.nnet import LayerSpec, ModelParams, TrainConfig, init_params, train_local
-from segfl import orchestrator
+from segfl import orchestrator, synthgen
 from segfl.config import load_config
 from segfl.orchestrator import (
     DataSpec,
@@ -149,6 +149,29 @@ def test_flow_files_are_prepared_one_raw_shard_at_a_time(tmp_path, monkeypatch):
     assert [w.worker_id for w in workers] == [1, 2, 3, 4]
     # Each file is read after the shard before it is prepared and dropped.
     assert alive_at_read == [0, 0, 0, 0]
+
+
+def test_synthetic_shards_are_drawn_one_raw_shard_at_a_time(monkeypatch):
+    drawn, alive_at_draw = [], []
+    draw = synthgen.generate
+
+    def tracked(*args):
+        alive_at_draw.append(sum(ref() is not None for ref in drawn))
+        shard = draw(*args)
+        drawn.append(weakref.ref(shard))
+        return shard
+
+    monkeypatch.setattr(synthgen, "generate", tracked)
+    data = DataSpec(n_workers=4, profiles=("A", "B"), sizes=400)
+    workers = build_worker_data(_small_synthetic(data=data))
+    assert [w.worker_id for w in workers] == [1, 2, 3, 4]
+    # Each shard is drawn after the shard before it is prepared and dropped.
+    assert alive_at_draw == [0, 0, 0, 0]
+
+
+def test_the_default_sizes_fit_any_worker_count():
+    result = run_experiment(ExperimentConfig(rounds=1, data=DataSpec(n_workers=2)))
+    assert [row.worker_id for row in result.reports[0].workers] == [1, 2]
 
 
 # NearMiss-3 keeps a balanced shard whole and undersamples one of the default mix.
