@@ -17,7 +17,7 @@ from typing import Any, NamedTuple, Optional
 import yaml
 
 from segfl.flowdata import check_shares
-from segfl.orchestrator import DEFAULT_SHARD_SIZE, ConfigError, ExperimentConfig
+from segfl.orchestrator import ConfigError, ExperimentConfig
 from segfl.synthgen import _is_int, check_class_mix, check_divergence, check_profiles, check_sizes
 
 
@@ -79,7 +79,6 @@ class _Key(NamedTuple):
     fields: tuple[str, ...]  # the (dotted) ExperimentConfig fields it sets
     kind: Any  # a kind named in _IS_KIND, or a check returning the field's form
     sources: Optional[tuple[str, ...]] = None  # the only data sources reading it; None: all
-    default: Any = ...  # ...: the first field's default, or None when it sets none
 
 
 # Every key, in the order its block's keys are checked.
@@ -106,9 +105,7 @@ _KEYS = {
     "data": _Key((), "a mapping"),  # the block of the data.* keys; null stands for {}
     "data.source": _Key(("data.source",), "any"),  # checked first: it picks the rows
     "data.n_workers": _Key(("data.n_workers",), "a positive integer", ("synthetic",)),
-    # An integer stands for every worker's size; checked against n_workers. The default
-    # is the scalar, not ExperimentConfig()'s sizes, which are expanded for four workers.
-    "data.sizes": _Key(("data.sizes",), check_sizes, ("synthetic",), DEFAULT_SHARD_SIZE),
+    "data.sizes": _Key(("data.sizes",), "any", ("synthetic",)),  # checked with n_workers
     "data.profiles": _Key(("data.profiles",), check_profiles, ("synthetic",)),
     "data.divergence": _Key(("data.divergence",), check_divergence, ("synthetic",)),
     "data.class_mix": _Key(("data.class_mix",), check_class_mix, ("synthetic",)),
@@ -137,8 +134,9 @@ def _experiment(fields: dict[str, Any]) -> ExperimentConfig:
 
 def _read(block: dict, prefix: str, fail) -> dict[str, tuple[Any, Any]]:
     """Each key of one block (``prefix`` "" or "data.") that its source reads -> (the
-    snapshot's value: a kind's as given, a check's result, tuples as lists; the field's
-    form). A key of another source fails at its line once the source's own keys pass."""
+    snapshot's value: a kind's as given, a check's result, tuples as lists, data.sizes
+    one per worker; the field's form). A key of another source fails at its line once
+    the source's own keys pass."""
     rows = {key.rpartition(".")[2]: key for key in _KEYS if key.rpartition(".")[0] == prefix[:-1]}
     unknown = sorted(map(str, set(block) - set(rows)))
     if unknown:
@@ -154,15 +152,14 @@ def _read(block: dict, prefix: str, fail) -> dict[str, tuple[Any, Any]]:
         row = _KEYS[key]
         if row.sources is not None and source not in row.sources:
             continue
-        default = row.default  # ...: the first field's, or None for a key setting none
-        if default is ...:
-            default = attrgetter(row.fields[0])(config) if row.fields else None
+        default = attrgetter(row.fields[0])(config) if row.fields else None
         given = block.get(name, list(default) if isinstance(default, tuple) else default)
         try:
             if given is None and default is None:  # an unset value left unset
                 value = None
-            elif key == "data.sizes":  # a size per worker
-                value = check_sizes(given, read["data.n_workers"][1])
+            elif key == "data.sizes":  # the field keeps the form given; the snapshot, a size each
+                value = tuple(given) if isinstance(given, list) else given
+                given = list(check_sizes(given, read["data.n_workers"][1]))
             else:
                 value = _of_kind(name, row.kind, given)
         except ValueError as exc:

@@ -103,12 +103,12 @@ class DataSpec:
     shares: tuple[float, ...] = ()
     column_map: Optional[dict[str, str]] = None
 
-    def __post_init__(self):
-        # One size per worker, as a config file's data.sizes is read. The expansion
-        # fixes the worker count at construction: replace(spec, n_workers=...) must
-        # pass sizes with it.
-        if isinstance(self.sizes, (int, np.integer)):
-            object.__setattr__(self, "sizes", (self.sizes,) * self.n_workers)
+    @property
+    def worker_count(self) -> int:
+        """The number of workers the source gives: a file or a share each, or ``n_workers``."""
+        return {"files": len(self.paths), "corpus": len(self.shares)}.get(
+            self.source, self.n_workers
+        )
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,7 @@ class ExperimentConfig:
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         # Every worker and every live group (each has a member) holds a float64 vector at once.
-        spec = self.data
-        workers = {"files": len(spec.paths), "corpus": len(spec.shares)}.get(spec.source)
-        workers = workers or spec.n_workers
+        workers = self.data.worker_count
         vectors = workers + min(workers, self.segmentation.max_groups)
         size = LayerSpec(len(FEATURE_NAMES), self.hidden_dims).n_params
         memory = physical_memory()

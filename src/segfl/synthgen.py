@@ -20,6 +20,7 @@ import numpy as np
 
 from segfl.flowdata import (
     CLASS_NAMES,
+    FEATURE_NAMES,
     FlowTable,
     _COUNT_MAX,
     _PORT_MAX,
@@ -270,21 +271,22 @@ _ROW_BYTES = 64
 def check_sizes(sizes, n_workers: int) -> tuple[int, ...]:
     """One row count per worker, one integer standing for all; ValueError unless each
     is an integer from 1 to the int64 maximum, there is one per worker, and all the
-    shards' rows fit in physical memory at ``_ROW_BYTES`` each."""
-    listed = [sizes] * n_workers if _is_int(sizes) else sizes
+    shards' rows fit in physical memory at ``_ROW_BYTES`` each.  An integer meets the
+    memory rule before it is expanded, so a huge worker count lists nothing."""
+    listed, copies = ([sizes], n_workers) if _is_int(sizes) else (sizes, 1)
     if not isinstance(listed, (list, tuple)) or not all(_is_int(s) and s >= 1 for s in listed):
         raise ValueError(f"sizes must be positive integers, got {sizes!r}")
     if max(listed, default=0) > _COUNT_MAX:
         raise ValueError(f"sizes must be at most {_COUNT_MAX} (int64), got {sizes!r}")
-    if len(listed) != n_workers:
+    if len(listed) * copies != n_workers:
         raise ValueError(f"sizes has {len(listed)} entries for {n_workers} workers")
-    memory = physical_memory()
-    if sum(listed) * _ROW_BYTES > memory:
+    rows, memory = sum(map(int, listed)) * copies, physical_memory()
+    if rows * _ROW_BYTES > memory:
         raise ValueError(
-            f"sizes must fit in memory: {sum(listed)} rows at {_ROW_BYTES} B need more than "
+            f"sizes must fit in memory: {rows} rows at {_ROW_BYTES} B need more than "
             f"the {memory} B of physical memory, got {sizes!r}"
         )
-    return tuple(map(int, listed))
+    return tuple(map(int, listed)) * copies
 
 
 def _is_int(value) -> bool:
@@ -359,40 +361,30 @@ def generate(profile: EnvironmentProfile, n: int, seed: int = 0) -> LabeledDatas
     rng = np.random.default_rng(seed)
     counts = _largest_remainder_counts(n, np.asarray(profile.class_mix))
 
-    blocks = []
-    label_blocks = []
-    for cls, count in enumerate(counts):
+    # Each class's rows in turn, in FEATURE_NAMES order; the columns are drawn in
+    # the order duration, ports, packets, bytes, protocol, flags.
+    features = np.empty((n, len(FEATURE_NAMES)))
+    starts = np.cumsum(counts) - counts
+    for cls, (count, start) in enumerate(zip(counts, starts)):
         if count == 0:
             continue
         params = profile.class_params[cls]
         comp_idx = rng.choice(len(params.components), size=count, p=params.weights())
-        duration = np.empty(count)
-        src_port = np.empty(count)
-        dst_port = np.empty(count)
-        packets = np.empty(count)
-        nbytes = np.empty(count)
-        protocol = np.empty(count)
-        flags = np.empty(count)
         for k, comp in enumerate(params.components):
-            mask = comp_idx == k
-            m = int(mask.sum())
+            rows = start + np.flatnonzero(comp_idx == k)
+            m = len(rows)
             if m == 0:
                 continue
-            duration[mask] = rng.lognormal(*comp.log_duration, size=m)
-            src_port[mask] = np.clip(np.round(rng.normal(*comp.src_port, size=m)), 0, _PORT_MAX)
-            dst_port[mask] = np.clip(np.round(rng.normal(*comp.dst_port, size=m)), 0, _PORT_MAX)
-            packets[mask] = np.round(rng.lognormal(*comp.log_packets, size=m))
-            nbytes[mask] = np.round(rng.lognormal(*comp.log_bytes, size=m))
-            protocol[mask] = rng.choice(_N_PROTO, size=m, p=comp.protocol_probs)
-            flags[mask] = rng.choice(_N_FLAGS, size=m, p=comp.flags_probs)
-        blocks.append(
-            np.column_stack([duration, protocol, src_port, dst_port, packets, nbytes, flags])
-        )
-        label_blocks.append(np.full(count, cls, dtype=np.int64))
+            features[rows, 0] = rng.lognormal(*comp.log_duration, size=m)
+            features[rows, 2] = np.clip(np.round(rng.normal(*comp.src_port, size=m)), 0, _PORT_MAX)
+            features[rows, 3] = np.clip(np.round(rng.normal(*comp.dst_port, size=m)), 0, _PORT_MAX)
+            features[rows, 4] = np.round(rng.lognormal(*comp.log_packets, size=m))
+            features[rows, 5] = np.round(rng.lognormal(*comp.log_bytes, size=m))
+            features[rows, 1] = rng.choice(_N_PROTO, size=m, p=comp.protocol_probs)
+            features[rows, 6] = rng.choice(_N_FLAGS, size=m, p=comp.flags_probs)
 
-    features = np.concatenate(blocks, axis=0)
-    labels = np.concatenate(label_blocks)
-    order = rng.permutation(len(labels))
+    labels = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    order = rng.permutation(n)
     return LabeledDataset(features[order], labels[order])
 
 

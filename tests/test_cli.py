@@ -73,7 +73,7 @@ def test_load_config_applies_defaults(tmp_path):
     assert exp.hidden_dims == (64, 32)
     assert exp.resample.neighbors_k == 3 and exp.resample.target_ratio == 2.0
     assert exp.data.n_workers == 4
-    assert exp.data.sizes == (8000, 8000, 8000, 8000)
+    assert loaded.snapshot["data"]["sizes"] == [8000, 8000, 8000, 8000]
     assert "out_dir" not in loaded.snapshot
     assert loaded.snapshot["J"] == 15
     assert exp == ExperimentConfig(), "an empty file and the library must agree on defaults"
@@ -179,10 +179,9 @@ def test_load_config_broadcasts_scalar_sizes(tmp_path):
     path = tmp_path / "s.yaml"
     path.write_text("data:\n  n_workers: 3\n  sizes: 500\n")
     loaded = load_config(path)
-    assert loaded.experiment.data.sizes == (500, 500, 500)
+    assert loaded.snapshot["data"]["sizes"] == [500, 500, 500]
     path.write_text("data:\n  n_workers: 3\n")  # the default size, for any worker count
     loaded = load_config(path)
-    assert loaded.experiment.data.sizes == (8000, 8000, 8000)
     assert loaded.snapshot["data"]["sizes"] == [8000, 8000, 8000]
     assert run_id_for({"command": "run", **loaded.snapshot}) == "ff20af3c8891"
 
@@ -506,6 +505,13 @@ def _line_of(path: Path, text: str) -> int:
             {"sizes": [2**70, 400]},
             "sizes:",
             f"data.sizes must be at most {2**63 - 1} (int64), got [{2**70}, 400]",
+        ),
+        # An integer stands for every worker: its total meets the memory rule before it is
+        # expanded, so a huge worker count lists nothing.
+        (
+            {"n_workers": 2**62, "sizes": 400},
+            "sizes:",
+            f"data.sizes must fit in memory: {400 * 2**62} rows at 64 B need more than the ",
         ),
         # Within int64 but beyond memory: refused before anything is allocated.
         (

@@ -169,9 +169,25 @@ def test_synthetic_shards_are_drawn_one_raw_shard_at_a_time(monkeypatch):
     assert alive_at_draw == [0, 0, 0, 0]
 
 
-def test_the_default_sizes_fit_any_worker_count():
-    result = run_experiment(ExperimentConfig(rounds=1, data=DataSpec(n_workers=2)))
+@pytest.mark.parametrize(
+    "data", [DataSpec(n_workers=2), replace(DataSpec(), n_workers=2)], ids=["built", "replaced"]
+)
+def test_the_default_sizes_fit_any_worker_count(data):
+    result = run_experiment(ExperimentConfig(rounds=1, data=data))
     assert [row.worker_id for row in result.reports[0].workers] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "data, count",
+    [
+        (DataSpec(n_workers=5), 5),
+        (DataSpec(source="files", paths=("a.csv", "b.csv")), 2),
+        (DataSpec(source="corpus", corpus="flows.csv", shares=(0.5, 0.3, 0.2)), 3),
+    ],
+    ids=["synthetic", "files", "corpus"],
+)
+def test_a_data_spec_counts_its_workers_by_its_source(data, count):
+    assert data.worker_count == count
 
 
 # NearMiss-3 keeps a balanced shard whole and undersamples one of the default mix.
