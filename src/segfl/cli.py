@@ -21,7 +21,7 @@ from pathlib import Path
 import yaml
 
 from segfl.config import ConfigError, LoadedConfig, load_config
-from segfl.orchestrator import MODES, RunSinks, build_worker_data, run_experiment
+from segfl.orchestrator import MODES, build_worker_data, run_experiment
 from segfl.reporting import (
     COMPARE_FILE,
     CONFIG_COPY_FILE,
@@ -78,8 +78,7 @@ def cmd_run(config_path, seed=None, out=None) -> int:
         RoundsWriter(run_dir / ROUNDS_FILE) as rounds,
         TimelineWriter(run_dir / TIMELINE_FILE) as timeline,
     ):
-        sinks = RunSinks(on_round=rounds.write, on_timeline=timeline.write)
-        run_experiment(loaded.experiment, sinks)
+        run_experiment(loaded.experiment, on_round=rounds.write, on_timeline=timeline.write)
     return 0
 
 
@@ -99,8 +98,9 @@ def cmd_compare(config_path, seed=None, out=None) -> int:
             with RoundsWriter(run_dir / f"{mode}_{ROUNDS_FILE}") as rounds:
                 result = run_experiment(
                     replace(loaded.experiment, mode=mode),
-                    RunSinks(on_round=rounds.write, on_timeline=timeline.write),
-                    prepared_workers=prepared,
+                    prepared,
+                    on_round=rounds.write,
+                    on_timeline=timeline.write,
                 )
             final_reports[mode] = result.reports[-1]
         write_compare(final_reports, run_dir / COMPARE_FILE)

@@ -76,48 +76,48 @@ def _corpus(corpus) -> str:
 
 
 class _Key(NamedTuple):
-    fields: tuple[str, ...]  # the (dotted) ExperimentConfig fields it sets
+    field: Optional[str]  # the (dotted) ExperimentConfig field it sets, if any
     kind: Any  # a kind named in _IS_KIND, or a check returning the field's form
     sources: Optional[tuple[str, ...]] = None  # the only data sources reading it; None: all
 
 
 # Every key, in the order its block's keys are checked.
 _KEYS = {
-    "mode": _Key(("mode",), "any"),  # ExperimentConfig names the modes
-    "J": _Key(("rounds",), "an integer"),
-    "N_t": _Key(("participants_per_round",), "a positive integer"),
-    "E": _Key(("train.epochs",), "an integer"),
-    "B": _Key(("train.batch_size",), "an integer"),
-    "eta": _Key(("train.learning_rate",), "a number"),
-    "alpha": _Key(("weights.alpha",), "a number"),
-    "beta": _Key(("weights.beta",), "a number"),
-    "gamma": _Key(("weights.gamma",), "a number"),
-    "h_f": _Key(("segmentation.fineness",), "an integer"),
-    "h_j": _Key(("segmentation.eval_every",), "an integer"),
-    "R_e": _Key(("segmentation.window",), "an integer"),
-    "max_groups": _Key(("segmentation.max_groups",), "an integer"),
-    "seed": _Key(("seed", "train.seed"), "an integer"),
-    "hidden_dims": _Key(("hidden_dims",), "a list of positive integers"),
-    "test_fraction": _Key(("test_fraction",), "a number"),
-    "resample_k": _Key(("resample.neighbors_k",), "an integer"),
-    "target_ratio": _Key(("resample.target_ratio",), "a number"),
-    "out_dir": _Key((), "a string"),  # the output root, read by the CLI
-    "data": _Key((), "a mapping"),  # the block of the data.* keys; null stands for {}
-    "data.source": _Key(("data.source",), "any"),  # checked first: it picks the rows
-    "data.n_workers": _Key(("data.n_workers",), "a positive integer", ("synthetic",)),
-    "data.sizes": _Key(("data.sizes",), "any", ("synthetic",)),  # checked with n_workers
-    "data.profiles": _Key(("data.profiles",), check_profiles, ("synthetic",)),
-    "data.divergence": _Key(("data.divergence",), check_divergence, ("synthetic",)),
-    "data.class_mix": _Key(("data.class_mix",), check_class_mix, ("synthetic",)),
-    "data.column_map": _Key(("data.column_map",), _column_map, ("files", "corpus")),
-    "data.paths": _Key(("data.paths",), _paths, ("files",)),
-    "data.corpus": _Key(("data.corpus",), _corpus, ("corpus",)),
-    "data.shares": _Key(("data.shares",), lambda v: tuple(check_shares(v).tolist()), ("corpus",)),
+    "mode": _Key("mode", "any"),  # ExperimentConfig names the modes
+    "J": _Key("rounds", "an integer"),
+    "N_t": _Key("participants_per_round", "a positive integer"),
+    "E": _Key("train.epochs", "an integer"),
+    "B": _Key("train.batch_size", "an integer"),
+    "eta": _Key("train.learning_rate", "a number"),
+    "alpha": _Key("weights.alpha", "a number"),
+    "beta": _Key("weights.beta", "a number"),
+    "gamma": _Key("weights.gamma", "a number"),
+    "h_f": _Key("segmentation.fineness", "an integer"),
+    "h_j": _Key("segmentation.eval_every", "an integer"),
+    "R_e": _Key("segmentation.window", "an integer"),
+    "max_groups": _Key("segmentation.max_groups", "an integer"),
+    "seed": _Key("seed", "an integer"),
+    "hidden_dims": _Key("hidden_dims", "a list of positive integers"),
+    "test_fraction": _Key("test_fraction", "a number"),
+    "resample_k": _Key("resample.neighbors_k", "an integer"),
+    "target_ratio": _Key("resample.target_ratio", "a number"),
+    "out_dir": _Key(None, "a string"),  # the output root, read by the CLI
+    "data": _Key(None, "a mapping"),  # the block of the data.* keys; null stands for {}
+    "data.source": _Key("data.source", "any"),  # checked first: it picks the rows
+    "data.n_workers": _Key("data.n_workers", "a positive integer", ("synthetic",)),
+    "data.sizes": _Key("data.sizes", "any", ("synthetic",)),  # checked with n_workers
+    "data.profiles": _Key("data.profiles", check_profiles, ("synthetic",)),
+    "data.divergence": _Key("data.divergence", check_divergence, ("synthetic",)),
+    "data.class_mix": _Key("data.class_mix", check_class_mix, ("synthetic",)),
+    "data.column_map": _Key("data.column_map", _column_map, ("files", "corpus")),
+    "data.paths": _Key("data.paths", _paths, ("files",)),
+    "data.corpus": _Key("data.corpus", _corpus, ("corpus",)),
+    "data.shares": _Key("data.shares", lambda v: tuple(check_shares(v).tolist()), ("corpus",)),
 }
 
 # Config dataclass field -> the key that sets it. Each __post_init__ message
 # begins with the field's name, which an error report swaps for the key.
-_KEY_OF = {path.rpartition(".")[2]: key for key, row in _KEYS.items() for path in row.fields}
+_KEY_OF = {row.field.rpartition(".")[2]: key for key, row in _KEYS.items() if row.field}
 
 
 def _experiment(fields: dict[str, Any]) -> ExperimentConfig:
@@ -152,7 +152,7 @@ def _read(block: dict, prefix: str, fail) -> dict[str, tuple[Any, Any]]:
         row = _KEYS[key]
         if row.sources is not None and source not in row.sources:
             continue
-        default = attrgetter(row.fields[0])(config) if row.fields else None
+        default = attrgetter(row.field)(config) if row.field else None
         given = block.get(name, list(default) if isinstance(default, tuple) else default)
         try:
             if given is None and default is None:  # an unset value left unset
@@ -163,7 +163,9 @@ def _read(block: dict, prefix: str, fail) -> dict[str, tuple[Any, Any]]:
             else:
                 value = _of_kind(name, row.kind, given)
         except ValueError as exc:
-            fail(key, f"{prefix}{exc}")
+            # Default sizes fail only for the worker count, so at the line that gives it.
+            at = "data.n_workers" if key == "data.sizes" and name not in block else key
+            fail(at, f"{prefix}{exc}")
         shown = list(value) if isinstance(value, tuple) else value
         read[key] = shown if callable(row.kind) else given, value
     for name in block:
@@ -248,7 +250,7 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
 
     top = _read(raw, "", fail)
     data = _read(top["data"][1] or {}, "data.", fail)
-    fields = {p: v for key, (_, v) in {**top, **data}.items() for p in _KEYS[key].fields}
+    fields = {_KEYS[key].field: v for key, (_, v) in {**top, **data}.items() if _KEYS[key].field}
     try:
         experiment = _experiment(fields)
     except ValueError as exc:

@@ -53,23 +53,26 @@ class LayerSpec:
         return sum((dims[i] + 1) * dims[i + 1] for i in range(len(dims) - 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
-    """Flat float64 parameter vector laid out layer by layer (weights, then bias)."""
+    """Flat float64 parameter vector laid out layer by layer (weights, then bias).
+
+    The vector is made read-only, so one model can be shared by any number of
+    workers and groups without a copy.
+    """
 
     flat: np.ndarray
     spec: LayerSpec
 
     def __post_init__(self):
-        self.flat = np.asarray(self.flat, dtype=np.float64)
-        if self.flat.shape != (self.spec.n_params,):
+        flat = np.asarray(self.flat, dtype=np.float64)
+        if flat.shape != (self.spec.n_params,):
             raise ValueError(
-                f"flat vector has {self.flat.shape}, spec {self.spec.dims} "
+                f"flat vector has {flat.shape}, spec {self.spec.dims} "
                 f"needs ({self.spec.n_params},)"
             )
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.flat.copy(), self.spec)
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,6 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 128
     learning_rate: float = 0.01
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -234,20 +236,22 @@ def loss_and_grad(
     return float(np.mean(_row_losses(logits, labels))), grad
 
 
-def train_local(params: ModelParams, data: LabeledDataset, config: TrainConfig) -> ModelParams:
-    """Epoch-wise minibatch SGD; functional, the input params are untouched.
+def train_local(
+    params: ModelParams, data: LabeledDataset, config: TrainConfig, seed: int
+) -> ModelParams:
+    """Epoch-wise minibatch SGD from ``params`` to a new model.
 
-    Each epoch shuffles the sample order under the config seed and walks the
+    Each epoch shuffles the sample order under ``seed`` and walks the
     permutation in batches of ``batch_size`` (last batch may be short).
     """
     if data.sample_count == 0:
         logger.warning("train_local called with empty data; params returned unchanged")
-        return params.copy()
+        return params
     features = np.asarray(data.features, dtype=np.float64)
     labels = np.asarray(data.labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= params.spec.output_dim:
         raise ValueError("labels out of range for output_dim")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     flat, grad = params.flat.copy(), np.empty_like(params.flat)
     layers, grad_layers = _layer_views(flat, params.spec), _layer_views(grad, params.spec)
     n, size = data.sample_count, min(config.batch_size, data.sample_count)

@@ -203,14 +203,6 @@ class ExperimentResult:
     groups: dict[int, ModelParams]  # every group ever founded, retired ones included
 
 
-@dataclass
-class RunSinks:
-    """Optional streaming hooks so callers can persist output as it appears."""
-
-    on_round: Optional[Callable[[RoundReport], None]] = None
-    on_timeline: Optional[Callable[[list[TimelineEvent]], None]] = None
-
-
 def build_worker_data(config: ExperimentConfig) -> list[WorkerState]:
     """Prepare every worker's shards: split, scale, undersample, hold out.
 
@@ -337,11 +329,12 @@ def _read_flows(path, column_map: dict[str, str], owner: str) -> LabeledDataset:
 def broadcast_initial(
     workers: list[WorkerState], config: ExperimentConfig
 ) -> tuple[dict[int, WorkerState], dict[int, ModelParams]]:
-    """One initial group holding everyone: fresh copies of ``workers``, which stay unchanged."""
+    """One initial group holding everyone: fresh copies of ``workers``, which stay unchanged,
+    each sharing the group's initial model."""
     spec = LayerSpec(workers[0].train.features.shape[1], config.hidden_dims)
     global_params = init_params(spec, derive_seed(config.seed, "init"))
     worker_map = {
-        w.worker_id: replace(w, group_id=1, params=global_params.copy(), val_history=[])
+        w.worker_id: replace(w, group_id=1, params=global_params, val_history=[])
         for w in workers
     }
     return worker_map, {1: global_params}
@@ -371,21 +364,18 @@ def run_round(
 ) -> RoundReport:
     """Execute one federated round over every live group."""
     live = _live_members(workers)
-    peer_params = {gid: groups[gid].copy() for gid in live}
+    peer_params = {gid: groups[gid] for gid in live}
 
     for gid, members in live.items():
         for wid in members:
-            workers[wid].params = groups[gid].copy()
+            workers[wid].params = groups[gid]
         trainers = _round_robin_window(members, round_no, config.participants_per_round)
 
         contributions = []
         for wid in trainers:
             worker = workers[wid]
-            trained = train_local(
-                worker.params,
-                worker.train,
-                replace(config.train, seed=derive_seed(config.seed, "train", wid, round_no)),
-            )
+            seed = derive_seed(config.seed, "train", wid, round_no)
+            trained = train_local(worker.params, worker.train, config.train, seed)
             _require_finite(trained.flat, f"worker {wid}", "parameters", round_no, config)
             worker.params = trained
             contributions.append(
@@ -411,12 +401,12 @@ def _run_pooled_round(
     The pooled model trains for the same total epoch count as a federated run (rounds x
     epochs), scored on every worker's shards after each block so learning curves line up.
     """
-    train = replace(config.train, seed=derive_seed(config.seed, "train", 0, round_no))
-    model = train_local(groups[1], pooled, train)
+    seed = derive_seed(config.seed, "train", 0, round_no)
+    model = train_local(groups[1], pooled, config.train, seed)
     _require_finite(model.flat, "the pooled model", "parameters", round_no, config)
     groups[1] = model
     for worker in workers.values():
-        worker.params = model.copy()
+        worker.params = model
     return _score_round(workers, round_no, config)
 
 
@@ -475,8 +465,9 @@ def evaluate_and_segment(
 
     Plans are computed against the boundary's starting memberships so each
     worker is evaluated exactly once.  A founded group enters ``groups`` at
-    once, so later plans at the same boundary see it as a candidate and the
-    group cap stays global; the moves are applied after the last plan.
+    once, under the next unused id, so later plans at the same boundary see it
+    as a candidate and the group cap stays global; the moves are applied after
+    the last plan.
     """
     seg = config.segmentation
     cutoff = threshold(seg)
@@ -490,30 +481,20 @@ def evaluate_and_segment(
     for gid, members in boundary.items():
         windows = {wid: workers[wid].val_history[-seg.window :] for wid in members}
         scores = eval_score(windows)
-        plan = segment(
-            gid,
-            scores,
-            live_ids,
-            seg,
-            {wid: workers[wid].params for wid in members},
-            cross_fit,
-        )
-
-        destinations = {wid: gid for wid in plan.stay}
-        destinations.update(plan.moves)
+        local_params = {wid: workers[wid].params for wid in members}
+        new_id = max(groups) + 1
+        plan = segment(gid, scores, live_ids, seg, local_params, cross_fit, new_id)
         if plan.new_group is not None:
-            new_id = max(groups) + 1
-            groups[new_id] = plan.new_group.params
+            groups[new_id] = plan.new_group
             live_ids.append(new_id)
-            destinations.update({wid: new_id for wid in plan.new_group.member_ids})
 
-        for wid in scores.worker_ids:
+        for wid, dest in plan.destinations.items():
             events.append(
                 TimelineEvent(
                     round_no=round_no,
                     worker_id=wid,
                     old_group=gid,
-                    new_group=destinations[wid],
+                    new_group=dest,
                     window_mean=scores.mean_of(wid),
                     score=scores.score_of(wid),
                     cutoff=cutoff,
@@ -563,23 +544,25 @@ def write_checkpoint(
 
 def run_experiment(
     config: ExperimentConfig,
-    sinks: Optional[RunSinks] = None,
     prepared_workers: Optional[list[WorkerState]] = None,
+    *,
+    on_round: Optional[Callable[[RoundReport], None]] = None,
+    on_timeline: Optional[Callable[[list[TimelineEvent]], None]] = None,
 ) -> ExperimentResult:
     """Run one experiment end to end under a single master seed.
 
     Args:
         config: full experiment description.
-        sinks: optional streaming hooks (per-round reports, timeline events).
         prepared_workers: reuse shards from a previous ``build_worker_data``
             call with the same config; the run starts from fresh states
             (``broadcast_initial``) and never writes them.
+        on_round: optional hook given each round's report as it completes.
+        on_timeline: optional hook given each boundary's timeline events.
 
     Returns:
         ExperimentResult with one report per round, the segmentation
         timeline (empty unless mode is segmented_fl), and final states.
     """
-    sinks = sinks or RunSinks()
     if prepared_workers is None:
         prepared_workers = build_worker_data(config)
     workers, groups = broadcast_initial(prepared_workers, config)
@@ -593,13 +576,13 @@ def run_experiment(
         else:
             report = run_round(workers, groups, round_no, config)
         reports.append(report)
-        if sinks.on_round:
-            sinks.on_round(report)
+        if on_round:
+            on_round(report)
         if config.mode == "segmented_fl" and round_no % config.segmentation.eval_every == 0:
             events = evaluate_and_segment(workers, groups, round_no, config)
             timeline.extend(events)
-            if sinks.on_timeline and events:
-                sinks.on_timeline(events)
+            if on_timeline and events:
+                on_timeline(events)
     return ExperimentResult(
         reports=tuple(reports), timeline=tuple(timeline), workers=workers, groups=groups
     )

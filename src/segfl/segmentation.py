@@ -97,19 +97,11 @@ def eval_score(windows: Mapping[int, Sequence[float]]) -> EvalScores:
 
 
 @dataclass(frozen=True)
-class NewGroup:
-    member_ids: tuple[int, ...]
-    params: ModelParams
-
-
-@dataclass(frozen=True)
 class SegmentationPlan:
-    """Where each evaluated worker goes: stay, move, or seed a new group."""
+    """Each evaluated worker's group: its own, a better-fitting one, or a new one."""
 
-    group_id: int
-    stay: tuple[int, ...]
-    moves: dict[int, int]  # worker id -> destination group id
-    new_group: Optional[NewGroup]
+    destinations: dict[int, int]  # worker id -> group id, in ascending worker id
+    new_group: Optional[ModelParams]  # the parameters of the group founded as new_id
 
 
 def segment(
@@ -119,6 +111,7 @@ def segment(
     config: SegmentationConfig,
     local_params: Mapping[int, ModelParams],
     cross_fit: Callable[[int, int], float],
+    new_id: int,
 ) -> SegmentationPlan:
     """Plan the regrouping of one group's members.
 
@@ -131,45 +124,35 @@ def segment(
             new group with their unweighted mean).
         cross_fit: callback giving a misfit's validation macro-F1 under
             another group's global model.
+        new_id: the id a group founded by this plan takes.
 
     Returns:
-        A plan assigning every member to exactly one of stay/move/new-group.
-        A misfit moves to the candidate group with the best cross_fit value
-        (ties to the lower group id) if that value reaches its own window
-        mean; leftover misfits seed one new group if the live-group cap
-        allows, and otherwise stay put.
+        A plan giving every member one destination group.  A misfit moves to
+        the candidate group with the best cross_fit value (ties to the lower
+        group id) if that value reaches its own window mean; leftover misfits
+        seed one new group if the live-group cap allows, and otherwise stay put.
     """
     cutoff = threshold(config)
-    stay: list[int] = []
-    misfits: list[int] = []
-    for wid, score in zip(scores.worker_ids, scores.score):
-        (misfits if score < cutoff else stay).append(wid)
-
     other_groups = sorted(gid for gid in live_group_ids if gid != group_id)
-    moves: dict[int, int] = {}
+    destinations: dict[int, int] = {}
     leftovers: list[int] = []
-    for wid in misfits:
+    for wid, score in zip(scores.worker_ids, scores.score):
+        destinations[wid] = group_id
+        if not score < cutoff:  # fits its group
+            continue
         best: tuple[float, int] | None = None
         for gid in other_groups:
             fit = cross_fit(wid, gid)
             if best is None or fit > best[0]:
                 best = (fit, gid)
         if best is not None and best[0] >= scores.mean_of(wid):
-            moves[wid] = best[1]
+            destinations[wid] = best[1]
         else:
             leftovers.append(wid)
 
     new_group = None
     if leftovers and len(live_group_ids) < config.max_groups:
         seeds = np.stack([local_params[wid].flat for wid in leftovers])
-        seed_spec = local_params[leftovers[0]].spec
-        new_group = NewGroup(
-            member_ids=tuple(leftovers),
-            params=ModelParams(seeds.mean(axis=0), seed_spec),
-        )
-    else:
-        stay.extend(leftovers)
-
-    return SegmentationPlan(
-        group_id=group_id, stay=tuple(sorted(stay)), moves=moves, new_group=new_group
-    )
+        new_group = ModelParams(seeds.mean(axis=0), local_params[leftovers[0]].spec)
+        destinations.update(dict.fromkeys(leftovers, new_id))
+    return SegmentationPlan(destinations, new_group)

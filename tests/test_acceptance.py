@@ -12,7 +12,6 @@ import csv
 import math
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +58,7 @@ def _scenario_config(mode: str, seed: int) -> ExperimentConfig:
         mode=mode,
         rounds=15,
         participants_per_round=1,
-        train=TrainConfig(epochs=1, batch_size=128, learning_rate=0.15, seed=0),
+        train=TrainConfig(epochs=1, batch_size=128, learning_rate=0.15),
         weights=AggregationWeights(alpha=0.55, beta=0.40, gamma=0.05),
         segmentation=SegmentationConfig(fineness=7, eval_every=3, window=3, max_groups=3),
         hidden_dims=(64, 32),
@@ -436,20 +435,20 @@ def test_federated_reduces_to_reference_averaging():
     shards3 = [
         LabeledDataset(rng.random((8, 2)), np.zeros(8, dtype=np.int64)) for _ in range(4)
     ]
-    train_cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.3, seed=0)
+    train_cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.3)
     weights = AggregationWeights(0.0, 1.0, 0.0)
     system = init_params(spec3, seed=88)
-    reference = system.copy()
+    reference = system
     for round_no in range(1, 6):
         trained = [
-            train_local(system, shard, replace(train_cfg, seed=derive_seed(0, "train", wid, round_no)))
+            train_local(system, shard, train_cfg, derive_seed(0, "train", wid, round_no))
             for wid, shard in enumerate(shards3, start=1)
         ]
         system = weighted_aggregate(
             system, [LocalContribution(t, 8) for t in trained], [], weights
         )
         ref_trained = [
-            train_local(reference, shard, replace(train_cfg, seed=derive_seed(0, "train", wid, round_no)))
+            train_local(reference, shard, train_cfg, derive_seed(0, "train", wid, round_no))
             for wid, shard in enumerate(shards3, start=1)
         ]
         reference = ModelParams(
@@ -479,7 +478,7 @@ def test_federated_reduces_to_reference_averaging():
         mode="fl",
         rounds=5,
         participants_per_round=None,
-        train=TrainConfig(epochs=1, batch_size=4, learning_rate=0.2, seed=0),
+        train=TrainConfig(epochs=1, batch_size=4, learning_rate=0.2),
         weights=AggregationWeights(0.0, 1.0, 0.0),
         hidden_dims=(),
         seed=321,
@@ -493,7 +492,8 @@ def test_federated_reduces_to_reference_averaging():
             train_local(
                 reference,
                 workers[wid].train,
-                replace(config.train, seed=derive_seed(config.seed, "train", wid, round_no)),
+                config.train,
+                derive_seed(config.seed, "train", wid, round_no),
             )
             for wid in (1, 2, 3)
         ]

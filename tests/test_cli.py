@@ -79,6 +79,13 @@ def test_load_config_applies_defaults(tmp_path):
     assert exp == ExperimentConfig(), "an empty file and the library must agree on defaults"
 
 
+def test_a_loaded_seed_equals_the_library_seed(tmp_path):
+    # The seed key sets the one seed field; training seeds derive from it per call.
+    path = tmp_path / "seed.yaml"
+    path.write_text("seed: 5\n")
+    assert load_config(path).experiment == ExperimentConfig(seed=5)
+
+
 def test_load_config_reports_unknown_key_with_line(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("mode: segmented_fl\nJ: 2\nlearning_rate: 0.5\n")
@@ -448,6 +455,10 @@ def test_unusable_shard_exits_2_before_training(tmp_path, capsys, monkeypatch, d
         assert f"{named} has class counts normal " in err, err
 
 
+# A data key of _QUICK that a case of test_bad_data_block_exits_2_with_its_line leaves out.
+_LEFT_OUT = "left out"
+
+
 def _line_of(path: Path, text: str) -> int:
     return next(i for i, line in enumerate(path.read_text().splitlines(), 1) if text in line)
 
@@ -512,6 +523,12 @@ def _line_of(path: Path, text: str) -> int:
             {"n_workers": 2**62, "sizes": 400},
             "sizes:",
             f"data.sizes must fit in memory: {400 * 2**62} rows at 64 B need more than the ",
+        ),
+        # Sizes left to their default fail for the worker count, so at its line.
+        (
+            {"n_workers": 10**12, "sizes": _LEFT_OUT},
+            "n_workers:",
+            f"data.sizes must fit in memory: {8000 * 10**12} rows at 64 B need more than the ",
         ),
         # Within int64 but beyond memory: refused before anything is allocated.
         (
@@ -595,7 +612,7 @@ def _line_of(path: Path, text: str) -> int:
 )
 def test_bad_data_block_exits_2_with_its_line(tmp_path, capsys, data, key, message):
     if isinstance(data, dict):
-        data = {**_QUICK["data"], **data}
+        data = {k: v for k, v in {**_QUICK["data"], **data}.items() if v != _LEFT_OUT}
     config = _write_config(tmp_path, data=data)
     for command in ("run", "compare"):
         assert main([command, str(config), "--out", str(tmp_path / command)]) == 2

@@ -124,8 +124,8 @@ def _oracle_loss_and_grad(flat, spec, features, labels):
     return loss, grad
 
 
-def _oracle_train_local(params, data, config):
-    rng = np.random.default_rng(config.seed)
+def _oracle_train_local(params, data, config, seed):
+    rng = np.random.default_rng(seed)
     flat = params.flat.copy()
     n = data.sample_count
     for _ in range(config.epochs):
@@ -137,6 +137,12 @@ def _oracle_train_local(params, data, config):
             )
             flat -= config.learning_rate * grad
     return flat
+
+
+def _noisy_init(spec: LayerSpec, seed: int, rng: np.random.Generator) -> ModelParams:
+    """Initial parameters plus small noise from ``rng``, so the biases are non-zero too."""
+    noise = rng.normal(scale=0.1, size=spec.n_params)
+    return ModelParams(init_params(spec, seed).flat + noise, spec)
 
 
 def _strided(x: np.ndarray) -> np.ndarray:
@@ -165,8 +171,7 @@ def _bits(value) -> bytes:
 def test_in_place_core_is_bit_identical_to_the_allocating_oracle(hidden, kind):
     rng = np.random.default_rng(31)
     spec = LayerSpec(input_dim=4, hidden_dims=hidden, output_dim=3)
-    params = init_params(spec, seed=5)
-    params.flat += rng.normal(scale=0.1, size=spec.n_params)  # non-zero biases
+    params = _noisy_init(spec, 5, rng)
     features = _FEATURE_KINDS[kind](rng.normal(size=(37, 4)))
     labels = rng.integers(0, 3, size=37)
     two_classes = np.arange(37) % 2  # no sample of class 2 in any batch
@@ -182,9 +187,9 @@ def test_in_place_core_is_bit_identical_to_the_allocating_oracle(hidden, kind):
         data = LabeledDataset(features, y)
         assert _bits(mean_loss(params, data)) == _bits(_oracle_cross_entropy(logits, y))
         for epochs, batch_size in ((1, 8), (1, 64), (2, 5)):  # 37 % 8 != 0; 37 < 64
-            config = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.3, seed=2)
-            got = train_local(params, data, config).flat
-            assert _bits(got) == _bits(_oracle_train_local(params, data, config))
+            config = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.3)
+            got = train_local(params, data, config, 2).flat
+            assert _bits(got) == _bits(_oracle_train_local(params, data, config, 2))
 
 
 # Evaluation walks the rows in blocks of 1,024; the one-call oracle is the
@@ -197,8 +202,7 @@ _BLOCKED_SIZES = [*range(1, 71), 1023, 1024, 1025, 1026, 2049, *range(1100, 4096
 def test_blocked_evaluation_is_bit_identical_to_one_call(hidden, kind):
     rng = np.random.default_rng(47)
     spec = LayerSpec(input_dim=4, hidden_dims=hidden, output_dim=3)
-    params = init_params(spec, seed=6)
-    params.flat += rng.normal(scale=0.1, size=spec.n_params)
+    params = _noisy_init(spec, 6, rng)
     all_features = rng.normal(size=(max(_BLOCKED_SIZES), 4))
     all_labels = rng.integers(0, 3, size=len(all_features))
     for n in _BLOCKED_SIZES:
@@ -215,8 +219,7 @@ def test_blocked_evaluation_matches_one_call_on_many_rows():
     # logits differently in the last ulp; the blocks keep the small-call kernel.
     rng = np.random.default_rng(53)
     spec = LayerSpec(input_dim=7, hidden_dims=(64, 32), output_dim=3)
-    params = init_params(spec, seed=2)
-    params.flat += rng.normal(scale=0.1, size=spec.n_params)
+    params = _noisy_init(spec, 2, rng)
     features = rng.normal(size=(20_000, 7))
     labels = rng.integers(0, 3, size=20_000)
     _, logits = _oracle_forward_cached(params.flat, spec, features)
@@ -392,7 +395,7 @@ def test_zero_learning_rate_keeps_params():
     spec = LayerSpec(input_dim=2, hidden_dims=(3,), output_dim=3)
     params = init_params(spec, seed=1)
     data = LabeledDataset(rng.normal(size=(20, 2)), rng.integers(0, 3, size=20))
-    out = train_local(params, data, TrainConfig(epochs=3, batch_size=4, learning_rate=0.0, seed=5))
+    out = train_local(params, data, TrainConfig(epochs=3, batch_size=4, learning_rate=0.0), 5)
     assert np.array_equal(out.flat, params.flat)
 
 
@@ -402,10 +405,10 @@ def test_training_is_functional_and_deterministic():
     params = init_params(spec, seed=3)
     before = params.flat.copy()
     data = LabeledDataset(rng.normal(size=(30, 2)), rng.integers(0, 3, size=30))
-    config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.1, seed=11)
+    config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.1)
     data_before = (data.features.copy(), data.labels.copy())
-    first = train_local(params, data, config)
-    second = train_local(params, data, config)
+    first = train_local(params, data, config, 11)
+    second = train_local(params, data, config, 11)
     assert np.array_equal(params.flat, before), "input params were mutated"
     assert np.array_equal(data.features, data_before[0]), "features were mutated"
     assert np.array_equal(data.labels, data_before[1]), "labels were mutated"
@@ -424,7 +427,7 @@ def test_training_rejects_out_of_range_labels():
     features = np.zeros((6, 2))
     for bad in (np.array([0, 1, 2, 0, 1, 3]), np.array([0, -1, 2, 0, 1, 2])):
         with pytest.raises(ValueError, match="labels out of range for output_dim"):
-            train_local(params, LabeledDataset(features, bad), TrainConfig(batch_size=2))
+            train_local(params, LabeledDataset(features, bad), TrainConfig(batch_size=2), 0)
 
 
 def test_training_learns_a_separable_toy_problem():
@@ -434,7 +437,7 @@ def test_training_learns_a_separable_toy_problem():
     features = centers[labels] + rng.normal(scale=0.4, size=(120, 2))
     data = LabeledDataset(features, labels)
     params = init_params(LayerSpec(input_dim=2, hidden_dims=(8,), output_dim=3), seed=0)
-    trained = train_local(params, data, TrainConfig(epochs=50, batch_size=16, learning_rate=0.2, seed=0))
+    trained = train_local(params, data, TrainConfig(epochs=50, batch_size=16, learning_rate=0.2), 0)
     accuracy = float((predict(trained, features) == labels).mean())
     assert accuracy >= 0.95
 
@@ -448,12 +451,14 @@ def test_full_batch_step_is_invariant_to_sample_duplication():
     single = train_local(
         params,
         LabeledDataset(features, labels),
-        TrainConfig(epochs=1, batch_size=10, learning_rate=0.5, seed=0),
+        TrainConfig(epochs=1, batch_size=10, learning_rate=0.5),
+        0,
     )
     doubled = train_local(
         params,
         LabeledDataset(np.vstack([features, features]), np.concatenate([labels, labels])),
-        TrainConfig(epochs=1, batch_size=20, learning_rate=0.5, seed=0),
+        TrainConfig(epochs=1, batch_size=20, learning_rate=0.5),
+        0,
     )
     assert np.allclose(single.flat, doubled.flat, rtol=0, atol=1e-12)
 
@@ -463,16 +468,16 @@ def test_empty_training_data_warns_and_returns_input(caplog):
     params = init_params(spec, seed=0)
     empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with caplog.at_level(logging.WARNING, logger="segfl.nnet"):
-        out = train_local(params, empty, TrainConfig())
+        out = train_local(params, empty, TrainConfig(), 0)
     assert "empty data" in caplog.text
-    assert np.array_equal(out.flat, params.flat)
+    assert out is params
 
 
 def test_params_stay_finite_after_aggressive_training():
     rng = np.random.default_rng(15)
     data = LabeledDataset(rng.normal(size=(60, 3)) * 5, rng.integers(0, 3, size=60))
     params = init_params(LayerSpec(input_dim=3, hidden_dims=(8,), output_dim=3), seed=2)
-    trained = train_local(params, data, TrainConfig(epochs=10, batch_size=8, learning_rate=1.0, seed=1))
+    trained = train_local(params, data, TrainConfig(epochs=10, batch_size=8, learning_rate=1.0), 1)
     assert np.all(np.isfinite(trained.flat))
 
 

@@ -23,7 +23,6 @@ from segfl.config import load_config
 from segfl.orchestrator import (
     DataSpec,
     ExperimentConfig,
-    RunSinks,
     WorkerState,
     broadcast_initial,
     build_worker_data,
@@ -59,7 +58,7 @@ def _toy_config(**kwargs) -> ExperimentConfig:
         mode="fl",
         rounds=5,
         participants_per_round=None,
-        train=TrainConfig(epochs=1, batch_size=4, learning_rate=0.2, seed=0),
+        train=TrainConfig(epochs=1, batch_size=4, learning_rate=0.2),
         weights=AggregationWeights(0.0, 1.0, 0.0),
         hidden_dims=(),
         seed=123,
@@ -73,7 +72,7 @@ def _small_synthetic(**kwargs) -> ExperimentConfig:
         mode="segmented_fl",
         rounds=4,
         participants_per_round=None,
-        train=TrainConfig(epochs=1, batch_size=32, learning_rate=0.1, seed=0),
+        train=TrainConfig(epochs=1, batch_size=32, learning_rate=0.1),
         weights=AggregationWeights(0.2, 0.6, 0.2),
         segmentation=SegmentationConfig(fineness=7, eval_every=2, window=2, max_groups=3),
         hidden_dims=(8,),
@@ -268,7 +267,10 @@ def test_broadcast_initial_puts_everyone_in_one_group():
     for wid, worker in workers.items():
         assert worker.group_id == 1
         assert np.array_equal(worker.params.flat, groups[1].flat)
-        assert worker.params is not groups[1]
+        # Shared, not copied: the one vector cannot be written through any holder.
+        assert not worker.params.flat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            worker.params.flat[0] = 1.0
 
 
 def test_fl_rounds_match_a_reference_averaging_loop():
@@ -287,7 +289,8 @@ def test_fl_rounds_match_a_reference_averaging_loop():
             train_local(
                 reference,
                 workers[wid].train,
-                replace(config.train, seed=derive_seed(config.seed, "train", wid, round_no)),
+                config.train,
+                derive_seed(config.seed, "train", wid, round_no),
             )
             for wid in (1, 2, 3)
         ]
@@ -306,14 +309,12 @@ def test_peer_group_term_uses_pre_round_snapshot():
     g2 = init_params(_TOY_SPEC, seed=202)
     for wid, gid in ((1, 1), (2, 1), (3, 2)):
         workers[wid].group_id = gid
-    groups = {1: g1.copy(), 2: g2.copy()}
+    groups = {1: g1, 2: g2}
     config = _toy_config(weights=AggregationWeights(0.5, 0.3, 0.2), seed=77)
 
     def _trained(wid: int, start: ModelParams) -> np.ndarray:
         out = train_local(
-            start,
-            workers[wid].train,
-            replace(config.train, seed=derive_seed(config.seed, "train", wid, 1)),
+            start, workers[wid].train, config.train, derive_seed(config.seed, "train", wid, 1)
         )
         return out.flat
 
@@ -337,7 +338,7 @@ def test_non_trainers_keep_the_downloaded_global():
     workers_list = [_toy_worker(wid, rng) for wid in (1, 2, 3)]
     config = _toy_config(participants_per_round=1, weights=AggregationWeights(0.2, 0.6, 0.2))
     workers, groups = broadcast_initial(workers_list, config)
-    old_global = groups[1].flat.copy()
+    old_global = groups[1].flat
 
     run_round(workers, groups, 1, config)
 
@@ -468,8 +469,9 @@ def test_boundaries_fire_on_schedule_and_stream_to_sinks():
     config = _small_synthetic()  # rounds=4, eval_every=2
     streamed_rounds = []
     streamed_events = []
-    sinks = RunSinks(on_round=streamed_rounds.append, on_timeline=streamed_events.extend)
-    result = run_experiment(config, sinks=sinks)
+    result = run_experiment(
+        config, on_round=streamed_rounds.append, on_timeline=streamed_events.extend
+    )
 
     assert tuple(streamed_rounds) == result.reports
     assert tuple(streamed_events) == result.timeline
@@ -496,8 +498,8 @@ def test_centralized_trains_one_shared_model():
     )
     reports = []
     for round_no in range(1, config.rounds + 1):
-        train = replace(config.train, seed=derive_seed(config.seed, "train", 0, round_no))
-        model = train_local(model, pooled, train)
+        seed = derive_seed(config.seed, "train", 0, round_no)
+        model = train_local(model, pooled, config.train, seed)
         for worker in workers.values():
             worker.group_id, worker.params = 1, model
         reports.append(orchestrator._score_round(workers, round_no, config))

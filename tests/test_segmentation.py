@@ -119,9 +119,9 @@ def test_segment_keeps_everyone_when_scores_are_close():
         config=SegmentationConfig(fineness=7),
         local_params={},
         cross_fit=_fail_cross_fit,
+        new_id=2,
     )
-    assert plan.stay == (1, 2, 3)
-    assert plan.moves == {}
+    assert plan.destinations == {1: 1, 2: 1, 3: 1}
     assert plan.new_group is None
 
 
@@ -141,12 +141,11 @@ def test_segment_spawns_group_seeded_with_mean_params():
         config=SegmentationConfig(fineness=7, max_groups=3),
         local_params=locals_,
         cross_fit=_fail_cross_fit,
+        new_id=2,
     )
-    assert plan.stay == (1, 2)
-    assert plan.moves == {}
+    assert plan.destinations == {1: 1, 2: 1, 3: 2, 4: 2}
     assert plan.new_group is not None
-    assert plan.new_group.member_ids == (3, 4)
-    assert np.array_equal(plan.new_group.params.flat, [2.0, 3.0, 5.0])
+    assert np.array_equal(plan.new_group.flat, [2.0, 3.0, 5.0])
 
 
 def test_segment_respects_group_capacity():
@@ -158,10 +157,10 @@ def test_segment_respects_group_capacity():
         config=SegmentationConfig(fineness=7, max_groups=3),
         local_params={},
         cross_fit=lambda wid, gid: 0.0,  # no group fits better than their own mean
+        new_id=4,
     )
     assert plan.new_group is None
-    assert plan.stay == (1, 2, 3, 4), "at capacity, misfits stay put"
-    assert plan.moves == {}
+    assert plan.destinations == {1: 1, 2: 1, 3: 1, 4: 1}, "at capacity, misfits stay put"
 
 
 def test_segment_moves_misfit_to_better_fitting_group():
@@ -174,12 +173,12 @@ def test_segment_moves_misfit_to_better_fitting_group():
         config=SegmentationConfig(fineness=7, max_groups=3),
         local_params={},
         cross_fit=lambda wid, gid: fits[(wid, gid)],
+        new_id=6,
     )
     # Worker 3's window mean is 0.30; group 2 serves it at 0.45 >= 0.30.
-    assert plan.moves == {3: 2}
     # Worker 4's best cross fit (0.10) is below its own mean, and the group
     # cap is already reached, so it stays.
-    assert plan.stay == (1, 2, 4)
+    assert plan.destinations == {1: 1, 2: 1, 3: 2, 4: 1}
     assert plan.new_group is None
 
 
@@ -192,8 +191,9 @@ def test_segment_breaks_cross_fit_ties_toward_lower_group_id():
         config=SegmentationConfig(fineness=7, max_groups=3),
         local_params={},
         cross_fit=lambda wid, gid: 0.99,  # every candidate looks equally good
+        new_id=5,
     )
-    assert plan.moves == {3: 2, 4: 2}
+    assert plan.destinations == {1: 1, 2: 1, 3: 2, 4: 2}
 
 
 def test_segment_exact_cutoff_stays():
@@ -206,8 +206,8 @@ def test_segment_exact_cutoff_stays():
         offset=np.array([0.4, -0.4]),
         score=np.array([0.57, cut]),
     )
-    plan = segment(1, scores, [1], config, {}, _fail_cross_fit)
-    assert plan.stay == (1, 2)
+    plan = segment(1, scores, [1], config, {}, _fail_cross_fit, 2)
+    assert plan.destinations == {1: 1, 2: 1}
 
 
 def test_lower_fineness_catches_a_superset_of_misfits():
@@ -218,18 +218,17 @@ def test_lower_fineness_catches_a_superset_of_misfits():
         scores = eval_score(windows)
 
         def misfits_at(fineness: int) -> set[int]:
+            # With no other group to move to and room for one more, every misfit founds it.
             plan = segment(
                 group_id=1,
                 scores=scores,
-                live_group_ids=[1, 2, 3],
-                config=SegmentationConfig(fineness=fineness, max_groups=3),
-                local_params={},
-                cross_fit=lambda wid, gid: -1.0,  # nothing ever fits elsewhere
+                live_group_ids=[1],
+                config=SegmentationConfig(fineness=fineness, max_groups=2),
+                local_params={w: _params([0.0, 0.0, 0.0]) for w in windows},
+                cross_fit=_fail_cross_fit,
+                new_id=2,
             )
-            # With moves impossible and the cap reached, misfits all land in
-            # stay, so recover them from the score vector instead.
-            cut = threshold(SegmentationConfig(fineness=fineness))
-            return {w for w, s in zip(scores.worker_ids, scores.score) if s < cut}
+            return {w for w, g in plan.destinations.items() if g == 2}
 
         # fineness 3 -> cutoff 0.47 flags at least everyone that 7 -> 0.43 does.
         assert misfits_at(7) <= misfits_at(3), f"trial {trial}"
@@ -245,6 +244,7 @@ def test_every_member_is_planned_exactly_once():
         live = [1] + sorted(int(g) for g in rng.choice(range(2, 10), size=int(rng.integers(0, 3)), replace=False))
         fits = {(w, g): float(rng.random()) for w in ids for g in live if g != 1}
         locals_ = {w: _params(rng.normal(size=3)) for w in ids}
+        new_id = max(live) + 1
         plan = segment(
             group_id=1,
             scores=scores,
@@ -252,10 +252,9 @@ def test_every_member_is_planned_exactly_once():
             config=SegmentationConfig(fineness=int(rng.integers(0, 20)), max_groups=4),
             local_params=locals_,
             cross_fit=lambda w, g: fits[(w, g)],
+            new_id=new_id,
         )
-        placed = list(plan.stay) + list(plan.moves) + (
-            list(plan.new_group.member_ids) if plan.new_group else []
-        )
-        assert sorted(placed) == ids, f"trial {trial}: somebody placed twice"
-        for wid, gid in plan.moves.items():
-            assert gid in live and gid != 1
+        assert list(plan.destinations) == ids, f"trial {trial}: a member not planned once"
+        founders = [w for w, g in plan.destinations.items() if g == new_id]
+        assert bool(founders) == (plan.new_group is not None), f"trial {trial}"
+        assert set(plan.destinations.values()) <= set(live) | {new_id}, f"trial {trial}"
