@@ -226,15 +226,20 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    loader = _LOADER(path.read_text())
+    try:  # bytes: PyYAML decodes UTF-8 or UTF-16 and a BOM itself, whatever the locale
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read the config file: {exc.strerror or exc}") from None
     try:
-        root = loader.get_single_node()  # one parse gives both the values and their lines
-        raw = None if root is None else loader.construct_document(root)
+        loader = _LOADER(data)  # the pure-Python loader decodes, and may refuse, the bytes here
+        try:
+            root = loader.get_single_node()  # one parse gives both the values and their lines
+            raw = None if root is None else loader.construct_document(root)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         line = getattr(getattr(exc, "problem_mark", None), "line", None)
         raise ConfigError(f"not valid YAML: {exc}", None if line is None else line + 1) from None
-    finally:
-        loader.dispose()
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

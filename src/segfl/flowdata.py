@@ -14,7 +14,7 @@ import math
 import os
 import stat
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import chain, islice, product
 
 import numpy as np
@@ -40,11 +40,11 @@ def physical_memory() -> int:
     """Bytes of physical memory, the bound that sizes and layer widths are checked against."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
-# Fixed vocabulary used when no corpus is available to fit on: the common IP
-# protocols plus every six-position flag string over the UAPRSF alphabet.
-_PROTOCOL_VOCAB = ("GRE", "ICMP", "IGMP", "TCP", "UDP")
+# The shipped vocabulary, in code order (a token's code is its position): the common
+# IP protocols plus every six-position flag string over the UAPRSF alphabet.
+PROTOCOLS = ("GRE", "ICMP", "IGMP", "TCP", "UDP")
 _FLAG_LETTERS = "UAPRSF"
-_FLAGS_VOCAB = tuple(
+FLAGS = tuple(
     sorted(
         "".join(letter if on else "." for letter, on in zip(_FLAG_LETTERS, bits))
         for bits in product((False, True), repeat=len(_FLAG_LETTERS))
@@ -136,16 +136,12 @@ def concat_datasets(datasets: list[LabeledDataset]) -> LabeledDataset:
 
 @dataclass(frozen=True)
 class EncodingMap:
-    """Token-to-code tables for the categorical attributes.
-
-    Codes are dense integers assigned in lexicographic token order, so the
-    mapping is a pure function of the token sets.  Label codes are the fixed
-    ``CLASS_CODES`` table, never fitted.
+    """Token-to-code tables for the categorical attributes.  Labels are always coded
+    by the fixed ``CLASS_CODES`` table, never fitted.
     """
 
     protocol_codes: dict[str, int]
     flags_codes: dict[str, int]
-    label_codes: dict[str, int] = field(default_factory=lambda: dict(CLASS_CODES))
 
     def encode(self, table: FlowTable) -> LabeledDataset:
         """Turn a flow table into a numeric LabeledDataset, as parse_flow_csv encodes.
@@ -159,15 +155,11 @@ class EncodingMap:
         return rows.result()
 
 
-def _lexicographic_codes(tokens) -> dict[str, int]:
-    return {tok: code for code, tok in enumerate(sorted(set(tokens)))}
-
-
 def default_encoding() -> EncodingMap:
-    """The fixed shipped vocabulary, used when all sources share one encoder."""
+    """The codes of ``PROTOCOLS`` and ``FLAGS``, used when all sources share one encoder."""
     return EncodingMap(
-        protocol_codes=_lexicographic_codes(_PROTOCOL_VOCAB),
-        flags_codes=_lexicographic_codes(_FLAGS_VOCAB),
+        protocol_codes={token: code for code, token in enumerate(PROTOCOLS)},
+        flags_codes={token: code for code, token in enumerate(FLAGS)},
     )
 
 
@@ -339,7 +331,7 @@ class _EncodedRows:
     the columns in ``FEATURE_NAMES`` order, tokens by their codes, all as float64."""
 
     def __init__(self, encoding: EncodingMap, capacity: int):
-        self.codes = (encoding.protocol_codes, encoding.flags_codes, encoding.label_codes)
+        self.codes = (encoding.protocol_codes, encoding.flags_codes, CLASS_CODES)
         self.unseen: list[str | None] = [None] * 3  # each table's first token without a code
         self.features = np.empty((capacity, len(FEATURE_NAMES)))
         self.labels = np.empty(capacity, dtype=np.int64)

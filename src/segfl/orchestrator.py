@@ -17,6 +17,7 @@ every group id ever founded to its global parameters.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -293,7 +294,7 @@ def _load_raw_shards(config: ExperimentConfig) -> Iterable[LabeledDataset]:
 
     spec = config.data
     if spec.source == "synthetic":
-        _, _, shards = stream_scenario(
+        return stream_scenario(
             n_workers=spec.n_workers,
             profiles=spec.profiles,
             sizes=spec.sizes,
@@ -301,7 +302,6 @@ def _load_raw_shards(config: ExperimentConfig) -> Iterable[LabeledDataset]:
             class_mix=spec.class_mix or DEFAULT_CLASS_MIX,
             seed=derive_seed(config.seed, "data"),
         )
-        return shards
     column_map = spec.column_map or dict(CANONICAL_COLUMN_MAP)
     if spec.source == "files":
         if not spec.paths:
@@ -317,12 +317,13 @@ def _load_raw_shards(config: ExperimentConfig) -> Iterable[LabeledDataset]:
 
 
 def _read_flows(path, column_map: dict[str, str], owner: str) -> LabeledDataset:
-    """Parse and encode one flow file; an unreadable file or unseen token is a ConfigError."""
+    """Parse and encode one flow file; an unreadable file, a row csv.reader refuses or an
+    unseen token is a ConfigError."""
     try:
         return parse_flow_csv(path, column_map)
     except OSError as exc:
         raise ConfigError(f"{owner}: {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
+    except (csv.Error, ValueError) as exc:
         raise ConfigError(f"{owner}: {path}: {exc}") from None
 
 

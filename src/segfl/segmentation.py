@@ -56,12 +56,11 @@ def threshold(config: SegmentationConfig) -> float:
 
 @dataclass(frozen=True)
 class EvalScores:
-    """Per-worker window means, group-centered offsets, and sigmoid scores."""
+    """Per-worker window means and sigmoid scores of their offsets from the group mean."""
 
     worker_ids: tuple[int, ...]
     window_mean: np.ndarray  # C_i: mean recent validation macro-F1
-    offset: np.ndarray  # d_i: window mean minus the group mean
-    score: np.ndarray  # sigmoid(d_i)
+    score: np.ndarray  # sigmoid(d_i), d_i = C_i minus the group mean
 
     def mean_of(self, worker_id: int) -> float:
         return float(self.window_mean[self.worker_ids.index(worker_id)])
@@ -93,7 +92,7 @@ def eval_score(windows: Mapping[int, Sequence[float]]) -> EvalScores:
     window_mean = np.array(means)
     offset = window_mean - window_mean.mean()
     score = 1.0 / (1.0 + np.exp(-offset))
-    return EvalScores(worker_ids=worker_ids, window_mean=window_mean, offset=offset, score=score)
+    return EvalScores(worker_ids=worker_ids, window_mean=window_mean, score=score)
 
 
 @dataclass(frozen=True)

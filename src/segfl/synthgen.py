@@ -21,38 +21,23 @@ import numpy as np
 from segfl.flowdata import (
     CLASS_NAMES,
     FEATURE_NAMES,
+    FLAGS,
+    PROTOCOLS,
     FlowTable,
     _COUNT_MAX,
     _PORT_MAX,
     LabeledDataset,
     _largest_remainder_counts,
-    default_encoding,
     physical_memory,
 )
 
 # CIDDS-like imbalance: normal : attacker : victim = 17 : 1.2 : 1.
 DEFAULT_CLASS_MIX = (17 / 19.2, 1.2 / 19.2, 1 / 19.2)
 
-# Categorical tables are indexed against the shipped fixed vocabulary.
-_ENCODING = default_encoding()
-_N_PROTO = len(_ENCODING.protocol_codes)
-_N_FLAGS = len(_ENCODING.flags_codes)
-# Code -> token (codes follow lexicographic token order), for writing flows back out.
-_PROTOCOL_TOKENS = np.array(sorted(_ENCODING.protocol_codes), dtype=object)
-_FLAGS_TOKENS = np.array(sorted(_ENCODING.flags_codes), dtype=object)
 
-
-def _proto_vector(table: dict[str, float]) -> np.ndarray:
-    vec = np.zeros(_N_PROTO)
-    for token, p in table.items():
-        vec[_ENCODING.protocol_codes[token]] = p
-    return vec / vec.sum()
-
-
-def _flags_vector(table: dict[str, float]) -> np.ndarray:
-    vec = np.zeros(_N_FLAGS)
-    for token, p in table.items():
-        vec[_ENCODING.flags_codes[token]] = p
+def _probs(vocabulary: tuple[str, ...], table: dict[str, float]) -> np.ndarray:
+    """``table``'s token weights, normalised, indexed by code: a position in ``vocabulary``."""
+    vec = np.array([table.get(token, 0.0) for token in vocabulary])
     return vec / vec.sum()
 
 
@@ -88,7 +73,8 @@ class ClassParams:
 # than by disjoint port islands.  That interleaving matters: undersampling
 # keeps the majority samples nearest to minority neighbourhoods, which only
 # exist if the majority is actually present there.
-_NORMAL_FLAGS = _flags_vector(
+_NORMAL_FLAGS = _probs(
+    FLAGS,
     {
         ".AP.SF": 0.5,
         ".AP...": 0.22,
@@ -101,7 +87,8 @@ _NORMAL_FLAGS = _flags_vector(
         ".APRSF": 0.01,
     }
 )
-_ATTACKER_FLAGS = _flags_vector(
+_ATTACKER_FLAGS = _probs(
+    FLAGS,
     {
         "....S.": 0.58,
         "......": 0.18,
@@ -114,7 +101,8 @@ _ATTACKER_FLAGS = _flags_vector(
         ".AP...": 0.01,
     }
 )
-_VICTIM_FLAGS = _flags_vector(
+_VICTIM_FLAGS = _probs(
+    FLAGS,
     {
         ".A...F": 0.44,
         ".A....": 0.28,
@@ -127,9 +115,9 @@ _VICTIM_FLAGS = _flags_vector(
         ".APRSF": 0.005,
     }
 )
-_NORMAL_PROTO = _proto_vector({"TCP": 0.78, "UDP": 0.16, "ICMP": 0.06})
-_ATTACKER_PROTO = _proto_vector({"TCP": 0.68, "UDP": 0.16, "ICMP": 0.16})
-_VICTIM_PROTO = _proto_vector({"TCP": 0.72, "UDP": 0.16, "ICMP": 0.12})
+_NORMAL_PROTO = _probs(PROTOCOLS, {"TCP": 0.78, "UDP": 0.16, "ICMP": 0.06})
+_ATTACKER_PROTO = _probs(PROTOCOLS, {"TCP": 0.68, "UDP": 0.16, "ICMP": 0.16})
+_VICTIM_PROTO = _probs(PROTOCOLS, {"TCP": 0.72, "UDP": 0.16, "ICMP": 0.12})
 
 _BASE = (
     ClassParams(  # normal: web clients plus ordinary server responses
@@ -230,13 +218,10 @@ def _lerp_probs(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
 class EnvironmentProfile:
     """One worker environment: class mix plus per-class distributions."""
 
-    profile_id: str
-    divergence: float
     class_mix: tuple[float, float, float]
     class_params: tuple[ClassParams, ...]
 
     def __post_init__(self):
-        check_divergence(self.divergence)
         check_class_mix(self.class_mix)
 
 
@@ -325,7 +310,6 @@ def _lerp_component(a: FlowComponent, b: FlowComponent, t: float) -> FlowCompone
 
 
 def make_profile(
-    profile_id: str,
     divergence: float = 0.0,
     class_mix: tuple[float, float, float] = DEFAULT_CLASS_MIX,
 ) -> EnvironmentProfile:
@@ -340,12 +324,7 @@ def make_profile(
         )
         for c in range(len(CLASS_NAMES))
     )
-    return EnvironmentProfile(
-        profile_id=profile_id,
-        divergence=t,
-        class_mix=tuple(float(m) for m in class_mix),
-        class_params=params,
-    )
+    return EnvironmentProfile(class_mix=tuple(float(m) for m in class_mix), class_params=params)
 
 
 def generate(profile: EnvironmentProfile, n: int, seed: int = 0) -> LabeledDataset:
@@ -380,8 +359,8 @@ def generate(profile: EnvironmentProfile, n: int, seed: int = 0) -> LabeledDatas
             features[rows, 3] = np.clip(np.round(rng.normal(*comp.dst_port, size=m)), 0, _PORT_MAX)
             features[rows, 4] = np.round(rng.lognormal(*comp.log_packets, size=m))
             features[rows, 5] = np.round(rng.lognormal(*comp.log_bytes, size=m))
-            features[rows, 1] = rng.choice(_N_PROTO, size=m, p=comp.protocol_probs)
-            features[rows, 6] = rng.choice(_N_FLAGS, size=m, p=comp.flags_probs)
+            features[rows, 1] = rng.choice(len(PROTOCOLS), size=m, p=comp.protocol_probs)
+            features[rows, 6] = rng.choice(len(FLAGS), size=m, p=comp.flags_probs)
 
     labels = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     order = rng.permutation(n)
@@ -391,8 +370,8 @@ def generate(profile: EnvironmentProfile, n: int, seed: int = 0) -> LabeledDatas
 def to_records(dataset: LabeledDataset) -> FlowTable:
     """Decode a generated dataset into a flow table that write_flow_csv can write."""
     f = dataset.features
-    protocol = _PROTOCOL_TOKENS[f[:, 1].astype(np.int64)]
-    flags = _FLAGS_TOKENS[f[:, 6].astype(np.int64)]
+    protocol = np.asarray(PROTOCOLS, dtype=object)[f[:, 1].astype(np.int64)]
+    flags = np.asarray(FLAGS, dtype=object)[f[:, 6].astype(np.int64)]
     labels = np.asarray(CLASS_NAMES, dtype=object)[dataset.labels]
     # FEATURE_NAMES order; FlowTable stores the whole-number ports and counts as int64.
     return FlowTable(f[:, 0], protocol, f[:, 2], f[:, 3], f[:, 4], f[:, 5], flags, labels)
@@ -400,11 +379,9 @@ def to_records(dataset: LabeledDataset) -> FlowTable:
 
 @dataclass(frozen=True)
 class ScenarioData:
-    """Per-worker datasets plus the profile id each worker was drawn from."""
+    """Per-worker datasets, in worker order."""
 
     datasets: tuple[LabeledDataset, ...]
-    assignment: tuple[str, ...]
-    profiles: dict[str, EnvironmentProfile]
 
 
 def make_scenario(
@@ -415,25 +392,10 @@ def make_scenario(
     class_mix: tuple[float, float, float] = DEFAULT_CLASS_MIX,
     seed: int = 0,
 ) -> ScenarioData:
-    """Build per-worker datasets with profiles assigned round-robin.
-
-    Distinct profile ids are spread evenly over [0, divergence] in order of
-    first appearance: the first id is the undiverged base and the last sits
-    at the full knob value, so ("A", "A", "B", "B") gives two base workers
-    and two fully diverged ones.  The datasets are ``stream_scenario``'s draws.
-
-    Args:
-        n_workers: number of worker datasets.
-        profiles: profile ids cycled over the workers.
-        sizes: per-worker sample counts (scalar or one per worker).
-        divergence: knob value for the most diverged profile.
-        class_mix: shared class shares.
-        seed: master seed; every worker draws from an independent stream.
-    """
-    assignment, built, shards = stream_scenario(
-        n_workers, profiles, sizes, divergence, class_mix, seed
+    """``stream_scenario``'s datasets, all drawn."""
+    return ScenarioData(
+        tuple(stream_scenario(n_workers, profiles, sizes, divergence, class_mix, seed))
     )
-    return ScenarioData(datasets=tuple(shards), assignment=assignment, profiles=built)
 
 
 def stream_scenario(
@@ -443,12 +405,23 @@ def stream_scenario(
     divergence: float = 1.0,
     class_mix: tuple[float, float, float] = DEFAULT_CLASS_MIX,
     seed: int = 0,
-) -> tuple[tuple[str, ...], dict[str, EnvironmentProfile], Iterator[LabeledDataset]]:
-    """``make_scenario``'s assignment and profiles, and its datasets drawn one per ``next``.
+) -> Iterator[LabeledDataset]:
+    """Per-worker datasets with profiles assigned round-robin, drawn one per ``next``.
 
-    The arguments are checked at the call.  Worker *i* draws from its own
-    ``SeedSequence([seed, 7919, i])``, so each shard is the same whether or not
-    the shards before it are still held.
+    Distinct profile ids are spread evenly over [0, divergence] in order of
+    first appearance: the first id is the undiverged base and the last sits
+    at the full knob value, so ("A", "A", "B", "B") gives two base workers
+    and two fully diverged ones.  The arguments are checked at the call.
+
+    Args:
+        n_workers: number of worker datasets.
+        profiles: profile ids cycled over the workers.
+        sizes: per-worker sample counts (scalar or one per worker).
+        divergence: knob value for the most diverged profile.
+        class_mix: shared class shares.
+        seed: master seed.  Worker *i* draws from its own ``SeedSequence([seed,
+            7919, i])``, so each shard is the same whether or not the shards
+            before it are still held.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -457,16 +430,11 @@ def stream_scenario(
     divergence = check_divergence(divergence)
 
     distinct = list(dict.fromkeys(profiles))
-    knobs = {
-        pid: (divergence * i / (len(distinct) - 1) if len(distinct) > 1 else 0.0)
-        for i, pid in enumerate(distinct)
-    }
-    built = {pid: make_profile(pid, knobs[pid], class_mix) for pid in distinct}
+    last = max(len(distinct) - 1, 1)
+    built = {pid: make_profile(divergence * i / last, class_mix) for i, pid in enumerate(distinct)}
 
-    assignment = tuple(profiles[i % len(profiles)] for i in range(n_workers))
-
-    def draw(i: int, pid: str) -> LabeledDataset:
+    def draw(i: int) -> LabeledDataset:
         worker_seed = np.random.SeedSequence([int(seed), 7919, i]).generate_state(1)[0]
-        return generate(built[pid], sizes[i], int(worker_seed))
+        return generate(built[profiles[i % len(profiles)]], sizes[i], int(worker_seed))
 
-    return assignment, built, (draw(i, pid) for i, pid in enumerate(assignment))
+    return map(draw, range(n_workers))

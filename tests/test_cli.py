@@ -376,6 +376,18 @@ def test_main_exit_codes_for_config_errors(tmp_path, capsys, monkeypatch):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
     assert "not found" in capsys.readouterr().err
 
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"segfl: {tmp_path}: cannot read the config file: Is a directory" in err, err
+
+    # A byte that is not UTF-8 is a YAML reader error under either loader, not a traceback.
+    bad.write_bytes(b"J: 2\nout_dir: caf\xe9\n")
+    for loader in {config_module._LOADER, yaml.SafeLoader}:
+        monkeypatch.setattr(config_module, "_LOADER", loader)
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"segfl: {bad}: not valid YAML: " in err and "Traceback" not in err, err
+
     # With no --out and no SEGFL_OUT, out_dir would be the output root.
     monkeypatch.delenv("SEGFL_OUT", raising=False)
     bad.write_text("J: 2\nout_dir: 5\n")
@@ -670,7 +682,7 @@ def _flow_files(directory: Path, count: int) -> list[Path]:
     paths = []
     for i in range(count):
         path = directory / f"flows_{i + 1}.csv"
-        write_flow_csv(to_records(generate(make_profile("A"), 400, seed=i)), path)
+        write_flow_csv(to_records(generate(make_profile(), 400, seed=i)), path)
         paths.append(path)
     return paths
 
@@ -713,6 +725,13 @@ def test_unseen_token_in_a_flow_file_exits_2_naming_worker_and_path(
             "column_map maps more than one column to duration: ['dur_a', 'duration']",
         ),
         ("repeated_column", "column 'bytes' is in the header 2 times"),
+        ("long_field", "field larger than field limit (131072)"),
+        (
+            "nul",
+            "line contains NUL"
+            if sys.version_info < (3, 11)
+            else "unseen protocol token 'TCP\\x00'",
+        ),
     ],
 )
 def test_unreadable_flow_file_exits_2_naming_worker_and_path(
@@ -735,6 +754,10 @@ def test_unreadable_flow_file_exits_2_naming_worker_and_path(
         second.write_text(second.read_text().replace("protocol", "proto", 1))
     elif fault == "repeated_column":  # the parser would read the first of the two
         second.write_text(second.read_text().replace("\n", ",bytes\n", 1))
+    elif fault == "long_field":  # beyond csv.field_size_limit(), so csv.reader refuses it
+        second.write_text(second.read_text().replace(",TCP,", f",{'T' * 200_000},", 1))
+    elif fault == "nul":  # csv.reader refuses a NUL before Python 3.11
+        second.write_text(second.read_text().replace(",TCP,", ",TCP\x00,", 1))
     elif fault == "ambiguous_map":  # the map itself is refused, before any file is read
         column_map = {**CANONICAL_COLUMN_MAP, "dur_a": "duration"}
         owner, path, mapping = "worker 1", first, {"column_map": column_map}

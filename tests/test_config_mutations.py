@@ -44,7 +44,7 @@ def base_config(flow_dir: Path, source: str) -> dict:
     for i in range(2):
         path = flow_dir / f"flows_{i + 1}.csv"
         if not path.exists():
-            write_flow_csv(to_records(generate(make_profile("A"), 400, seed=i)), path)
+            write_flow_csv(to_records(generate(make_profile(), 400, seed=i)), path)
         paths.append(str(path))
     if source == "files":
         config["data"] = {"source": "files", "paths": paths}

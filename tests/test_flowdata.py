@@ -17,6 +17,8 @@ from segfl.flowdata import (
     CLASS_CODES,
     CLASS_NAMES,
     FEATURE_NAMES,
+    FLAGS,
+    PROTOCOLS,
     EncodingMap,
     FlowTable,
     LabeledDataset,
@@ -152,10 +154,13 @@ def test_parse_skips_a_utf8_byte_order_mark(flow_csv, tmp_path):
     _assert_same_bytes(parse_flow_csv(marked, CANONICAL_COLUMN_MAP), parsed)
 
 
-def test_label_codes_are_fixed_and_roundtrip():
+def test_vocabulary_and_class_codes_are_fixed_and_roundtrip():
     encoding = default_encoding()
     assert encoding.protocol_codes == {"GRE": 0, "ICMP": 1, "IGMP": 2, "TCP": 3, "UDP": 4}
-    assert encoding.label_codes == {"normal": 0, "attacker": 1, "victim": 2}
+    # A token's code is its position in the shipped tuples, which are in lexicographic order.
+    assert list(encoding.protocol_codes.items()) == [(t, c) for c, t in enumerate(PROTOCOLS)]
+    assert list(encoding.flags_codes.items()) == [(t, c) for c, t in enumerate(FLAGS)]
+    assert list(FLAGS) == sorted(FLAGS) and len(set(FLAGS)) == 64
     for name in CLASS_NAMES:
         assert CLASS_NAMES[encoding.encode(_one_row(label=name)).labels[0]] == name
     assert CLASS_CODES == {"normal": 0, "attacker": 1, "victim": 2}
@@ -474,7 +479,7 @@ def _frozen_encode(table):
     flags = _frozen_lookup(encoding.flags_codes, table.flags, "unseen flags")
     ports_counts = [table.src_port, table.dst_port, table.packets, table.bytes]
     features = np.column_stack([table.duration, protocol, *ports_counts, flags])
-    labels = _frozen_lookup(encoding.label_codes, table.label, "unknown class")
+    labels = _frozen_lookup(CLASS_CODES, table.label, "unknown class")
     return LabeledDataset(features, labels)
 
 
@@ -696,7 +701,7 @@ def test_parse_scratch_memory_stays_under_one_large_block(tmp_path):
     # 40,000 rows fit one 65,536-line block, whose line list, record array and
     # per-field strs need about 17 MiB beyond the shard; 16,384-line blocks about 8.
     path = tmp_path / "flows.csv"
-    write_flow_csv(to_records(generate(make_profile("A"), 40_000, seed=0)), path)
+    write_flow_csv(to_records(generate(make_profile(), 40_000, seed=0)), path)
     tracemalloc.start()
     try:
         shard = parse_flow_csv(path, CANONICAL_COLUMN_MAP)
@@ -711,7 +716,7 @@ def test_a_quoted_file_is_parsed_in_bounded_blocks(tmp_path):
     # One quoted field in the first data row sends the whole file through csv.reader;
     # it is read a block at a time, so its scratch memory stays near the unquoted parse's.
     plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
-    write_flow_csv(to_records(generate(make_profile("A"), 50_000, seed=0)), plain)
+    write_flow_csv(to_records(generate(make_profile(), 50_000, seed=0)), plain)
     header, first, rest = plain.read_text().split("\n", 2)
     duration, tail = first.split(",", 1)
     quoted.write_text(f'{header}\n"{duration}",{tail}\n{rest}')

@@ -132,7 +132,7 @@ def test_flow_files_are_prepared_one_raw_shard_at_a_time(tmp_path, monkeypatch):
     paths = []
     for i in range(4):
         paths.append(tmp_path / f"flows_{i + 1}.csv")
-        write_flow_csv(to_records(generate(make_profile("A"), 400, seed=i)), paths[-1])
+        write_flow_csv(to_records(generate(make_profile(), 400, seed=i)), paths[-1])
     returned, alive_at_read = [], []
     read_flows = orchestrator._read_flows
 
@@ -205,7 +205,7 @@ def test_set_up_holds_one_training_sized_buffer(tmp_path, monkeypatch, class_mix
     import scipy.spatial  # noqa: F401  NearMiss-3 imports it on first use; not set-up's memory
 
     path = tmp_path / "flows.csv"
-    write_flow_csv(to_records(generate(make_profile("A", class_mix=class_mix), 100_000)), path)
+    write_flow_csv(to_records(generate(make_profile(class_mix=class_mix), 100_000)), path)
     at_nearmiss = []
     nearmiss = orchestrator.nearmiss3_undersample
 
@@ -236,7 +236,7 @@ def test_set_up_holds_one_training_sized_buffer(tmp_path, monkeypatch, class_mix
 
 @_NEARMISS_CASES
 def test_a_shard_of_views_prepares_like_a_copy_and_stays_unchanged(class_mix):
-    data = generate(make_profile("A", class_mix=class_mix), 3000, seed=4)
+    data = generate(make_profile(class_mix=class_mix), 3000, seed=4)
     wide_features, wide_labels = np.hstack([data.features] * 2), np.repeat(data.labels, 2)
     views = LabeledDataset(wide_features[:, :7], wide_labels[::2])
     assert not views.features.flags.owndata and not views.labels.flags.owndata

@@ -10,6 +10,7 @@ import pytest
 from segfl import synthgen
 
 from segfl.flowdata import (
+    LabeledDataset,
     default_encoding,
     fit_scaler,
     parse_flow_csv,
@@ -19,15 +20,17 @@ from segfl.flowdata import (
 from segfl.synthgen import (
     DEFAULT_CLASS_MIX,
     MAX_DIVERGENCE,
+    ScenarioData,
     generate,
     make_profile,
     make_scenario,
+    stream_scenario,
     to_records,
 )
 
 
 def test_generate_is_deterministic():
-    profile = make_profile("A", divergence=0.3)
+    profile = make_profile(divergence=0.3)
     a = generate(profile, 500, seed=11)
     b = generate(profile, 500, seed=11)
     assert np.array_equal(a.features, b.features)
@@ -37,7 +40,7 @@ def test_generate_is_deterministic():
 
 
 def test_class_counts_follow_the_mix_exactly():
-    profile = make_profile("A", class_mix=(0.5, 0.3, 0.2))
+    profile = make_profile(class_mix=(0.5, 0.3, 0.2))
     data = generate(profile, 10_000, seed=0)
     assert np.array_equal(np.bincount(data.labels, minlength=3), [5000, 3000, 2000])
 
@@ -45,13 +48,13 @@ def test_class_counts_follow_the_mix_exactly():
 def test_default_mix_is_seventeen_to_one_point_two_to_one():
     assert DEFAULT_CLASS_MIX[0] / DEFAULT_CLASS_MIX[2] == pytest.approx(17.0, abs=1e-12)
     assert DEFAULT_CLASS_MIX[1] / DEFAULT_CLASS_MIX[2] == pytest.approx(1.2, abs=1e-12)
-    data = generate(make_profile("A"), 19_200, seed=4)
+    data = generate(make_profile(), 19_200, seed=4)
     counts = np.bincount(data.labels, minlength=3)
     assert np.array_equal(counts, [17_000, 1_200, 1_000])
 
 
 def test_feature_invariants_hold():
-    data = generate(make_profile("A", divergence=0.8), 3_000, seed=7)
+    data = generate(make_profile(divergence=0.8), 3_000, seed=7)
     duration, protocol, src, dst, packets, nbytes, flags = data.features.T
     enc = default_encoding()
     assert np.all(duration >= 0)
@@ -67,8 +70,7 @@ def test_feature_invariants_hold():
 def test_zero_divergence_profiles_are_interchangeable():
     # Two ids at divergence 0 use identical distributions, so per-feature
     # means differ only by sampling noise (checked against 3 standard errors).
-    a = generate(make_profile("A", divergence=0.0), 6_000, seed=21)
-    b = generate(make_profile("B", divergence=0.0), 6_000, seed=22)
+    a, b = make_scenario(2, ("A", "B"), sizes=6_000, divergence=0.0, seed=21).datasets
     for col in range(7):
         xs, ys = a.features[:, col], b.features[:, col]
         pooled_se = np.sqrt(xs.var() / len(xs) + ys.var() / len(ys))
@@ -78,11 +80,11 @@ def test_zero_divergence_profiles_are_interchangeable():
 def test_divergence_monotonically_separates_class_signatures():
     # Distance between per-class feature centroids (on a shared 0-1 scale)
     # grows with the divergence knob.
-    base = generate(make_profile("A", divergence=0.0), 8_000, seed=33)
+    base = generate(make_profile(divergence=0.0), 8_000, seed=33)
     scaler = fit_scaler(base)
 
     def signature_distance(divergence: float) -> float:
-        other = generate(make_profile("B", divergence), 8_000, seed=34)
+        other = generate(make_profile(divergence), 8_000, seed=34)
         total = 0.0
         for cls in range(3):
             mine = scaler.transform(base.features[base.labels == cls]).mean(axis=0)
@@ -96,7 +98,7 @@ def test_divergence_monotonically_separates_class_signatures():
 
 
 def test_generated_data_round_trips_through_csv(tmp_path):
-    data = generate(make_profile("A", divergence=0.5), 200, seed=9)
+    data = generate(make_profile(divergence=0.5), 200, seed=9)
     path = tmp_path / "flows.csv"
     write_flow_csv(to_records(data), path)
     parsed = parse_flow_csv(path, CANONICAL_COLUMN_MAP)
@@ -106,43 +108,55 @@ def test_generated_data_round_trips_through_csv(tmp_path):
 
 def test_generate_rejects_bad_sizes():
     with pytest.raises(ValueError, match="n must be"):
-        generate(make_profile("A"), 0)
+        generate(make_profile(), 0)
 
 
 def test_profile_validation():
     with pytest.raises(ValueError, match="divergence"):
-        make_profile("A", divergence=-0.5)
+        make_profile(divergence=-0.5)
     with pytest.raises(ValueError, match="class_mix"):
-        make_profile("A", class_mix=(0.9, 0.2, 0.2))
+        make_profile(class_mix=(0.9, 0.2, 0.2))
+
+
+def _assert_draws(scenario, knobs, sizes, seed, class_mix=DEFAULT_CLASS_MIX):
+    """Worker i's shard is ``generate`` of the profile at ``knobs[i]``, on its own stream."""
+    assert len(scenario.datasets) == len(knobs)
+    for i, (dataset, knob, size) in enumerate(zip(scenario.datasets, knobs, sizes)):
+        worker_seed = int(np.random.SeedSequence([seed, 7919, i]).generate_state(1)[0])
+        expected = generate(make_profile(knob, class_mix), size, worker_seed)
+        assert dataset.features.tobytes() == expected.features.tobytes(), f"worker {i}"
+        assert dataset.labels.tobytes() == expected.labels.tobytes(), f"worker {i}"
 
 
 def test_scenario_spreads_knobs_by_first_appearance():
     scenario = make_scenario(4, ("A", "A", "B", "B"), sizes=(100, 100, 50, 50), divergence=0.8, seed=5)
-    assert scenario.assignment == ("A", "A", "B", "B")
-    assert scenario.profiles["A"].divergence == 0.0
-    assert scenario.profiles["B"].divergence == pytest.approx(0.8, abs=0)
-    assert [d.sample_count for d in scenario.datasets] == [100, 100, 50, 50]
+    _assert_draws(scenario, (0, 0, 0.8, 0.8), (100, 100, 50, 50), seed=5)
 
 
 def test_scenario_three_distinct_profiles_space_evenly():
-    scenario = make_scenario(3, ("A", "B", "C"), sizes=60, divergence=1.0, seed=1)
-    assert scenario.profiles["A"].divergence == 0.0
-    assert scenario.profiles["B"].divergence == pytest.approx(0.5, abs=1e-15)
-    assert scenario.profiles["C"].divergence == pytest.approx(1.0, abs=0)
-    assert [d.sample_count for d in scenario.datasets] == [60, 60, 60]
+    mix = (0.5, 0.3, 0.2)
+    scenario = make_scenario(3, ("A", "B", "C"), sizes=60, divergence=1.0, class_mix=mix, seed=1)
+    _assert_draws(scenario, (0, 0.5, 1.0), (60, 60, 60), seed=1, class_mix=mix)
 
 
 def test_scenario_single_profile_sits_at_base():
     scenario = make_scenario(2, ("A",), sizes=40, divergence=1.0, seed=2)
-    assert scenario.assignment == ("A", "A")
-    assert scenario.profiles["A"].divergence == 0.0
+    _assert_draws(scenario, (0, 0), (40, 40), seed=2)
 
 
 def test_scenario_cycles_profiles_over_workers():
     scenario = make_scenario(5, ("A", "A", "A", "B", "B"), sizes=30, divergence=1.0, seed=3)
-    assert scenario.assignment == ("A", "A", "A", "B", "B")
-    base = [d for d, pid in zip(scenario.datasets, scenario.assignment) if pid == "A"]
-    assert len(base) == 3
+    _assert_draws(scenario, (0, 0, 0, 1, 1), (30,) * 5, seed=3)
+
+
+def test_stream_scenario_checks_at_the_call_and_draws_one_shard_per_next():
+    with pytest.raises(ValueError, match="class_mix"):
+        stream_scenario(2, ("A", "B"), sizes=10, class_mix=(0.9, 0.2, 0.2))
+    shards = stream_scenario(3, ("A", "B"), sizes=(30, 20, 10), seed=4)
+    assert iter(shards) is shards
+    drawn = list(shards)
+    assert all(isinstance(shard, LabeledDataset) for shard in drawn)
+    _assert_draws(ScenarioData(tuple(drawn)), (0, 1, 0), (30, 20, 10), seed=4)
 
 
 def test_scenario_workers_draw_independent_data():
@@ -176,13 +190,13 @@ def test_scenario_validation():
 
 
 def test_divergence_stops_where_a_mixture_weight_reaches_zero():
-    weights = [w for c in make_profile("B", MAX_DIVERGENCE).class_params for w in c.weights()]
+    weights = [w for c in make_profile(MAX_DIVERGENCE).class_params for w in c.weights()]
     assert min(weights) == 0.0
-    assert generate(make_profile("B", MAX_DIVERGENCE), 500, seed=1).sample_count == 500
+    assert generate(make_profile(MAX_DIVERGENCE), 500, seed=1).sample_count == 500
     # Just past the bound, the interpolation would make that weight negative.
     beyond = MAX_DIVERGENCE * (1 + 1e-9)
     base, alt = synthgen._BASE[0].components[1], synthgen._ALT[0].components[1]
     assert synthgen._lerp(base.weight, alt.weight, beyond) < 0
     for value in (beyond, 5, 1e308, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="divergence must be"):
-            make_profile("B", value)
+            make_profile(value)
