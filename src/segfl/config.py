@@ -8,6 +8,7 @@ rejected, so a typo cannot silently fall back to a default.
 
 from __future__ import annotations
 
+import codecs
 import sys
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -134,9 +135,9 @@ def _experiment(fields: dict[str, Any]) -> ExperimentConfig:
 
 def _read(block: dict, prefix: str, fail) -> dict[str, tuple[Any, Any]]:
     """Each key of one block (``prefix`` "" or "data.") that its source reads -> (the
-    snapshot's value: a kind's as given, a check's result, tuples as lists, data.sizes
-    one per worker; the field's form). A key of another source fails at its line once
-    the source's own keys pass."""
+    snapshot's value: the field's form with tuples as lists, data.sizes one per worker;
+    the field's form). A key of another source fails at its line once the source's own
+    keys pass."""
     rows = {key.rpartition(".")[2]: key for key in _KEYS if key.rpartition(".")[0] == prefix[:-1]}
     unknown = sorted(map(str, set(block) - set(rows)))
     if unknown:
@@ -156,18 +157,17 @@ def _read(block: dict, prefix: str, fail) -> dict[str, tuple[Any, Any]]:
         given = block.get(name, list(default) if isinstance(default, tuple) else default)
         try:
             if given is None and default is None:  # an unset value left unset
-                value = None
+                value = shown = None
             elif key == "data.sizes":  # the field keeps the form given; the snapshot, a size each
                 value = tuple(given) if isinstance(given, list) else given
-                given = list(check_sizes(given, read["data.n_workers"][1]))
+                shown = check_sizes(given, read["data.n_workers"][1])
             else:
-                value = _of_kind(name, row.kind, given)
+                value = shown = _of_kind(name, row.kind, given)
         except ValueError as exc:
             # Default sizes fail only for the worker count, so at the line that gives it.
             at = "data.n_workers" if key == "data.sizes" and name not in block else key
             fail(at, f"{prefix}{exc}")
-        shown = list(value) if isinstance(value, tuple) else value
-        read[key] = shown if callable(row.kind) else given, value
+        read[key] = list(shown) if isinstance(shown, tuple) else shown, value
     for name in block:
         sources = _KEYS[prefix + name].sources
         if sources is not None and source not in sources:
@@ -187,6 +187,7 @@ class LoadedConfig:
 
 # libyaml's loader when PyYAML was built with it; both report errors at the same lines.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_UTF16_BOMS = (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)  # how both loaders tell UTF-16
 
 
 def _key_lines(root: Optional[yaml.Node]) -> dict[str, int]:
@@ -238,8 +239,13 @@ def load_config(path, overrides: Optional[dict] = None) -> LoadedConfig:
         finally:
             loader.dispose()
     except yaml.YAMLError as exc:
-        line = getattr(getattr(exc, "problem_mark", None), "line", None)
-        raise ConfigError(f"not valid YAML: {exc}", None if line is None else line + 1) from None
+        mark = getattr(exc, "problem_mark", None)
+        line = None if mark is None else mark.line + 1
+        if isinstance(exc, yaml.reader.ReaderError) and not data.startswith(_UTF16_BOMS):
+            # A byte position, but PyYAML's printable-character rule gives a character's.
+            text = data.decode("utf-8" if exc.encoding == "unicode" else "latin-1", "replace")
+            line = text[: exc.position].count("\n") + 1
+        raise ConfigError(f"not valid YAML: {exc}", line) from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

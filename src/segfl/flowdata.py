@@ -57,8 +57,8 @@ _COLUMN_DTYPES = (np.float64, object, np.int64, np.int64, np.int64, np.int64, ob
 
 # parse_flow_csv reads data rows in blocks of this many lines, each by np.loadtxt as
 # these fields: counts float64 like _parse_count's float(), tokens untruncated str.
-# A block that np.loadtxt or a _coerce_row rule refuses is halved and retried down to
-# pieces of _PIECE_LINES lines; only a refused piece that small goes row by row.
+# A block that np.loadtxt or a _coerce_row rule refuses is read again in pieces of
+# _PIECE_LINES lines; only a refused piece goes row by row.
 _BLOCK_LINES = 16384
 _PIECE_LINES = 1024
 _BLOCK_DTYPE = [("duration", "f8"), ("protocol", "O"), ("src_port", "i8"), ("dst_port", "i8"),
@@ -222,7 +222,7 @@ def _parse_port(token: str) -> int:
     return port
 
 
-def parse_flow_csv(path, column_map: dict[str, str], rejects_path=None) -> LabeledDataset:
+def parse_flow_csv(path, column_map: dict[str, str]) -> LabeledDataset:
     """Parse a delimited flow export into the encoded dataset of its accepted rows.
 
     Each block of rows is encoded by ``default_encoding()`` as it is read, into one
@@ -233,20 +233,18 @@ def parse_flow_csv(path, column_map: dict[str, str], rejects_path=None) -> Label
         column_map: mapping of source column names to canonical attribute
             names (the seven ``FEATURE_NAMES`` plus ``class``).  Columns not
             mentioned (addresses, timestamps, ...) are ignored.
-        rejects_path: optional file that receives one ``<line_no>\\t<reason>``
-            line per skipped row.
 
     Returns:
         The accepted rows in file order.  Rows that fail to parse and rows whose
-        class is outside {normal, attacker, victim} are skipped and recorded in
-        the rejects report.
+        class is outside {normal, attacker, victim} are skipped and counted in two
+        INFO log lines: the dropped rows by class, and all skipped rows.
 
     Raises:
         ValueError: a column map that misses an attribute or maps two columns to
             one, a header that lacks a mapped column or holds it twice, a path that
             is not a regular file,
             and the error ``EncodingMap.encode`` raises for the first accepted token
-            it has no code for, after the rejects are reported.
+            it has no code for, after the skipped rows are logged.
     """
     canonical_needed = set(FEATURE_NAMES) | {CLASS_COLUMN}
     mapped = set(column_map.values())
@@ -259,8 +257,8 @@ def parse_flow_csv(path, column_map: dict[str, str], rejects_path=None) -> Label
             raise ValueError(f"column_map maps more than one column to {canonical}: {sources}")
 
     rows = _EncodedRows(default_encoding(), _line_bound(path))
-    rejects: list[tuple[int, str]] = []
-    dropped_classes: dict[str, int] = {}
+    dropped: dict[str, int] = {}  # rows by unsupported class
+    malformed = 0
 
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is not header text
         reader = csv.reader(fh)
@@ -277,33 +275,21 @@ def parse_flow_csv(path, column_map: dict[str, str], rejects_path=None) -> Label
                 raise ValueError(f"column {source!r} is in the header {times} times")
             positions[canonical] = header.index(source)
 
-        lines_before = reader.line_num
         while block := list(islice(fh, _BLOCK_LINES)):
             if any('"' in line for line in block):
-                # A quoted field may span blocks, so csv.reader takes the rest of the file,
-                # _BLOCK_LINES rows at a time until a chunk reads no line.
-                csv_rows = csv.reader(chain(block, fh))
-                read = -1
-                while read < csv_rows.line_num:
-                    read = csv_rows.line_num
-                    rows.add(
-                        _coerce_rows(csv_rows, lines_before, positions, rejects, dropped_classes)
-                    )
+                # A quoted field may span blocks, so csv.reader takes the rest of the file.
+                pieces = _csv_chunks(csv.reader(chain(block, fh)), positions)
             else:
-                for columns in _parse_pieces(
-                    block, lines_before + 1, positions, rejects, dropped_classes
-                ):
-                    rows.add(columns)
-            lines_before += len(block)
+                pieces = _pieces(block, positions)
+            for columns, refused in pieces:
+                malformed += refused
+                rows.add(_drop_unsupported(columns, dropped))
+                del columns  # not alive while the next piece is read
 
-    if rejects_path is not None:
-        with open(rejects_path, "w") as out:
-            for line_no, reason in rejects:
-                out.write(f"{line_no}\t{reason}\n")
-    if dropped_classes:
-        logger.info("dropped rows by unsupported class: %s", dict(sorted(dropped_classes.items())))
-    if rejects:
-        logger.info("rejected %d of %d data rows", len(rejects), len(rejects) + rows.count)
+    if dropped:
+        logger.info("dropped rows by unsupported class: %s", dict(sorted(dropped.items())))
+    if skipped := malformed + sum(dropped.values()):
+        logger.info("rejected %d of %d data rows", skipped, skipped + rows.count)
     return rows.result()
 
 
@@ -367,30 +353,35 @@ class _EncodedRows:
         return LabeledDataset(self.features, self.labels)
 
 
-def _parse_pieces(lines, first_line, positions, rejects, dropped_classes):
-    """Columns of quote-free ``lines`` from file line ``first_line``, one list per piece.
-
-    A piece that ``_parse_block`` refuses is halved until it has ``_PIECE_LINES`` lines
-    or fewer, and then goes through csv.reader and ``_coerce_row``.
-    """
-    columns = _parse_block(lines, first_line, positions, rejects, dropped_classes)
+def _pieces(lines, positions):
+    """(columns, refused row count) of quote-free ``lines``: one pair if ``_parse_block``
+    reads them, else one per ``_PIECE_LINES``-line piece, which goes row by row only if
+    ``_parse_block`` refuses it."""
+    columns = _parse_block(lines, positions)
     if columns is not None:
-        return [columns]
-    if len(lines) <= _PIECE_LINES:
-        rows = csv.reader(lines)
-        return [_coerce_rows(rows, first_line - 1, positions, rejects, dropped_classes)]
-    half = len(lines) // 2
-    context = positions, rejects, dropped_classes
-    return [*_parse_pieces(lines[:half], first_line, *context),
-            *_parse_pieces(lines[half:], first_line + half, *context)]
+        yield columns, 0
+    elif len(lines) <= _PIECE_LINES:
+        yield _coerce_rows(csv.reader(lines), positions)
+    else:
+        for start in range(0, len(lines), _PIECE_LINES):
+            yield from _pieces(lines[start : start + _PIECE_LINES], positions)
 
 
-def _parse_block(lines, first_line, positions, rejects, dropped_classes):
-    """Quote-free ``lines``' columns by np.loadtxt; line i is row i, on line ``first_line + i``.
+def _csv_chunks(rows, positions):
+    """``_coerce_rows`` of the csv.reader ``rows``, a chunk at a time until one reads no line."""
+    read = -1
+    while read < rows.line_num:
+        read = rows.line_num
+        yield _coerce_rows(rows, positions)
 
-    None, recording nothing, if csv.reader could read a line differently (a NUL before
-    Python 3.11, an over-long field) or a row breaks a ``_coerce_row`` rule.  The empty
-    token rule and the class filter are decided once per distinct cleaned token.
+
+def _parse_block(lines, positions):
+    """Quote-free ``lines``' columns by np.loadtxt, as ``_coerce_rows`` gives them; blank
+    lines are no rows, as for csv.reader.
+
+    None if csv.reader could read a line differently (a NUL before Python 3.11, an
+    over-long field) or a row breaks a ``_coerce_row`` rule.  The empty token rule and
+    the class token's cleaning run once per distinct token.
     """
     if any("\x00" in line for line in lines) or max(map(len, lines)) > csv.field_size_limit():
         return None
@@ -410,18 +401,27 @@ def _parse_block(lines, first_line, positions, rejects, dropped_classes):
     valid = np.isfinite(duration) & (duration >= 0)
     valid &= (np.minimum(*ports) >= 0) & (np.maximum(*ports) <= _PORT_MAX)
     valid &= (np.minimum(*counts) >= 0) & (np.maximum(*counts) < 2.0**63)  # NaN fails too
-    # loadtxt skips blank lines, which would shift the line numbers.
-    if len(table) != len(lines) or not valid.all() or "" in protocol[0] or "" in flags[0]:
+    if not valid.all() or "" in protocol[0] or "" in flags[0]:
         return None
+    labels = _distinct(table[CLASS_COLUMN].tolist(), lambda token: token.strip().lower())
+    columns = [duration, protocol, *ports, *counts, flags, labels]
+    # Copies: a view would keep the record array alive past this block.
+    return [column if dtype is object else np.array(column, dtype)
+            for column, dtype in zip(columns, _COLUMN_DTYPES)]
 
-    labels, inverse = _distinct(table[CLASS_COLUMN].tolist(), lambda token: token.strip().lower())
-    keep = np.array([label in CLASS_CODES for label in labels], dtype=bool)[inverse]
-    for i in np.flatnonzero(~keep).tolist():
-        label = labels[inverse[i]]
-        rejects.append((first_line + i, f"unsupported class {label!r}"))
-        dropped_classes[label] = dropped_classes.get(label, 0) + 1
-    columns = [duration, protocol, *ports, *counts, flags, (labels, inverse)]
-    return [(column[0], column[1][keep]) if dtype is object else np.asarray(column, dtype)[keep]
+
+def _drop_unsupported(columns: list, dropped: dict[str, int]) -> list:
+    """``columns`` without the rows whose class has no code; ``dropped`` counts those
+    rows by class."""
+    labels, inverse = columns[-1]
+    coded = np.array([label in CLASS_CODES for label in labels], dtype=bool)
+    if coded.all():
+        return columns
+    per_label = np.bincount(inverse, minlength=len(labels)).tolist()
+    for i in np.flatnonzero(~coded).tolist():
+        dropped[labels[i]] = dropped.get(labels[i], 0) + per_label[i]
+    keep = coded[inverse]
+    return [(column[0], column[1][keep]) if dtype is object else column[keep]
             for column, dtype in zip(columns, _COLUMN_DTYPES)]
 
 
@@ -433,28 +433,21 @@ def _distinct(tokens: list[str], clean=None) -> tuple[list[str], np.ndarray]:
     return list(index), np.fromiter(map(of_token.__getitem__, tokens), np.intp, len(tokens))
 
 
-def _coerce_rows(rows, lines_before, positions, rejects, dropped_classes):
-    """Columns of the next ``_BLOCK_LINES`` of the ``rows`` (a csv.reader from file line
-    ``lines_before + 1``) that ``_coerce_row`` accepts; every other row becomes a reject."""
+def _coerce_rows(rows, positions):
+    """The columns of the rows among the next ``_BLOCK_LINES`` of the csv.reader ``rows``
+    that ``_coerce_row`` accepts, and the count of those it refuses."""
     accepted: list[tuple] = []
+    refused = 0
     for row in islice(rows, _BLOCK_LINES):
         if not row:
             continue
-        line_no = lines_before + rows.line_num
         try:
-            coerced = _coerce_row(row, positions)
-        except (ValueError, IndexError) as exc:
-            rejects.append((line_no, str(exc)))
-            continue
-        label = coerced[-1]
-        if label not in CLASS_CODES:
-            rejects.append((line_no, f"unsupported class {label!r}"))
-            dropped_classes[label] = dropped_classes.get(label, 0) + 1
-            continue
-        accepted.append(coerced)
+            accepted.append(_coerce_row(row, positions))
+        except (ValueError, IndexError):
+            refused += 1
     columns = zip(*accepted) if accepted else [()] * len(_COLUMN_DTYPES)
     return [_distinct(list(column)) if dtype is object else np.asarray(column, dtype)
-            for column, dtype in zip(columns, _COLUMN_DTYPES)]
+            for column, dtype in zip(columns, _COLUMN_DTYPES)], refused
 
 
 def _coerce_row(row: list[str], positions: dict[str, int]) -> tuple:

@@ -72,8 +72,8 @@ def prf1(counts: np.ndarray) -> ClassScores:
     )
 
 
-def macro_f1_score(true_labels, pred_labels, n_classes: int = N_CLASSES) -> float:
-    return prf1(confusion(true_labels, pred_labels, n_classes)).macro_f1
+def macro_f1_score(true_labels, pred_labels) -> float:
+    return prf1(confusion(true_labels, pred_labels)).macro_f1
 
 
 def _positive_rank_sum(scores: np.ndarray, positive: np.ndarray) -> float:

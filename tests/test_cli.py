@@ -218,6 +218,20 @@ def test_run_ids_of_the_shipped_configs_stay(tmp_path, name, run_id, compare_id)
     assert run_id_for({"command": "compare", **snapshot}) == compare_id
 
 
+def test_configs_that_load_alike_write_the_same_run_id_and_config_copy(tmp_path, capsys):
+    # eta: 1 and eta: 1.0 load to one ExperimentConfig, so to one snapshot and run id.
+    paths, run_dirs = [], []
+    for eta in ("1", "1.0"):
+        paths.append(tmp_path / f"eta_{eta}.yaml")
+        paths[-1].write_text(f"J: 1\nseed: 0\neta: {eta}\ndata: {{n_workers: 2, sizes: 300}}\n")
+        assert main(["run", str(paths[-1]), "--out", str(tmp_path / eta)]) == 0
+        run_dirs.append(Path(capsys.readouterr().out.strip()))
+    assert load_config(paths[0]).experiment == load_config(paths[1]).experiment
+    assert run_dirs[0].name == run_dirs[1].name
+    copies = [(run_dir / "config.yaml").read_bytes() for run_dir in run_dirs]
+    assert copies[0] == copies[1] and b"eta: 1.0\n" in copies[0]
+
+
 def _tree_digest(run_dir: Path) -> tuple[int, str]:
     """File count and sha256 of the sorted "path sha256" lines of every file but the manifest."""
     pairs = sorted(
@@ -380,13 +394,17 @@ def test_main_exit_codes_for_config_errors(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert f"segfl: {tmp_path}: cannot read the config file: Is a directory" in err, err
 
-    # A byte that is not UTF-8 is a YAML reader error under either loader, not a traceback.
-    bad.write_bytes(b"J: 2\nout_dir: caf\xe9\n")
-    for loader in {config_module._LOADER, yaml.SafeLoader}:
-        monkeypatch.setattr(config_module, "_LOADER", loader)
-        assert main(["run", str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert f"segfl: {bad}: not valid YAML: " in err and "Traceback" not in err, err
+    # A byte that is not UTF-8, or a control character after multi-byte ones, is a YAML
+    # reader error at its line under either loader, not a traceback.
+    control_after_e_acute = "J: 2\n# \u00e9\u00e9\n\nx: \x01\n".encode()
+    loaders = {config_module._LOADER, yaml.SafeLoader}
+    for text, line in ((b"J: 2\nout_dir: caf\xe9\n", 2), (control_after_e_acute, 4)):
+        bad.write_bytes(text)
+        for loader in loaders:
+            monkeypatch.setattr(config_module, "_LOADER", loader)
+            assert main(["run", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert f"segfl: {bad}:{line}: not valid YAML: " in err and "Traceback" not in err, err
 
     # With no --out and no SEGFL_OUT, out_dir would be the output root.
     monkeypatch.delenv("SEGFL_OUT", raising=False)

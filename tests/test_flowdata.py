@@ -106,23 +106,16 @@ def test_parse_expands_magnitude_suffixes(flow_csv):
     assert nbytes[2] == 4_500
 
 
-def test_parse_drops_unsupported_classes_and_records_rejects(flow_csv, tmp_path):
-    rejects = tmp_path / "rejects.txt"
-    table = parse_flow_csv(flow_csv, _COLUMN_MAP, rejects_path=rejects)
+def test_parse_drops_unsupported_classes_and_counts_skipped_rows(flow_csv, caplog):
+    with caplog.at_level(logging.INFO, logger="segfl.flowdata"):
+        table = parse_flow_csv(flow_csv, _COLUMN_MAP)
     assert len(table) == 4
-
-    lines = rejects.read_text().splitlines()
-    # Header is file line 1, so data row i sits on line i + 1.
-    by_line = {int(line.split("\t")[0]): line.split("\t")[1] for line in lines}
-    assert set(by_line) == {5, 6, 7, 8, 10, 11, 12, 13}
-    assert "suspicious" in by_line[5]
-    assert "unknown" in by_line[6]
-    assert "port" in by_line[7]
-    assert "duration" in by_line[8]
-    assert by_line[10] == "non-finite packets 'inf'"
-    assert by_line[11] == "non-finite bytes '1e400'"
-    assert by_line[12] == "non-finite packets 'nan'"
-    assert by_line[13].startswith("bytes 1000000000000000019884624838656 ")  # beyond int64
+    # Two classes without a code, then six malformed rows: a port beyond 65535, a bad
+    # duration, counts that are infinite, NaN or (1e30) beyond int64.
+    assert caplog.messages == [
+        "dropped rows by unsupported class: {'suspicious': 1, 'unknown': 1}",
+        "rejected 8 of 12 data rows",
+    ]
 
 
 def test_parse_requires_complete_column_map(flow_csv):
@@ -375,8 +368,7 @@ def test_feature_layout_matches_declared_order():
 # blocks by np.loadtxt: one csv.reader row and one _coerce_row call per line,
 # into a FlowTable of tokens.  _frozen_encode is EncodingMap.encode as it was
 # before the parser encoded.  The block parser must give the same bytes as
-# both together, or the same error, and the same rejects file and log lines
-# on every input.
+# both together, or the same error, and the same log lines on every input.
 
 _ORACLE_SUFFIX_FACTORS = {"K": 1e3, "M": 1e6}
 _ORACLE_COUNT_MAX = 2**63 - 1
@@ -432,7 +424,7 @@ def _oracle_coerce_row(row, positions):
     )
 
 
-def _oracle_parse(path, column_map, rejects_path):
+def _oracle_parse(path, column_map):
     """Returns the FlowTable and the two log messages the parser would write."""
     rows, rejects, dropped_classes, messages = [], [], {}, []
     with open(path, newline="") as fh:
@@ -454,9 +446,6 @@ def _oracle_parse(path, column_map, rejects_path):
                 dropped_classes[label] = dropped_classes.get(label, 0) + 1
                 continue
             rows.append(coerced)
-    with open(rejects_path, "w") as out:
-        for line_no, reason in rejects:
-            out.write(f"{line_no}\t{reason}\n")
     if dropped_classes:
         messages.append(
             f"dropped rows by unsupported class: {dict(sorted(dropped_classes.items()))}"
@@ -572,9 +561,9 @@ def _oracle_file(rng, n_rows, newline, bad_rate, tail_quotes):
 
 def _assert_same_parse(path, tmp_path, caplog, column_map):
     """The parse against the oracle's table through _frozen_encode: the same bytes or,
-    where _frozen_encode raises, the same error; the same rejects file and log lines.
+    where _frozen_encode raises, the same error; the same log lines.
     Returns the parse, or None after an error."""
-    table, expected_messages = _oracle_parse(path, column_map, tmp_path / "expected.txt")
+    table, expected_messages = _oracle_parse(path, column_map)
     try:
         expected = _frozen_encode(table)
     except ValueError as exc:
@@ -583,13 +572,12 @@ def _assert_same_parse(path, tmp_path, caplog, column_map):
     with caplog.at_level(logging.INFO, logger="segfl.flowdata"):
         if isinstance(expected, ValueError):
             with pytest.raises(ValueError) as ours:
-                parse_flow_csv(path, column_map, rejects_path=tmp_path / "rejects.txt")
+                parse_flow_csv(path, column_map)
             assert str(ours.value) == str(expected)
             shard = None
         else:
-            shard = parse_flow_csv(path, column_map, rejects_path=tmp_path / "rejects.txt")
+            shard = parse_flow_csv(path, column_map)
             _assert_same_bytes(shard, expected)
-    assert (tmp_path / "rejects.txt").read_text() == (tmp_path / "expected.txt").read_text()
     assert [record.getMessage() for record in caplog.records] == expected_messages
     return shard
 
@@ -635,7 +623,7 @@ def test_block_parser_matches_the_oracle_on_edge_files(tmp_path, caplog):
         if text.startswith('"'):
             column_map["dur\nation"] = column_map.pop("duration")
         try:
-            _oracle_parse(path, column_map, tmp_path / "expected.txt")
+            _oracle_parse(path, column_map)
         except csv.Error as exc:  # the field limit, and NUL before Python 3.11
             with pytest.raises(csv.Error, match=re.escape(str(exc))):
                 parse_flow_csv(path, column_map)
@@ -645,28 +633,25 @@ def test_block_parser_matches_the_oracle_on_edge_files(tmp_path, caplog):
         assert (shard is None) == ("\x00" in text)
 
 
-def test_unsupported_classes_in_a_fast_block_name_their_lines(tmp_path, caplog, monkeypatch):
+def test_unsupported_classes_in_a_fast_block_are_counted_by_class(tmp_path, caplog, monkeypatch):
     def no_per_row_path(*args):
         raise AssertionError("the block should not need the per-row path")
 
     monkeypatch.setattr(flowdata, "_coerce_rows", no_per_row_path)
     path = tmp_path / "flows.csv"
+    padded = _ROWS[3].replace(",suspicious", ", Suspicious ")  # cleans to 'suspicious'
     path.write_text(
         _HEADER + "\n"
-        + "\n".join(_ROWS[i] for i in (0, 3, 7, 4, 0))  # suspicious on line 3, unknown on 5
+        + "\n".join([*(_ROWS[i] for i in (0, 3, 7, 4, 0)), padded, _ROWS[3], _ROWS[7]])
         + "\n"
     )
-    rejects = tmp_path / "rejects.txt"
     with caplog.at_level(logging.INFO, logger="segfl.flowdata"):
-        shard = parse_flow_csv(path, _COLUMN_MAP, rejects_path=rejects)
-    assert shard.labels.tolist() == [CLASS_CODES[c] for c in ("normal", "victim", "normal")]
-    assert rejects.read_text().splitlines() == [
-        "3\tunsupported class 'suspicious'",
-        "5\tunsupported class 'unknown'",
-    ]
+        shard = parse_flow_csv(path, _COLUMN_MAP)
+    kept = ("normal", "victim", "normal", "victim")
+    assert shard.labels.tolist() == [CLASS_CODES[c] for c in kept]
     assert caplog.messages == [
-        "dropped rows by unsupported class: {'suspicious': 1, 'unknown': 1}",
-        "rejected 2 of 5 data rows",
+        "dropped rows by unsupported class: {'suspicious': 3, 'unknown': 1}",
+        "rejected 4 of 8 data rows",
     ]
 
 
@@ -693,7 +678,7 @@ def test_block_parser_cleans_padded_tokens_to_their_codes(tmp_path, monkeypatch)
     shard = parse_flow_csv(path, _ORACLE_MAP)
     assert len(shard) == 300
     # " GRE" and "GRE", or " ATTACKER " and "attacker", clean to one token and one code.
-    table, _ = _oracle_parse(path, _ORACLE_MAP, tmp_path / "expected.txt")
+    table, _ = _oracle_parse(path, _ORACLE_MAP)
     _assert_same_bytes(shard, _frozen_encode(table))
 
 
@@ -737,21 +722,26 @@ _DURATION = _ORACLE_SLOTS.index("duration")
 
 @pytest.mark.parametrize("placement", ["block ends", "mid-block", "every 100th"])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_refused_blocks_are_halved_down_to_small_pieces(
+def test_refused_blocks_are_read_again_in_fixed_pieces(
     placement, newline, tmp_path, caplog, monkeypatch
 ):
     block, piece, n_rows = 64, 4, 700
     monkeypatch.setattr(flowdata, "_BLOCK_LINES", block)
     monkeypatch.setattr(flowdata, "_PIECE_LINES", piece)
-    calls = []  # (first line, line count, read by np.loadtxt)
-    parse_block = flowdata._parse_block
+    events = []  # (first row, row count, read by np.loadtxt), or "row by row"
+    parse_block, coerce_rows = flowdata._parse_block, flowdata._coerce_rows
 
-    def recorded(lines, first_line, *args):
-        columns = parse_block(lines, first_line, *args)
-        calls.append((first_line, len(lines), columns is not None))
+    def recorded_block(lines, *args):
+        columns = parse_block(lines, *args)
+        events.append((row_of[lines[0]], len(lines), columns is not None))
         return columns
 
-    monkeypatch.setattr(flowdata, "_parse_block", recorded)
+    def recorded_rows(*args):
+        events.append("row by row")
+        return coerce_rows(*args)
+
+    monkeypatch.setattr(flowdata, "_parse_block", recorded_block)
+    monkeypatch.setattr(flowdata, "_coerce_rows", recorded_rows)
     bad = {
         "block ends": range(block - 1, n_rows, block),
         "mid-block": range(block // 2 + 5, n_rows, block),
@@ -761,6 +751,7 @@ def test_refused_blocks_are_halved_down_to_small_pieces(
     lines = [",".join(_ORACLE_HEADER)]
     for i in range(n_rows):
         fields = _good_fields(rng)
+        fields[_ORACLE_SLOTS.index(None, 1)] = f"10.0.{i // 256}.{i % 256}"  # a unique line
         kind = i % 3
         if i in bad and kind == 0:
             fields[_DURATION] = "abc"  # np.loadtxt refuses the piece
@@ -769,19 +760,26 @@ def test_refused_blocks_are_halved_down_to_small_pieces(
         elif i in bad:
             fields = fields[:_DURATION + 2]  # a short row
         lines.append(",".join(fields))
+    row_of = {line + newline: i for i, line in enumerate(lines[1:])}
     path = tmp_path / "flows.csv"
     path.write_bytes((newline.join(lines) + newline).encode())
 
     shard = _assert_same_parse(path, tmp_path, caplog, _ORACLE_MAP)
     assert len(shard) == n_rows - len(bad)
-    assert (tmp_path / "rejects.txt").read_text().count("\n") == len(bad)
-    # Read pieces and small refused pieces tile the data lines; only the latter,
-    # at most one piece per bad row, go row by row.
-    tiles = sorted((first, n) for first, n, read in calls if read or n <= piece)
-    assert [first for first, _ in tiles] == list(np.cumsum([2] + [n for _, n in tiles])[:-1])
-    assert sum(n for _, n in tiles) == n_rows
-    by_row = [n for _, n, read in calls if not read and n <= piece]
-    assert 0 < len(by_row) <= len(bad)
+    assert caplog.messages == [f"rejected {len(bad)} of {n_rows} data rows"]
+    # Each block is tried whole; a refused one is tried again as its consecutive
+    # pieces, and only a piece holding a bad row goes row by row.
+    expected = []
+    for start in range(0, n_rows, block):
+        rows = range(start, min(start + block, n_rows))
+        expected.append((start, len(rows), not set(rows) & set(bad)))
+        if set(rows) & set(bad):
+            for first in range(rows.start, rows.stop, piece):
+                held = range(first, min(first + piece, rows.stop))
+                expected.append((first, len(held), not set(held) & set(bad)))
+                expected += ["row by row"] * bool(set(held) & set(bad))
+    assert events == expected
+    assert events.count("row by row") == len(bad)
 
 
 # --- Encoded parse and in-place preparation against the frozen pipeline -----
@@ -791,7 +789,7 @@ def test_refused_blocks_are_halved_down_to_small_pieces(
 # the same table), EncodingMap.encode's matrix, and copies for the split, the
 # scaled training rows and the validation split.  _frozen_encode and
 # _frozen_prepare are those steps as they were; the new path must give the
-# same bytes, rejects, log lines and errors.
+# same bytes, log lines and errors.
 
 
 def _frozen_split(dataset, test_fraction, seed):
@@ -845,10 +843,9 @@ def test_encoded_parse_and_preparation_match_the_frozen_pipeline(
     newline = "\r\n" if seed % 2 else "\n"
     path.write_bytes(_oracle_file(rng, 600, newline, 0.03, True).encode())
     with caplog.at_level(logging.INFO, logger="segfl.flowdata"):
-        shard = parse_flow_csv(path, _ORACLE_MAP, rejects_path=tmp_path / "rejects.txt")
+        shard = parse_flow_csv(path, _ORACLE_MAP)
     messages = [record.getMessage() for record in caplog.records]
-    table, expected_messages = _oracle_parse(path, _ORACLE_MAP, tmp_path / "expected.txt")
-    assert (tmp_path / "rejects.txt").read_text() == (tmp_path / "expected.txt").read_text()
+    table, expected_messages = _oracle_parse(path, _ORACLE_MAP)
     assert messages == expected_messages
     expected = _frozen_encode(table)
     _assert_same_bytes(shard, expected)
@@ -891,15 +888,13 @@ def test_encoded_parse_names_the_first_unseen_token_as_encode_did(tmp_path, capl
         path = tmp_path / "flows.csv"
         path.write_text("\r\n".join([header, *kept, ""]))
         caplog.clear()
-        expected_path = tmp_path / "expected.txt"
-        table, expected_messages = _oracle_parse(path, CANONICAL_COLUMN_MAP, expected_path)
+        table, expected_messages = _oracle_parse(path, CANONICAL_COLUMN_MAP)
         with pytest.raises(ValueError) as frozen:
             _frozen_encode(table)
         with caplog.at_level(logging.INFO, logger="segfl.flowdata"):
             with pytest.raises(ValueError) as ours:
-                parse_flow_csv(path, CANONICAL_COLUMN_MAP, tmp_path / "rejects.txt")
+                parse_flow_csv(path, CANONICAL_COLUMN_MAP)
         assert str(ours.value) == str(frozen.value)
         assert [record.getMessage() for record in caplog.records] == expected_messages
-        assert (tmp_path / "rejects.txt").read_text() == expected_path.read_text()
         errors.append(str(ours.value))
     assert errors == ["unseen protocol token 'SCTP'", "unseen flags token 'XYZ'"]

@@ -1,11 +1,12 @@
-"""Keep no function or field that only tests use.
+"""Keep no function, field or parameter default that only tests use.
 
 Every function, method and class defined in ``src/segfl`` must be named
 somewhere in ``src/`` or ``perfbench/`` outside its own definition: as a
 name, an attribute, an imported name, or a string that is exactly the name
 (``perfbench/tracing.py`` wraps attributes by their names).  Every annotated
 class field there must be read by name in ``src/`` or ``perfbench/``: as an
-attribute load or as such a string.
+attribute load or as such a string.  Every parameter with a default must be
+passed, by keyword or by position, by some call in ``src/`` or ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ _ENTRY_POINTS = {
 # Documented fields that nothing in src/ or perfbench/ reads.
 _READ_BY_USERS = {
     "orchestrator.ExperimentResult.timeline",  # README "Library use" reads it
+}
+
+# Parameters with a default that no call in src/ or perfbench/ names, and why they stay.
+_DEFAULTS_PASSED_ELSEWHERE = {
+    "cli.cmd_run.seed": "main passes it through its variable `command`",
+    "cli.cmd_run.out": "main passes it through its variable `command`",
+    "cli.cmd_compare.seed": "main passes it through its variable `command`",
+    "cli.cmd_compare.out": "main passes it through its variable `command`",
+    "metrics.confusion.n_classes": "tests check the matrix for 1 to 5 classes",
 }
 
 
@@ -95,3 +105,50 @@ def test_every_src_field_is_read_outside_tests():
         if node.target.id not in read
     ]
     assert sorted(unread) == sorted(_READ_BY_USERS)
+
+
+def _calls(trees) -> dict[str, list[ast.Call]]:
+    """Every call in the trees by the name it calls: a name, or an attribute's name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether ``call`` passes parameter ``name``, the ``position``-th positional one if any."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):  # None: **mapping
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_src_default_is_passed_outside_tests():
+    trees = _trees()
+    calls = _calls(trees)
+    unpassed = []
+    for path, tree in trees.items():
+        if path.parent.name != "segfl":
+            continue
+        classes = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = classes.get(id(node))  # a method's self is not passed
+            # __init__ is called by its class's name.
+            called = cls.name if cls is not None and node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            with_default = positional[len(positional) - len(node.args.defaults):]
+            keywords = zip(node.args.kwonlyargs, node.args.kw_defaults)
+            with_default += [arg for arg, default in keywords if default is not None]
+            for arg in with_default:
+                position = positional.index(arg) - (cls is not None) if arg in positional else None
+                if not any(_passes(call, arg.arg, position) for call in calls.get(called, [])):
+                    qualified = f"{cls.name}.{node.name}" if cls is not None else node.name
+                    unpassed.append(f"{path.stem}.{qualified}.{arg.arg}")
+    assert sorted(unpassed) == sorted(_DEFAULTS_PASSED_ELSEWHERE)
