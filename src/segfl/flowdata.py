@@ -56,13 +56,14 @@ FLAGS = tuple(
 _COLUMN_DTYPES = (np.float64, object, np.int64, np.int64, np.int64, np.int64, object, object)
 
 # parse_flow_csv reads data rows in blocks of this many lines, each by np.loadtxt as
-# these fields: counts float64 like _parse_count's float(), tokens untruncated str.
-# A block that np.loadtxt or a _coerce_row rule refuses is read again in pieces of
-# _PIECE_LINES lines; only a refused piece goes row by row.
+# these fields: counts float64 like _parse_count's float(), tokens coded as they are
+# read.  A block that np.loadtxt or a _coerce_row rule refuses is read again in pieces
+# of _PIECE_LINES lines; only a refused piece goes row by row.
 _BLOCK_LINES = 16384
 _PIECE_LINES = 1024
-_BLOCK_DTYPE = [("duration", "f8"), ("protocol", "O"), ("src_port", "i8"), ("dst_port", "i8"),
-                ("packets", "f8"), ("bytes", "f8"), ("flags", "O"), (CLASS_COLUMN, "O")]
+_BLOCK_DTYPE = [("duration", "f8"), ("protocol", "i8"), ("src_port", "i8"), ("dst_port", "i8"),
+                ("packets", "f8"), ("bytes", "f8"), ("flags", "i8"), (CLASS_COLUMN, "i8")]
+_ROW_DTYPES = (np.float64,) + (np.int64,) * 7  # a parsed piece's columns, tokens as codes
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,10 @@ class EncodingMap:
             ValueError: naming the first protocol token without a code, else the
                 first such flags token, else the first such class token.
         """
-        rows = _EncodedRows(self, len(table))
-        rows.add([_distinct(c.tolist()) if c.dtype == object else c for c in table.columns()])
+        rows, columns = _EncodedRows(self, len(table), (None,) * 3), table.columns()
+        for codes, i in zip(rows.codes, (1, 6, 7)):  # protocol, flags, label
+            columns[i] = np.fromiter(map(codes.__getitem__, columns[i].tolist()), np.int64)
+        rows.add(columns)
         return rows.result()
 
 
@@ -246,17 +249,14 @@ def parse_flow_csv(path, column_map: dict[str, str]) -> LabeledDataset:
             and the error ``EncodingMap.encode`` raises for the first accepted token
             it has no code for, after the skipped rows are logged.
     """
-    canonical_needed = set(FEATURE_NAMES) | {CLASS_COLUMN}
-    mapped = set(column_map.values())
-    missing = canonical_needed - mapped
-    if missing:
+    if missing := {*FEATURE_NAMES, CLASS_COLUMN} - set(column_map.values()):
         raise ValueError(f"column_map does not cover attributes: {sorted(missing)}")
     for canonical in dict.fromkeys(column_map.values()):
         sources = [source for source, name in column_map.items() if name == canonical]
         if len(sources) > 1:
             raise ValueError(f"column_map maps more than one column to {canonical}: {sources}")
 
-    rows = _EncodedRows(default_encoding(), _line_bound(path))
+    rows = _EncodedRows(default_encoding(), _line_bound(path), _CLEANERS)
     dropped: dict[str, int] = {}  # rows by unsupported class
     malformed = 0
 
@@ -276,14 +276,19 @@ def parse_flow_csv(path, column_map: dict[str, str]) -> LabeledDataset:
             positions[canonical] = header.index(source)
 
         while block := list(islice(fh, _BLOCK_LINES)):
-            if any('"' in line for line in block):
+            text = "".join(block)
+            if '"' in text:
                 # A quoted field may span blocks, so csv.reader takes the rest of the file.
-                pieces = _csv_chunks(csv.reader(chain(block, fh)), positions)
+                pieces = _coerce_rows(csv.reader(chain(block, fh)), positions, rows.codes)
+            elif "\x00" in text or max(map(len, block)) > csv.field_size_limit():
+                # csv.reader may read a NUL (before Python 3.11) or an over-long field otherwise.
+                pieces = _coerce_rows(csv.reader(block), positions, rows.codes)
             else:
-                pieces = _pieces(block, positions)
+                pieces = _pieces(block, positions, rows.codes)
+            del text  # not alive while np.loadtxt reads the block
             for columns, refused in pieces:
                 malformed += refused
-                rows.add(_drop_unsupported(columns, dropped))
+                rows.add(_drop_unsupported(columns, dropped, rows.codes[2]))
                 del columns  # not alive while the next piece is read
 
     if dropped:
@@ -306,40 +311,65 @@ def _line_bound(path) -> int:
     ends, last = 0, b""
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
-            ends += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            ends += chunk.count(b"\n")
+            if b"\r" in chunk:
+                ends += chunk.count(b"\r") - chunk.count(b"\r\n")
             ends -= last == b"\r" and chunk.startswith(b"\n")
             last = chunk[-1:]
     return ends + 1
 
 
-class _EncodedRows:
-    """Block columns encoded into one preallocated feature matrix and label vector:
-    the columns in ``FEATURE_NAMES`` order, tokens by their codes, all as float64."""
+class _TokenCodes(dict):
+    """A token column's code per raw token: ``__missing__`` cleans a raw token once, by
+    ``clean`` if any, and codes it by ``known``; the i-th cleaned token that ``known``
+    lacks, the i-th key of ``unknown``, gets code -1 - i."""
 
-    def __init__(self, encoding: EncodingMap, capacity: int):
-        self.codes = (encoding.protocol_codes, encoding.flags_codes, CLASS_CODES)
+    def __init__(self, known: dict[str, int], clean):
+        super().__init__()
+        self.known, self.clean, self.unknown = known, clean, {}
+
+    def __missing__(self, raw: str) -> int:
+        token = raw if self.clean is None else self.clean(raw)
+        if (code := self.known.get(token)) is None:
+            code = self.unknown.setdefault(token, -1 - len(self.unknown))
+        self[raw] = code
+        return code
+
+
+def _clean_token(raw: str) -> str:
+    """A protocol or flags token without its padding; ValueError refuses an empty one."""
+    if token := raw.strip():
+        return token
+    raise ValueError("empty token")
+
+
+# How parse_flow_csv cleans the protocol, flags and class tokens.
+_CLEANERS = (_clean_token, _clean_token, lambda raw: raw.strip().lower())
+
+
+class _EncodedRows:
+    """Coded block columns in one preallocated feature matrix and label vector, the
+    columns in ``FEATURE_NAMES`` order as float64; ``codes`` codes the token columns."""
+
+    def __init__(self, encoding: EncodingMap, capacity: int, cleaners):
+        known = (encoding.protocol_codes, encoding.flags_codes, CLASS_CODES)
+        self.codes = [_TokenCodes(table, clean) for table, clean in zip(known, cleaners)]
         self.unseen: list[str | None] = [None] * 3  # each table's first token without a code
         self.features = np.empty((capacity, len(FEATURE_NAMES)))
         self.labels = np.empty(capacity, dtype=np.int64)
         self.count = 0
 
-    def add(self, columns: list) -> None:
-        duration, protocol, src_port, dst_port, packets, nbytes, flags, label = columns
-        rows = slice(self.count, self.count + len(duration))
+    def add(self, columns: list[np.ndarray]) -> None:
+        """Append block columns in ``FlowTable`` order, tokens as their codes."""
+        rows = slice(self.count, self.count + len(columns[0]))
         block = self.features[rows]
-        for col, values in enumerate([duration, self._encode(0, protocol), src_port, dst_port,
-                                      packets, nbytes, self._encode(1, flags)]):
+        for col, values in enumerate(columns[:-1]):
             block[:, col] = values
-        self.labels[rows] = self._encode(2, label)
+        self.labels[rows] = columns[-1]
+        for table, codes in enumerate([columns[1], columns[-2], columns[-1]]):
+            if self.unseen[table] is None and codes.min(initial=0) < 0:
+                self.unseen[table] = list(self.codes[table].unknown)[-1 - codes[codes < 0][0]]
         self.count = rows.stop
-
-    def _encode(self, table: int, column: tuple[list[str], np.ndarray]) -> np.ndarray:
-        distinct, inverse = column
-        codes = np.array([self.codes[table].get(token, -1) for token in distinct], np.int64)
-        codes = codes[inverse]
-        if self.unseen[table] is None and codes.min(initial=0) < 0:
-            self.unseen[table] = distinct[inverse[np.argmax(codes < 0)]]
-        return codes
 
     def result(self) -> LabeledDataset:
         """The encoded rows; encode's ValueError for the first token without a code."""
@@ -353,117 +383,90 @@ class _EncodedRows:
         return LabeledDataset(self.features, self.labels)
 
 
-def _pieces(lines, positions):
-    """(columns, refused row count) of quote-free ``lines``: one pair if ``_parse_block``
-    reads them, else one per ``_PIECE_LINES``-line piece, which goes row by row only if
-    ``_parse_block`` refuses it."""
-    columns = _parse_block(lines, positions)
+def _pieces(lines, positions, codes):
+    """(columns, refused row count) of ``lines``, free of quotes, NULs and over-long
+    lines: one pair if ``_parse_block`` reads them, else one per ``_PIECE_LINES``-line
+    piece, which goes row by row only if ``_parse_block`` refuses it."""
+    columns = _parse_block(lines, positions, codes)
     if columns is not None:
         yield columns, 0
     elif len(lines) <= _PIECE_LINES:
-        yield _coerce_rows(csv.reader(lines), positions)
+        yield from _coerce_rows(csv.reader(lines), positions, codes)
     else:
         for start in range(0, len(lines), _PIECE_LINES):
-            yield from _pieces(lines[start : start + _PIECE_LINES], positions)
+            yield from _pieces(lines[start : start + _PIECE_LINES], positions, codes)
 
 
-def _csv_chunks(rows, positions):
-    """``_coerce_rows`` of the csv.reader ``rows``, a chunk at a time until one reads no line."""
-    read = -1
-    while read < rows.line_num:
-        read = rows.line_num
-        yield _coerce_rows(rows, positions)
-
-
-def _parse_block(lines, positions):
-    """Quote-free ``lines``' columns by np.loadtxt, as ``_coerce_rows`` gives them; blank
-    lines are no rows, as for csv.reader.
-
-    None if csv.reader could read a line differently (a NUL before Python 3.11, an
-    over-long field) or a row breaks a ``_coerce_row`` rule.  The empty token rule and
-    the class token's cleaning run once per distinct token.
-    """
-    if any("\x00" in line for line in lines) or max(map(len, lines)) > csv.field_size_limit():
-        return None
+def _parse_block(lines, positions, codes):
+    """``lines``' columns by np.loadtxt, tokens coded by ``codes`` as they are read, as
+    ``_coerce_rows`` gives them; blank lines are no rows, as for csv.reader.  None if a
+    row breaks a ``_coerce_row`` rule."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy 1.x reads an int "5.0" with a warning
             table = np.loadtxt(
                 lines, _BLOCK_DTYPE, delimiter=",", comments=None, quotechar=None, ndmin=1,
                 usecols=[positions[name] for name, _ in _BLOCK_DTYPE],
+                # Keys are file columns; numpy 1.x would pass bytes without encoding=None.
+                converters={positions[name]: column.__getitem__
+                            for name, column in zip(("protocol", "flags", CLASS_COLUMN), codes)},
+                encoding=None,
             )
     except (ValueError, Warning):
         return None
     duration, ports = table["duration"], [table["src_port"], table["dst_port"]]
     counts = [np.rint(table["packets"]), np.rint(table["bytes"])]  # half-to-even, as round()
-    protocol = _distinct(table["protocol"].tolist(), str.strip)
-    flags = _distinct(table["flags"].tolist(), str.strip)
     valid = np.isfinite(duration) & (duration >= 0)
     valid &= (np.minimum(*ports) >= 0) & (np.maximum(*ports) <= _PORT_MAX)
     valid &= (np.minimum(*counts) >= 0) & (np.maximum(*counts) < 2.0**63)  # NaN fails too
-    if not valid.all() or "" in protocol[0] or "" in flags[0]:
+    if not valid.all():
         return None
-    labels = _distinct(table[CLASS_COLUMN].tolist(), lambda token: token.strip().lower())
-    columns = [duration, protocol, *ports, *counts, flags, labels]
+    columns = [duration, table["protocol"], *ports, *counts, table["flags"], table[CLASS_COLUMN]]
     # Copies: a view would keep the record array alive past this block.
-    return [column if dtype is object else np.array(column, dtype)
-            for column, dtype in zip(columns, _COLUMN_DTYPES)]
+    return [np.array(column, dtype) for column, dtype in zip(columns, _ROW_DTYPES)]
 
 
-def _drop_unsupported(columns: list, dropped: dict[str, int]) -> list:
+def _drop_unsupported(columns: list, dropped: dict[str, int], classes: _TokenCodes) -> list:
     """``columns`` without the rows whose class has no code; ``dropped`` counts those
-    rows by class."""
-    labels, inverse = columns[-1]
-    coded = np.array([label in CLASS_CODES for label in labels], dtype=bool)
-    if coded.all():
+    rows by the cleaned class token, named by ``classes``."""
+    keep = columns[-1] >= 0
+    if keep.all():
         return columns
-    per_label = np.bincount(inverse, minlength=len(labels)).tolist()
-    for i in np.flatnonzero(~coded).tolist():
-        dropped[labels[i]] = dropped.get(labels[i], 0) + per_label[i]
-    keep = coded[inverse]
-    return [(column[0], column[1][keep]) if dtype is object else column[keep]
-            for column, dtype in zip(columns, _COLUMN_DTYPES)]
+    per_code = np.bincount(-1 - columns[-1][~keep]).tolist()
+    for name, count in zip(classes.unknown, per_code):
+        if count:
+            dropped[name] = dropped.get(name, 0) + count
+    return [column[keep] for column in columns]
 
 
-def _distinct(tokens: list[str], clean=None) -> tuple[list[str], np.ndarray]:
-    """A token column as its distinct ``clean``-ed tokens and each row's index into them;
-    ``clean`` runs once per distinct token."""
-    index: dict[str, int] = {}
-    of_token = {t: index.setdefault(clean(t) if clean else t, len(index)) for t in set(tokens)}
-    return list(index), np.fromiter(map(of_token.__getitem__, tokens), np.intp, len(tokens))
+def _coerce_rows(rows, positions, codes):
+    """For each ``_BLOCK_LINES`` rows of the csv.reader ``rows``, until they run out: the
+    columns of those that ``_coerce_row`` accepts, and the count of those it refuses."""
+    while True:
+        read, accepted, refused = rows.line_num, [], 0
+        for row in islice(rows, _BLOCK_LINES):
+            if not row:
+                continue
+            try:
+                accepted.append(_coerce_row(row, positions, codes))
+            except (ValueError, IndexError):
+                refused += 1
+        if rows.line_num == read:
+            return
+        columns = zip(*accepted) if accepted else [()] * len(_ROW_DTYPES)
+        yield [np.asarray(column, dtype) for column, dtype in zip(columns, _ROW_DTYPES)], refused
 
 
-def _coerce_rows(rows, positions):
-    """The columns of the rows among the next ``_BLOCK_LINES`` of the csv.reader ``rows``
-    that ``_coerce_row`` accepts, and the count of those it refuses."""
-    accepted: list[tuple] = []
-    refused = 0
-    for row in islice(rows, _BLOCK_LINES):
-        if not row:
-            continue
-        try:
-            accepted.append(_coerce_row(row, positions))
-        except (ValueError, IndexError):
-            refused += 1
-    columns = zip(*accepted) if accepted else [()] * len(_COLUMN_DTYPES)
-    return [_distinct(list(column)) if dtype is object else np.asarray(column, dtype)
-            for column, dtype in zip(columns, _COLUMN_DTYPES)], refused
-
-
-def _coerce_row(row: list[str], positions: dict[str, int]) -> tuple:
-    """One row's values in ``FlowTable`` column order; ValueError rejects it."""
+def _coerce_row(row: list[str], positions: dict[str, int], codes) -> tuple:
+    """One row's values in ``FlowTable`` order, tokens coded by ``codes``; ValueError rejects it."""
     try:
         duration = float(row[positions["duration"]])
     except ValueError:
         raise ValueError(f"bad duration {row[positions['duration']]!r}") from None
     if not math.isfinite(duration) or duration < 0:
         raise ValueError(f"bad duration {row[positions['duration']]!r}")
-    protocol = row[positions["protocol"]].strip()
-    if not protocol:
-        raise ValueError("empty protocol")
-    flags = row[positions["flags"]].strip()
-    if not flags:
-        raise ValueError("empty flags")
+    protocol = codes[0][row[positions["protocol"]]]  # an empty token raises
+    flags = codes[1][row[positions["flags"]]]
     packets = _parse_count(row[positions["packets"]], "packets")
     nbytes = _parse_count(row[positions["bytes"]], "bytes")
     return (
@@ -474,7 +477,7 @@ def _coerce_row(row: list[str], positions: dict[str, int]) -> tuple:
         packets,
         nbytes,
         flags,
-        row[positions[CLASS_COLUMN]].strip().lower(),
+        codes[2][row[positions[CLASS_COLUMN]]],
     )
 
 
@@ -521,27 +524,23 @@ def train_test_split(
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     labels = dataset.labels
-    classes = np.unique(labels)
+    sizes = np.bincount(labels)
+    classes = np.flatnonzero(sizes)
     for cls in classes:
-        if int((labels == cls).sum()) < 2:
+        if sizes[cls] < 2:
             raise ValueError(f"class {cls} has fewer than 2 samples, cannot stratify")
 
     # Total test size rounds the exact fraction; per-class counts apportion it
     # proportionally so no class is off by more than one sample.
     n = dataset.sample_count
     total_test = int(round(n * test_fraction))
-    class_sizes = np.array([(labels == cls).sum() for cls in classes], dtype=np.float64)
-    per_class = _largest_remainder_counts(total_test, class_sizes)
+    per_class = _largest_remainder_counts(total_test, sizes[classes].astype(np.float64))
 
     rng = np.random.default_rng(seed)
-    test_idx = []
+    test_mask = np.zeros(n, dtype=bool)
     for cls, take in zip(classes, per_class):
         members = np.flatnonzero(labels == cls)
-        picked = rng.permutation(len(members))[:take]
-        test_idx.append(members[picked])
-    test_mask = np.zeros(n, dtype=bool)
-    if test_idx:
-        test_mask[np.concatenate(test_idx)] = True
+        test_mask[members[rng.permutation(len(members))[:take]]] = True
     test = dataset.subset(np.flatnonzero(test_mask))
     train_rows = np.flatnonzero(~test_mask)
     arrays = dataset.features, dataset.labels

@@ -106,13 +106,13 @@ def nearmiss3_undersample(dataset: LabeledDataset, config: ResampleConfig) -> La
         a warning is logged.
     """
     labels = dataset.labels
-    classes, counts = np.unique(labels, return_counts=True)
-    if len(classes) < 2:
+    counts = np.bincount(labels)
+    if np.count_nonzero(counts) < 2:
         raise ValueError("undersampling needs at least two classes")
 
-    majority_class = classes[np.argmax(counts)]  # argmax ties -> lower code
+    majority_class = np.argmax(counts)  # argmax ties -> lower code
     majority_count = int(counts.max())
-    smallest_count = int(counts.min())
+    smallest_count = int(counts[counts > 0].min())
     # A target at or above the majority count keeps the shard; min() also keeps a huge
     # ratio's product from overflowing int().
     target = int(round(min(config.target_ratio * smallest_count, majority_count)))

@@ -682,6 +682,83 @@ def test_block_parser_cleans_padded_tokens_to_their_codes(tmp_path, monkeypatch)
     _assert_same_bytes(shard, _frozen_encode(table))
 
 
+def test_token_converters_are_keyed_by_file_column(tmp_path, caplog, monkeypatch):
+    # np.loadtxt reads the columns in usecols order but keys converters by file column.
+    # Were a key taken as a usecols index, a count column would be coded, or the protocol
+    # column read as an integer and every block refused.  Were tokens passed as bytes
+    # (numpy 1.x without encoding=None), no token would have a code.
+    def no_per_row_path(*args):
+        raise AssertionError("every block should be read by np.loadtxt")
+
+    monkeypatch.setattr(flowdata, "_coerce_rows", no_per_row_path)
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 40)  # 5 blocks
+    header = ["Label", "Note", "Flags", "Bytes", "Dst", "Proto", "Packets", "Dur", "Src"]
+    slots = ["class", None, "flags", "bytes", "dst_port", "protocol", "packets", "duration",
+             "src_port"]
+    rng = np.random.default_rng(5)
+    lines = [",".join(header)]
+    for i in range(200):
+        fields = [
+            _GOOD_TOKENS[slot][rng.integers(len(_GOOD_TOKENS[slot]))] if slot else f"note {i}"
+            for slot in slots
+        ]
+        if i % 17 == 3:
+            fields[0] = " Suspicious "  # dropped, and counted, on the fast path
+        lines.append(",".join(fields))
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    column_map = {source: name for source, name in zip(header, slots) if name}
+    shard = _assert_same_parse(path, tmp_path, caplog, column_map)
+    assert len(shard) == 188
+    assert caplog.messages[0] == "dropped rows by unsupported class: {'suspicious': 12}"
+
+
+@pytest.mark.parametrize("reader", ["pieces", "csv.reader"])
+def test_tokens_of_refused_rows_name_no_error_and_no_dropped_class(
+    reader, tmp_path, caplog, monkeypatch
+):
+    # A refused row's tokens enter the code tables first: a whole-block np.loadtxt read
+    # codes every row before a _coerce_row rule refuses the block, and csv.reader's rows
+    # code their protocol before their counts are checked.  The first unseen protocol and
+    # the dropped classes are still those of accepted rows, in file order.
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 8)
+    monkeypatch.setattr(flowdata, "_PIECE_LINES", 4)
+    reads = []  # (line count, read by np.loadtxt) of each _parse_block call
+    parse_block = flowdata._parse_block
+
+    def recorded_block(lines, *args):
+        columns = parse_block(lines, *args)
+        reads.append((len(lines), columns is not None))
+        return columns
+
+    monkeypatch.setattr(flowdata, "_parse_block", recorded_block)
+    good = "0.5,TCP,80,22,7,532,.AP.SF,normal"
+    first_seen = [
+        "0.5, SCTP ,80,22,7,532,.AP.SF,normal",
+        "0.5,TCP,80,22,7,532,.A....,Suspicious",
+    ]
+    block_2 = [good, "-1,QUIC,80,22,7,532,.AP.SF,unknown", good, good, good, good, good, good]
+    if reader == "pieces":
+        block_2[5:7] = first_seen  # in the second piece, which np.loadtxt reads
+        block_3 = [good] * 8
+    else:
+        block_3 = [
+            '0.5,TCP,80,22,7,532,".A....",normal',  # csv.reader takes the rest of the file
+            "0.5,DCCP,80,22,nan,532,.AP.SF,unknown",
+            *first_seen, good,
+        ]
+    path = tmp_path / "flows.csv"
+    lines = [",".join(FEATURE_NAMES) + ",class", *[good] * 8, *block_2, *block_3]
+    path.write_text("\n".join(lines) + "\n")
+
+    table, messages = _oracle_parse(path, CANONICAL_COLUMN_MAP)
+    assert messages[0] == "dropped rows by unsupported class: {'suspicious': 1}"
+    with pytest.raises(ValueError, match="unseen protocol token 'SCTP'"):
+        _frozen_encode(table)
+    assert _assert_same_parse(path, tmp_path, caplog, CANONICAL_COLUMN_MAP) is None
+    assert reads[:4] == [(8, True), (8, False), (4, False), (4, True)]
+
+
 def test_parse_scratch_memory_stays_under_one_large_block(tmp_path):
     # 40,000 rows fit one 65,536-line block, whose line list, record array and
     # per-field strs need about 17 MiB beyond the shard; 16,384-line blocks about 8.
