@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 import os
 import stat
 import warnings
@@ -33,7 +32,7 @@ CLASS_CODES = {name: code for code, name in enumerate(CLASS_NAMES)}
 _SUFFIX_FACTORS = {"K": 1e3, "M": 1e6}
 
 _PORT_MAX = 65535
-_COUNT_MAX = int(np.iinfo(np.int64).max)  # FlowTable stores counts as int64
+_COUNT_MAX = int(np.iinfo(np.int64).max)  # the int64 bound synthgen.check_sizes holds sizes to
 
 
 def physical_memory() -> int:
@@ -56,14 +55,14 @@ FLAGS = tuple(
 _COLUMN_DTYPES = (np.float64, object, np.int64, np.int64, np.int64, np.int64, object, object)
 
 # parse_flow_csv reads data rows in blocks of this many lines, each by np.loadtxt as
-# these fields: counts float64 like _parse_count's float(), tokens coded as they are
-# read.  A block that np.loadtxt or a _coerce_row rule refuses is read again in pieces
-# of _PIECE_LINES lines; only a refused piece goes row by row.
+# these fields: counts float64 like _count_value's, tokens coded as they are read.  A
+# block holding a field that np.loadtxt cannot convert (a K/M suffix, a short row) is
+# read again in pieces of _PIECE_LINES lines; only a refused piece goes row by row.
+# Either way, _accepted decides which of the converted rows are kept.
 _BLOCK_LINES = 16384
 _PIECE_LINES = 1024
 _BLOCK_DTYPE = [("duration", "f8"), ("protocol", "i8"), ("src_port", "i8"), ("dst_port", "i8"),
                 ("packets", "f8"), ("bytes", "f8"), ("flags", "i8"), (CLASS_COLUMN, "i8")]
-_ROW_DTYPES = (np.float64,) + (np.int64,) * 7  # a parsed piece's columns, tokens as codes
 
 
 @dataclass(frozen=True)
@@ -201,27 +200,18 @@ def scale_dataset(dataset: LabeledDataset, scaler: ScalerParams) -> LabeledDatas
     return dataset
 
 
-def _parse_count(token: str, name: str) -> int:
-    """Parse a count that may carry a K/M suffix ("2.1 M" -> 2100000)."""
+def _count_value(token: str) -> float:
+    """A count's value, unrounded, with a K/M suffix applied ("2.1 M" -> 2100000.0)."""
     text = token.strip()
-    if not text:
-        raise ValueError("empty count")
-    factor = _SUFFIX_FACTORS.get(text[-1].upper())
-    value = float(text) if factor is None else float(text[:-1].strip()) * factor
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite {name} {token!r}")
-    count = int(round(value))
-    if count < 0:
-        raise ValueError(f"negative {name} {count}")
-    if count > _COUNT_MAX:
-        raise ValueError(f"{name} {count} too large")
-    return count
+    factor = _SUFFIX_FACTORS.get(text[-1:].upper())
+    return float(text) if factor is None else float(text[:-1].strip()) * factor
 
 
 def _parse_port(token: str) -> int:
+    """A port; ValueError outside [0, _PORT_MAX], which also keeps it within int64."""
     port = int(token.strip())
     if not 0 <= port <= _PORT_MAX:
-        raise ValueError(f"port {port} out of range")
+        raise ValueError("port out of range")
     return port
 
 
@@ -258,7 +248,7 @@ def parse_flow_csv(path, column_map: dict[str, str]) -> LabeledDataset:
 
     rows = _EncodedRows(default_encoding(), _line_bound(path), _CLEANERS)
     dropped: dict[str, int] = {}  # rows by unsupported class
-    malformed = 0
+    read = 0  # data rows, skipped ones included
 
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is not header text
         reader = csv.reader(fh)
@@ -287,14 +277,14 @@ def parse_flow_csv(path, column_map: dict[str, str]) -> LabeledDataset:
                 pieces = _pieces(block, positions, rows.codes)
             del text  # not alive while np.loadtxt reads the block
             for columns, refused in pieces:
-                malformed += refused
-                rows.add(_drop_unsupported(columns, dropped, rows.codes[2]))
+                read += refused + len(columns[0])
+                rows.add(_accepted(columns, dropped, rows.codes[2]))
                 del columns  # not alive while the next piece is read
 
     if dropped:
         logger.info("dropped rows by unsupported class: %s", dict(sorted(dropped.items())))
-    if skipped := malformed + sum(dropped.values()):
-        logger.info("rejected %d of %d data rows", skipped, skipped + rows.count)
+    if skipped := read - rows.count:
+        logger.info("rejected %d of %d data rows", skipped, read)
     return rows.result()
 
 
@@ -398,9 +388,9 @@ def _pieces(lines, positions, codes):
 
 
 def _parse_block(lines, positions, codes):
-    """``lines``' columns by np.loadtxt, tokens coded by ``codes`` as they are read, as
-    ``_coerce_rows`` gives them; blank lines are no rows, as for csv.reader.  None if a
-    row breaks a ``_coerce_row`` rule."""
+    """``lines``' ``_BLOCK_DTYPE`` fields by np.loadtxt, tokens coded by ``codes`` as they
+    are read, as ``_coerce_rows`` gives them; blank lines are no rows, as for csv.reader.
+    None if np.loadtxt cannot convert a field."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy 1.x reads an int "5.0" with a warning
@@ -414,25 +404,24 @@ def _parse_block(lines, positions, codes):
             )
     except (ValueError, Warning):
         return None
-    duration, ports = table["duration"], [table["src_port"], table["dst_port"]]
-    counts = [np.rint(table["packets"]), np.rint(table["bytes"])]  # half-to-even, as round()
+    return [table[name] for name, _ in _BLOCK_DTYPE]
+
+
+def _accepted(columns: list, dropped: dict[str, int], classes: _TokenCodes) -> list:
+    """The rows of ``columns``, ``_BLOCK_DTYPE``'s fields, that keep every row rule, counts
+    rounded: a finite duration >= 0, ports in [0, _PORT_MAX], counts in [0, 2**63) and a
+    class with a code.  ``dropped`` counts the rows that break only the class rule, by the
+    cleaned class token, named by ``classes``."""
+    duration, protocol, src_port, dst_port, packets, nbytes, flags, labels = columns
+    # Half to even, as round(); + 0.0 makes the -0.0 of a -0.4 count the 0.0 of an int.
+    counts = [np.rint(packets) + 0.0, np.rint(nbytes) + 0.0]
     valid = np.isfinite(duration) & (duration >= 0)
-    valid &= (np.minimum(*ports) >= 0) & (np.maximum(*ports) <= _PORT_MAX)
+    valid &= (np.minimum(src_port, dst_port) >= 0) & (np.maximum(src_port, dst_port) <= _PORT_MAX)
     valid &= (np.minimum(*counts) >= 0) & (np.maximum(*counts) < 2.0**63)  # NaN fails too
-    if not valid.all():
-        return None
-    columns = [duration, table["protocol"], *ports, *counts, table["flags"], table[CLASS_COLUMN]]
-    # Copies: a view would keep the record array alive past this block.
-    return [np.array(column, dtype) for column, dtype in zip(columns, _ROW_DTYPES)]
-
-
-def _drop_unsupported(columns: list, dropped: dict[str, int], classes: _TokenCodes) -> list:
-    """``columns`` without the rows whose class has no code; ``dropped`` counts those
-    rows by the cleaned class token, named by ``classes``."""
-    keep = columns[-1] >= 0
-    if keep.all():
+    columns = [duration, protocol, src_port, dst_port, *counts, flags, labels]
+    if (keep := valid & (labels >= 0)).all():
         return columns
-    per_code = np.bincount(-1 - columns[-1][~keep]).tolist()
+    per_code = np.bincount(-1 - labels[valid & ~keep]).tolist()
     for name, count in zip(classes.unknown, per_code):
         if count:
             dropped[name] = dropped.get(name, 0) + count
@@ -441,42 +430,35 @@ def _drop_unsupported(columns: list, dropped: dict[str, int], classes: _TokenCod
 
 def _coerce_rows(rows, positions, codes):
     """For each ``_BLOCK_LINES`` rows of the csv.reader ``rows``, until they run out: the
-    columns of those that ``_coerce_row`` accepts, and the count of those it refuses."""
+    ``_BLOCK_DTYPE`` fields of those that ``_coerce_row`` converts, and the count of those
+    it refuses."""
     while True:
-        read, accepted, refused = rows.line_num, [], 0
+        read, converted, refused = rows.line_num, [], 0
         for row in islice(rows, _BLOCK_LINES):
             if not row:
                 continue
             try:
-                accepted.append(_coerce_row(row, positions, codes))
+                converted.append(_coerce_row(row, positions, codes))
             except (ValueError, IndexError):
                 refused += 1
         if rows.line_num == read:
             return
-        columns = zip(*accepted) if accepted else [()] * len(_ROW_DTYPES)
-        yield [np.asarray(column, dtype) for column, dtype in zip(columns, _ROW_DTYPES)], refused
+        table = np.array(converted, _BLOCK_DTYPE)
+        del converted  # not alive while the fields are used
+        yield [table[name] for name, _ in _BLOCK_DTYPE], refused
 
 
 def _coerce_row(row: list[str], positions: dict[str, int], codes) -> tuple:
-    """One row's values in ``FlowTable`` order, tokens coded by ``codes``; ValueError rejects it."""
-    try:
-        duration = float(row[positions["duration"]])
-    except ValueError:
-        raise ValueError(f"bad duration {row[positions['duration']]!r}") from None
-    if not math.isfinite(duration) or duration < 0:
-        raise ValueError(f"bad duration {row[positions['duration']]!r}")
-    protocol = codes[0][row[positions["protocol"]]]  # an empty token raises
-    flags = codes[1][row[positions["flags"]]]
-    packets = _parse_count(row[positions["packets"]], "packets")
-    nbytes = _parse_count(row[positions["bytes"]], "bytes")
+    """One row's fields in ``_BLOCK_DTYPE`` order, tokens coded by ``codes``; ValueError or
+    IndexError if one cannot be converted."""
     return (
-        duration,
-        protocol,
+        float(row[positions["duration"]]),
+        codes[0][row[positions["protocol"]]],  # an empty token raises
         _parse_port(row[positions["src_port"]]),
         _parse_port(row[positions["dst_port"]]),
-        packets,
-        nbytes,
-        flags,
+        _count_value(row[positions["packets"]]),
+        _count_value(row[positions["bytes"]]),
+        codes[1][row[positions["flags"]]],
         codes[2][row[positions[CLASS_COLUMN]]],
     )
 

@@ -488,7 +488,8 @@ _GOOD_TOKENS = {
     "flags": [".AP.SF", "......", "....S.", " .A.... "],
     "class": ["normal", "attacker", "victim", "Normal", " ATTACKER ", "victim "],
 }
-# Each value sends its row, and so its block, to the per-row path.
+# Each value breaks a row rule, or np.loadtxt cannot convert it and sends its block
+# to the per-row path.
 _BAD_TOKENS = {
     "duration": ["nan", "inf", "-1", "abc", "", "1_0", "-inf"],
     "protocol": ["", "   "],
@@ -717,10 +718,10 @@ def test_token_converters_are_keyed_by_file_column(tmp_path, caplog, monkeypatch
 def test_tokens_of_refused_rows_name_no_error_and_no_dropped_class(
     reader, tmp_path, caplog, monkeypatch
 ):
-    # A refused row's tokens enter the code tables first: a whole-block np.loadtxt read
-    # codes every row before a _coerce_row rule refuses the block, and csv.reader's rows
-    # code their protocol before their counts are checked.  The first unseen protocol and
-    # the dropped classes are still those of accepted rows, in file order.
+    # A skipped row's tokens enter the code tables first: np.loadtxt and _coerce_row
+    # code every token of a row they convert, and _accepted skips the row by its rules
+    # after that.  The first unseen protocol and the dropped classes are still those of
+    # accepted rows, in file order.
     monkeypatch.setattr(flowdata, "_BLOCK_LINES", 8)
     monkeypatch.setattr(flowdata, "_PIECE_LINES", 4)
     reads = []  # (line count, read by np.loadtxt) of each _parse_block call
@@ -737,7 +738,8 @@ def test_tokens_of_refused_rows_name_no_error_and_no_dropped_class(
         "0.5, SCTP ,80,22,7,532,.AP.SF,normal",
         "0.5,TCP,80,22,7,532,.A....,Suspicious",
     ]
-    block_2 = [good, "-1,QUIC,80,22,7,532,.AP.SF,unknown", good, good, good, good, good, good]
+    # np.loadtxt cannot read "7 K", so the block and its first piece go row by row.
+    block_2 = [good, "-1,QUIC,80,22,7 K,532,.AP.SF,unknown", good, good, good, good, good, good]
     if reader == "pieces":
         block_2[5:7] = first_seen  # in the second piece, which np.loadtxt reads
         block_3 = [good] * 8
@@ -833,7 +835,7 @@ def test_refused_blocks_are_read_again_in_fixed_pieces(
         if i in bad and kind == 0:
             fields[_DURATION] = "abc"  # np.loadtxt refuses the piece
         elif i in bad and kind == 1:
-            fields[_DURATION] = "-1"  # np.loadtxt reads it, a _coerce_row rule refuses it
+            fields[_DURATION] = "-1"  # np.loadtxt reads it, and the row is skipped
         elif i in bad:
             fields = fields[:_DURATION + 2]  # a short row
         lines.append(",".join(fields))
@@ -845,18 +847,69 @@ def test_refused_blocks_are_read_again_in_fixed_pieces(
     assert len(shard) == n_rows - len(bad)
     assert caplog.messages == [f"rejected {len(bad)} of {n_rows} data rows"]
     # Each block is tried whole; a refused one is tried again as its consecutive
-    # pieces, and only a piece holding a bad row goes row by row.
+    # pieces, and only a piece holding an unconvertible row goes row by row.
+    refusing = {i for i in bad if i % 3 != 1}  # the "abc" and short rows
     expected = []
     for start in range(0, n_rows, block):
         rows = range(start, min(start + block, n_rows))
-        expected.append((start, len(rows), not set(rows) & set(bad)))
-        if set(rows) & set(bad):
+        expected.append((start, len(rows), not set(rows) & refusing))
+        if set(rows) & refusing:
             for first in range(rows.start, rows.stop, piece):
                 held = range(first, min(first + piece, rows.stop))
-                expected.append((first, len(held), not set(held) & set(bad)))
-                expected += ["row by row"] * bool(set(held) & set(bad))
+                expected.append((first, len(held), not set(held) & refusing))
+                expected += ["row by row"] * bool(set(held) & refusing)
     assert events == expected
-    assert events.count("row by row") == len(bad)
+    assert events.count("row by row") == len(refusing) > 0
+
+
+def test_rows_that_break_a_rule_are_skipped_alike_by_both_readers(
+    tmp_path, caplog, monkeypatch
+):
+    # np.loadtxt converts every field below, so the plain file stays on the fast path;
+    # a quoted copy goes through csv.reader and _coerce_row.  One side of each rule's
+    # bound is kept and the other skipped, the same rows by both readers.
+    header = ",".join(FEATURE_NAMES) + ",class"
+    good = dict(zip(header.split(","), "0.5,TCP,80,22,7,532,.AP.SF,normal".split(",")))
+
+    def line(**values):
+        return ",".join({**good, **values}.values())
+
+    largest_count = "9223372036854774784"  # the largest float64 below 2**63
+    kept = [
+        line(duration="-0.0"),
+        *(line(**{port: "65535"}) for port in ("src_port", "dst_port")),
+        *(line(**{count: value}) for count in ("packets", "bytes")
+          for value in ("-0.4", largest_count)),  # -0.4 rounds to +0.0
+    ]
+    skipped = [
+        *(line(duration=value) for value in ("-1", "nan", "inf")),
+        *(line(**{port: value}) for port in ("src_port", "dst_port") for value in ("65536", "-1")),
+        *(line(**{count: value}) for count in ("packets", "bytes")
+          for value in ("-0.6", "nan", str(2**63))),
+        line(duration="-1", **{"class": "unknown"}),  # skipped, not dropped by class
+    ]
+    rows = [*kept, line(**{"class": "unknown"}), *skipped]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("\n".join([header, *rows]) + "\n")
+    quoted.write_text("\n".join([header, rows[0].replace(",normal", ',"normal"'), *rows[1:]])
+                      + "\n")
+
+    def no_per_row_path(*args):
+        raise AssertionError("np.loadtxt should read every row")
+
+    shards = []
+    for path in (plain, quoted):
+        with monkeypatch.context() as patched:
+            if path == plain:
+                patched.setattr(flowdata, "_coerce_rows", no_per_row_path)
+            shards.append(_assert_same_parse(path, tmp_path, caplog, CANONICAL_COLUMN_MAP))
+        assert caplog.messages == [
+            "dropped rows by unsupported class: {'unknown': 1}",
+            f"rejected {len(skipped) + 1} of {len(rows)} data rows",
+        ]
+    assert len(shards[0]) == len(kept)
+    assert not np.signbit(shards[0].features[:, 4:6]).any()  # counts, -0.4 as +0.0
+    _assert_same_bytes(shards[1], shards[0])
 
 
 # --- Encoded parse and in-place preparation against the frozen pipeline -----

@@ -1,12 +1,15 @@
-"""Keep no function, field or parameter default that only tests use.
+"""Keep no function, field, module-level name or parameter default that only tests use.
 
 Every function, method and class defined in ``src/segfl`` must be named
 somewhere in ``src/`` or ``perfbench/`` outside its own definition: as a
 name, an attribute, an imported name, or a string that is exactly the name
-(``perfbench/tracing.py`` wraps attributes by their names).  Every annotated
-class field there must be read by name in ``src/`` or ``perfbench/``: as an
-attribute load or as such a string.  Every parameter with a default must be
-passed, by keyword or by position, by some call in ``src/`` or ``perfbench/``.
+(``perfbench/tracing.py`` wraps attributes by their names).  Every name a
+module-level assignment there binds must be read in ``src/`` or ``perfbench/``
+outside that statement: as a name or attribute load, or as such a string.
+Every annotated class field there must be read by name in ``src/`` or
+``perfbench/``: as an attribute load or as such a string.  Every parameter with
+a default must be passed, by keyword or by position, by some call in ``src/``
+or ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ _ENTRY_POINTS = {
 # Documented fields that nothing in src/ or perfbench/ reads.
 _READ_BY_USERS = {
     "orchestrator.ExperimentResult.timeline",  # README "Library use" reads it
+}
+
+# Module-level names that nothing in src/ or perfbench/ reads.
+_MODULE_NAMES_READ_ELSEWHERE = {
+    "__init__.__all__",  # ``from segfl import *`` reads it
 }
 
 # Parameters with a default that no call in src/ or perfbench/ names, and why they stay.
@@ -105,6 +113,49 @@ def test_every_src_field_is_read_outside_tests():
         if node.target.id not in read
     ]
     assert sorted(unread) == sorted(_READ_BY_USERS)
+
+
+def _loads(tree: ast.AST):
+    """(name, line) for every name a module loads, as a name, an attribute or a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            yield getattr(node, "id", None) or node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+
+
+def _bound(statement: ast.stmt):
+    """The names a module-level assignment binds."""
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)):
+        targets = [statement.target]
+    else:
+        targets = []
+    for target in targets:
+        for node in ast.walk(target):
+            if isinstance(node, ast.Name):
+                yield node.id
+
+
+def test_every_src_module_name_is_read_outside_tests():
+    trees = _trees()
+    loads = {path: list(_loads(tree)) for path, tree in trees.items()}
+    unread = []
+    for path, tree in trees.items():
+        if path.parent.name != "segfl":
+            continue
+        for statement in tree.body:
+            own = range(statement.lineno, statement.end_lineno + 1)
+            for name in _bound(statement):
+                if not any(
+                    used == name and (other != path or line not in own)
+                    for other, found in loads.items()
+                    for used, line in found
+                ):
+                    unread.append(f"{path.stem}.{name}")
+    assert sorted(unread) == sorted(_MODULE_NAMES_READ_ELSEWHERE)
 
 
 def _calls(trees) -> dict[str, list[ast.Call]]:
