@@ -55,14 +55,20 @@ FLAGS = tuple(
 _COLUMN_DTYPES = (np.float64, object, np.int64, np.int64, np.int64, np.int64, object, object)
 
 # parse_flow_csv reads data rows in blocks of this many lines, each by np.loadtxt as
-# these fields: counts float64 like _count_value's, tokens coded as they are read.  A
-# block holding a field that np.loadtxt cannot convert (a K/M suffix, a short row) is
-# read again in pieces of _PIECE_LINES lines; only a refused piece goes row by row.
-# Either way, _accepted decides which of the converted rows are kept.
+# _READ_DTYPE's fields, then codes its tokens into these: counts float64 like
+# _count_value's, tokens as codes.  A block holding a field that np.loadtxt cannot
+# convert (a K/M suffix, a short row, a token of _TOKEN_BYTES or more) is read again in
+# pieces of _PIECE_LINES lines; only a refused piece goes row by row.  Either way,
+# _accepted decides which of the converted rows are kept.
 _BLOCK_LINES = 16384
 _PIECE_LINES = 1024
 _BLOCK_DTYPE = [("duration", "f8"), ("protocol", "i8"), ("src_port", "i8"), ("dst_port", "i8"),
                 ("packets", "f8"), ("bytes", "f8"), ("flags", "i8"), (CLASS_COLUMN, "i8")]
+_TOKEN_FIELDS = ("protocol", "flags", CLASS_COLUMN)
+# np.loadtxt reads a token as latin-1 bytes, padding kept, and cuts a longer one silently.
+_TOKEN_BYTES = 16
+_READ_DTYPE = [(name, f"S{_TOKEN_BYTES}" if name in _TOKEN_FIELDS else kind)
+               for name, kind in _BLOCK_DTYPE]
 
 
 @dataclass(frozen=True)
@@ -235,9 +241,8 @@ def parse_flow_csv(path, column_map: dict[str, str]) -> LabeledDataset:
     Raises:
         ValueError: a column map that misses an attribute or maps two columns to
             one, a header that lacks a mapped column or holds it twice, a path that
-            is not a regular file,
-            and the error ``EncodingMap.encode`` raises for the first accepted token
-            it has no code for, after the skipped rows are logged.
+            is not a regular file, and, after the skipped rows are logged, the error
+            ``_EncodedRows.result`` raises for the first accepted token without a code.
     """
     if missing := {*FEATURE_NAMES, CLASS_COLUMN} - set(column_map.values()):
         raise ValueError(f"column_map does not cover attributes: {sorted(missing)}")
@@ -312,18 +317,48 @@ def _line_bound(path) -> int:
 class _TokenCodes(dict):
     """A token column's code per raw token: ``__missing__`` cleans a raw token once, by
     ``clean`` if any, and codes it by ``known``; the i-th cleaned token that ``known``
-    lacks, the i-th key of ``unknown``, gets code -1 - i."""
+    lacks, the i-th key of ``unknown``, gets code -1 - i.  Each token of ``known`` is
+    its own raw form from the start."""
 
     def __init__(self, known: dict[str, int], clean):
-        super().__init__()
+        super().__init__(known)
         self.known, self.clean, self.unknown = known, clean, {}
+        self.table = None  # read()'s lookup table; None once __missing__ adds a token
 
     def __missing__(self, raw: str) -> int:
         token = raw if self.clean is None else self.clean(raw)
         if (code := self.known.get(token)) is None:
             code = self.unknown.setdefault(token, -1 - len(self.unknown))
         self[raw] = code
+        self.table = None
         return code
+
+    def read(self, tokens: np.ndarray) -> np.ndarray:
+        """The codes of ``tokens``, an ``S{_TOKEN_BYTES}`` field that np.loadtxt read: each
+        token's two 8-byte words are found in a table of the raw tokens seen, and a token
+        not found is coded by ``self[...]``, once per distinct token.  ValueError for a token
+        that fills _TOKEN_BYTES, which np.loadtxt may have cut, or as ``__missing__`` raises."""
+        if tokens[:, None].view(np.uint8)[:, -1].any():
+            raise ValueError(f"a token of {_TOKEN_BYTES} bytes or more")
+        if self.table is None:  # the raw tokens np.loadtxt reads whole; a NUL reads as padding
+            raws = {
+                raw.encode("latin-1"): code for raw, code in self.items()
+                if len(raw) < _TOKEN_BYTES and "\0" not in raw and max(raw, default="") <= "\xff"
+            }
+            words = np.array(list(raws), tokens.dtype)[:, None].view(np.uint64)
+            order = np.argsort(words[:, 0], kind="stable")  # by first word
+            self.table = words[order].T.copy(), np.fromiter(raws.values(), np.int64)[order]
+        (first, second), codes = self.table
+        words = tokens[:, None].view(np.uint64)  # a view: a length-1 axis may change itemsize
+        at = np.minimum(np.searchsorted(first, words[:, 0]), len(first) - 1)
+        found = codes[at]
+        missed = np.flatnonzero((first[at] != words[:, 0]) | (second[at] != words[:, 1]))
+        distinct, seen, inverse = np.unique(tokens[missed], return_index=True, return_inverse=True)
+        missed_codes = np.empty(len(distinct), np.int64)
+        for i in np.argsort(seen):  # in order of first appearance
+            missed_codes[i] = self[distinct[i].decode("latin-1")]
+        found[missed] = missed_codes[inverse]
+        return found
 
 
 def _clean_token(raw: str) -> str:
@@ -388,23 +423,20 @@ def _pieces(lines, positions, codes):
 
 
 def _parse_block(lines, positions, codes):
-    """``lines``' ``_BLOCK_DTYPE`` fields by np.loadtxt, tokens coded by ``codes`` as they
-    are read, as ``_coerce_rows`` gives them; blank lines are no rows, as for csv.reader.
-    None if np.loadtxt cannot convert a field."""
+    """``lines``' ``_BLOCK_DTYPE`` fields by np.loadtxt, tokens coded by ``codes``, as
+    ``_coerce_rows`` gives them; blank lines are no rows, as for csv.reader.  None if
+    np.loadtxt cannot convert a field or ``codes`` cannot code a token."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy 1.x reads an int "5.0" with a warning
             table = np.loadtxt(
-                lines, _BLOCK_DTYPE, delimiter=",", comments=None, quotechar=None, ndmin=1,
-                usecols=[positions[name] for name, _ in _BLOCK_DTYPE],
-                # Keys are file columns; numpy 1.x would pass bytes without encoding=None.
-                converters={positions[name]: column.__getitem__
-                            for name, column in zip(("protocol", "flags", CLASS_COLUMN), codes)},
-                encoding=None,
+                lines, _READ_DTYPE, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                usecols=[positions[name] for name, _ in _READ_DTYPE], encoding=None,
             )
+        tokens = {name: column.read(table[name]) for name, column in zip(_TOKEN_FIELDS, codes)}
     except (ValueError, Warning):
         return None
-    return [table[name] for name, _ in _BLOCK_DTYPE]
+    return [tokens.get(name, table[name]) for name, _ in _BLOCK_DTYPE]
 
 
 def _accepted(columns: list, dropped: dict[str, int], classes: _TokenCodes) -> list:

@@ -684,10 +684,9 @@ def test_block_parser_cleans_padded_tokens_to_their_codes(tmp_path, monkeypatch)
 
 
 def test_token_converters_are_keyed_by_file_column(tmp_path, caplog, monkeypatch):
-    # np.loadtxt reads the columns in usecols order but keys converters by file column.
-    # Were a key taken as a usecols index, a count column would be coded, or the protocol
-    # column read as an integer and every block refused.  Were tokens passed as bytes
-    # (numpy 1.x without encoding=None), no token would have a code.
+    # np.loadtxt reads the columns in usecols order, by file column.  Were a token field
+    # read from another column, a count would be read as a token and every token column
+    # coded wrongly, or the protocol column read as a number and every block refused.
     def no_per_row_path(*args):
         raise AssertionError("every block should be read by np.loadtxt")
 
@@ -759,6 +758,173 @@ def test_tokens_of_refused_rows_name_no_error_and_no_dropped_class(
         _frozen_encode(table)
     assert _assert_same_parse(path, tmp_path, caplog, CANONICAL_COLUMN_MAP) is None
     assert reads[:4] == [(8, True), (8, False), (4, False), (4, True)]
+
+
+def _fast_path_only(monkeypatch):
+    def no_per_row_path(*args):
+        raise AssertionError("every block should be read by np.loadtxt")
+
+    monkeypatch.setattr(flowdata, "_coerce_rows", no_per_row_path)
+
+
+def _recorded_reads(monkeypatch):
+    """Patches the parser to record, in order, (line count, read by np.loadtxt) for each
+    _parse_block call and "row by row" for each _coerce_rows call; returns that list."""
+    events = []
+    parse_block, coerce_rows = flowdata._parse_block, flowdata._coerce_rows
+
+    def recorded_block(lines, *args):
+        columns = parse_block(lines, *args)
+        events.append((len(lines), columns is not None))
+        return columns
+
+    def recorded_rows(*args):
+        events.append("row by row")
+        return coerce_rows(*args)
+
+    monkeypatch.setattr(flowdata, "_parse_block", recorded_block)
+    monkeypatch.setattr(flowdata, "_coerce_rows", recorded_rows)
+    return events
+
+
+def test_a_cidds_shaped_file_stays_on_the_fast_path(tmp_path, caplog, monkeypatch):
+    # Unsupported classes, padded protocols and classes in any case, as CIDDS-001 exports
+    # hold them: np.loadtxt reads every block, and table lookups code its tokens.
+    _fast_path_only(monkeypatch)
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 64)
+    rng = np.random.default_rng(3)
+    lines = [",".join(_ORACLE_HEADER)]
+    for _ in range(600):
+        fields = _good_fields(rng)
+        roll = rng.random()
+        if roll < 0.10:
+            fields[-1] = "suspicious"
+        elif roll < 0.12:
+            fields[-1] = "unknown"
+        else:
+            fields[-1] = ("normal", "Normal", "attacker", "VICTIM")[rng.integers(4)]
+        if rng.random() < 0.05:
+            fields[_ORACLE_SLOTS.index("protocol")] = " TCP "
+        lines.append(",".join(fields))
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    shard = _assert_same_parse(path, tmp_path, caplog, _ORACLE_MAP)
+    assert 450 < len(shard) < 570
+    assert re.fullmatch(
+        r"dropped rows by unsupported class: \{'suspicious': \d+, 'unknown': \d+\}",
+        caplog.messages[0],
+    )
+
+
+def test_latin1_tokens_are_read_and_wider_characters_refuse_their_block(
+    tmp_path, caplog, monkeypatch
+):
+    # np.loadtxt reads a token as latin-1 bytes: 'é' is one byte, read on the fast path,
+    # and '€' is none, so its block goes to the pieces and its piece row by row.
+    header = ",".join(FEATURE_NAMES) + ",class"
+    good = "0.5,TCP,80,22,7,532,.AP.SF,normal"
+    path = tmp_path / "flows.csv"
+    with monkeypatch.context() as patched:
+        _fast_path_only(patched)
+        path.write_bytes("\n".join([header, good, good.replace("TCP", "TCPé"), good, ""]).encode())
+        assert _assert_same_parse(path, tmp_path, caplog, CANONICAL_COLUMN_MAP) is None
+        with pytest.raises(ValueError, match="^unseen protocol token 'TCPé'$"):
+            parse_flow_csv(path, CANONICAL_COLUMN_MAP)
+
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 4)
+    monkeypatch.setattr(flowdata, "_PIECE_LINES", 2)
+    reads = _recorded_reads(monkeypatch)
+    euro = good.replace("normal", " Normal€ ")
+    lines = [header, *[good] * 4, good, good, euro, good.replace("normal", "Suspicious é")]
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    shard = _assert_same_parse(path, tmp_path, caplog, CANONICAL_COLUMN_MAP)
+    assert len(shard) == 6
+    assert caplog.messages[0] == (
+        "dropped rows by unsupported class: {'normal€': 1, 'suspicious é': 1}"
+    )
+    assert reads == [(4, True), (4, False), (2, True), (2, False), "row by row"]
+
+
+def test_tokens_of_16_bytes_or_more_send_their_piece_row_by_row(
+    tmp_path, caplog, monkeypatch
+):
+    # np.loadtxt reads a token into 16 bytes and cuts a longer one silently, so a token
+    # that fills them refuses its piece: the row path names the 40-byte class whole.
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 8)
+    monkeypatch.setattr(flowdata, "_PIECE_LINES", 4)
+    reads = _recorded_reads(monkeypatch)
+    good = "0.5,TCP,80,22,7,532,.AP.SF,normal"
+    classes = ["a" * 15, "b" * 16, "c" * 40]
+    lines = [",".join(FEATURE_NAMES) + ",class"]
+    for name in classes:  # one block each, the token in its second piece
+        lines += [good] * 5 + [good.replace("normal", name)] + [good] * 2
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    shard = _assert_same_parse(path, tmp_path, caplog, CANONICAL_COLUMN_MAP)
+    assert len(shard) == 21
+    assert caplog.messages[0] == (
+        f"dropped rows by unsupported class: {dict.fromkeys(classes, 1)}"
+    )
+    refused = [(8, False), (4, True), (4, False), "row by row"]
+    assert reads == [(8, True), *refused, *refused]
+
+
+def test_tokens_that_share_their_first_8_bytes_keep_their_own_codes(
+    tmp_path, caplog, monkeypatch
+):
+    # The lookup table is sorted by a token's first 8 bytes, so these find one entry by
+    # them, and only the second 8 bytes tell 'attacker' from 'attackers' or 'attacker '.
+    _fast_path_only(monkeypatch)
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 4)
+    good = "0.5,TCP,80,22,7,532,.AP.SF,"
+    classes = ["attackers", "attacker", "attacker ", "attacker2", "attacker", "attackers"] * 3
+    lines = [",".join(FEATURE_NAMES) + ",class", *(good + name for name in classes)]
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    shard = _assert_same_parse(path, tmp_path, caplog, CANONICAL_COLUMN_MAP)
+    assert len(shard) == 9
+    assert caplog.messages[0] == (
+        "dropped rows by unsupported class: {'attacker2': 3, 'attackers': 6}"
+    )
+
+
+def test_a_vocabulary_only_file_is_coded_without_a_missed_token(tmp_path, monkeypatch):
+    # Each parse's tables start with the vocabulary's own tokens, so a file that holds
+    # only those never codes a token one at a time.
+    path = tmp_path / "flows.csv"
+    write_flow_csv(to_records(generate(make_profile(), 5_000, seed=4)), path)
+    table, _ = _oracle_parse(path, CANONICAL_COLUMN_MAP)
+
+    def no_missed_token(self, raw):
+        raise AssertionError(f"{raw!r} is not in the table it started with")
+
+    _fast_path_only(monkeypatch)
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 1000)
+    monkeypatch.setattr(flowdata._TokenCodes, "__missing__", no_missed_token)
+    _assert_same_bytes(parse_flow_csv(path, CANONICAL_COLUMN_MAP), _frozen_encode(table))
+
+
+def test_a_token_with_a_nul_codes_no_token_without_it(tmp_path, caplog, monkeypatch):
+    # From Python 3.11 csv.reader keeps a NUL, so 'Normal' and a NUL is an unsupported
+    # class.  np.loadtxt's 'Normal' in the next block has the same 16 bytes, padding
+    # being NULs, and must still be coded as 'normal'.
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 4)
+    good = "0.5,TCP,80,22,7,532,.AP.SF,attacker"
+    lines = [
+        ",".join(FEATURE_NAMES) + ",class",
+        good.replace("attacker", "Normal\x00"), good, good, good,  # read row by row
+        *[good.replace("attacker", "Normal")] * 4,  # read by np.loadtxt
+    ]
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        _oracle_parse(path, CANONICAL_COLUMN_MAP)
+    except csv.Error as exc:  # NUL before Python 3.11
+        with pytest.raises(csv.Error, match=re.escape(str(exc))):
+            parse_flow_csv(path, CANONICAL_COLUMN_MAP)
+        return
+    shard = _assert_same_parse(path, tmp_path, caplog, CANONICAL_COLUMN_MAP)
+    assert shard.labels.tolist() == [CLASS_CODES["attacker"]] * 3 + [CLASS_CODES["normal"]] * 4
 
 
 def test_parse_scratch_memory_stays_under_one_large_block(tmp_path):
