@@ -57,11 +57,9 @@ _COLUMN_DTYPES = (np.float64, object, np.int64, np.int64, np.int64, np.int64, ob
 # parse_flow_csv reads data rows in blocks of this many lines, each by np.loadtxt as
 # _READ_DTYPE's fields, then codes its tokens into these: counts float64 like
 # _count_value's, tokens as codes.  A block holding a field that np.loadtxt cannot
-# convert (a K/M suffix, a short row, a token of _TOKEN_BYTES or more) is read again in
-# pieces of _PIECE_LINES lines; only a refused piece goes row by row.  Either way,
-# _accepted decides which of the converted rows are kept.
-_BLOCK_LINES = 16384
-_PIECE_LINES = 1024
+# convert (a K/M suffix, a short row, a token of _TOKEN_BYTES or more) goes row by row
+# through csv.reader.  Either way, _accepted decides which of the converted rows are kept.
+_BLOCK_LINES = 4096
 _BLOCK_DTYPE = [("duration", "f8"), ("protocol", "i8"), ("src_port", "i8"), ("dst_port", "i8"),
                 ("packets", "f8"), ("bytes", "f8"), ("flags", "i8"), (CLASS_COLUMN, "i8")]
 _TOKEN_FIELDS = ("protocol", "flags", CLASS_COLUMN)
@@ -272,19 +270,21 @@ def parse_flow_csv(path, column_map: dict[str, str]) -> LabeledDataset:
 
         while block := list(islice(fh, _BLOCK_LINES)):
             text = "".join(block)
-            if '"' in text:
-                # A quoted field may span blocks, so csv.reader takes the rest of the file.
-                pieces = _coerce_rows(csv.reader(chain(block, fh)), positions, rows.codes)
-            elif "\x00" in text or max(map(len, block)) > csv.field_size_limit():
-                # csv.reader may read a NUL (before Python 3.11) or an over-long field otherwise.
-                pieces = _coerce_rows(csv.reader(block), positions, rows.codes)
-            else:
-                pieces = _pieces(block, positions, rows.codes)
+            quoted = '"' in text
+            # csv.reader may read a NUL (before Python 3.11) or an over-long field otherwise.
+            plain = not (quoted or "\x00" in text or max(map(len, block)) > csv.field_size_limit())
             del text  # not alive while np.loadtxt reads the block
-            for columns, refused in pieces:
+            if plain and (columns := _parse_block(block, positions, rows.codes)) is not None:
+                parts = [(columns, 0)]
+            else:
+                # A quoted field may span blocks, so csv.reader takes the rest of the file.
+                block = chain(block, fh) if quoted else block
+                parts = _coerce_rows(csv.reader(block), positions, rows.codes)
+            for columns, refused in parts:
                 read += refused + len(columns[0])
                 rows.add(_accepted(columns, dropped, rows.codes[2]))
-                del columns  # not alive while the next piece is read
+                del columns  # not alive while the next rows are read
+            del parts  # nor while the next block is read
 
     if dropped:
         logger.info("dropped rows by unsupported class: %s", dict(sorted(dropped.items())))
@@ -406,20 +406,6 @@ class _EncodedRows:
         self.features.resize((self.count, len(FEATURE_NAMES)), refcheck=False)
         self.labels.resize(self.count, refcheck=False)
         return LabeledDataset(self.features, self.labels)
-
-
-def _pieces(lines, positions, codes):
-    """(columns, refused row count) of ``lines``, free of quotes, NULs and over-long
-    lines: one pair if ``_parse_block`` reads them, else one per ``_PIECE_LINES``-line
-    piece, which goes row by row only if ``_parse_block`` refuses it."""
-    columns = _parse_block(lines, positions, codes)
-    if columns is not None:
-        yield columns, 0
-    elif len(lines) <= _PIECE_LINES:
-        yield from _coerce_rows(csv.reader(lines), positions, codes)
-    else:
-        for start in range(0, len(lines), _PIECE_LINES):
-            yield from _pieces(lines[start : start + _PIECE_LINES], positions, codes)
 
 
 def _parse_block(lines, positions, codes):

@@ -17,8 +17,8 @@ from segfl.flowdata import CLASS_NAMES
 N_CLASSES = len(CLASS_NAMES)
 
 
-def confusion(true_labels, pred_labels, n_classes: int = N_CLASSES) -> np.ndarray:
-    """Counts matrix with rows = true class, columns = predicted class."""
+def confusion(true_labels, pred_labels) -> np.ndarray:
+    """``N_CLASSES`` x ``N_CLASSES`` counts with rows = true class, columns = predicted class."""
     true_labels = np.asarray(true_labels, dtype=np.int64)
     pred_labels = np.asarray(pred_labels, dtype=np.int64)
     if true_labels.shape != pred_labels.shape or true_labels.ndim != 1:
@@ -27,10 +27,10 @@ def confusion(true_labels, pred_labels, n_classes: int = N_CLASSES) -> np.ndarra
             f"{true_labels.shape} and {pred_labels.shape}"
         )
     for name, vec in (("true", true_labels), ("pred", pred_labels)):
-        if len(vec) and (vec.min() < 0 or vec.max() >= n_classes):
-            raise ValueError(f"{name} labels outside [0, {n_classes})")
-    cells = np.bincount(true_labels * n_classes + pred_labels, minlength=n_classes * n_classes)
-    return cells.reshape(n_classes, n_classes)
+        if len(vec) and (vec.min() < 0 or vec.max() >= N_CLASSES):
+            raise ValueError(f"{name} labels outside [0, {N_CLASSES})")
+    cells = np.bincount(true_labels * N_CLASSES + pred_labels, minlength=N_CLASSES * N_CLASSES)
+    return cells.reshape(N_CLASSES, N_CLASSES)
 
 
 @dataclass(frozen=True)

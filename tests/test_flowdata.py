@@ -713,7 +713,7 @@ def test_token_converters_are_keyed_by_file_column(tmp_path, caplog, monkeypatch
     assert caplog.messages[0] == "dropped rows by unsupported class: {'suspicious': 12}"
 
 
-@pytest.mark.parametrize("reader", ["pieces", "csv.reader"])
+@pytest.mark.parametrize("reader", ["np.loadtxt", "csv.reader"])
 def test_tokens_of_refused_rows_name_no_error_and_no_dropped_class(
     reader, tmp_path, caplog, monkeypatch
 ):
@@ -721,8 +721,7 @@ def test_tokens_of_refused_rows_name_no_error_and_no_dropped_class(
     # code every token of a row they convert, and _accepted skips the row by its rules
     # after that.  The first unseen protocol and the dropped classes are still those of
     # accepted rows, in file order.
-    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 8)
-    monkeypatch.setattr(flowdata, "_PIECE_LINES", 4)
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 4)
     reads = []  # (line count, read by np.loadtxt) of each _parse_block call
     parse_block = flowdata._parse_block
 
@@ -737,11 +736,10 @@ def test_tokens_of_refused_rows_name_no_error_and_no_dropped_class(
         "0.5, SCTP ,80,22,7,532,.AP.SF,normal",
         "0.5,TCP,80,22,7,532,.A....,Suspicious",
     ]
-    # np.loadtxt cannot read "7 K", so the block and its first piece go row by row.
-    block_2 = [good, "-1,QUIC,80,22,7 K,532,.AP.SF,unknown", good, good, good, good, good, good]
-    if reader == "pieces":
-        block_2[5:7] = first_seen  # in the second piece, which np.loadtxt reads
-        block_3 = [good] * 8
+    # np.loadtxt cannot read "7 K", so the block goes row by row.
+    block_2 = [good, "-1,QUIC,80,22,7 K,532,.AP.SF,unknown", good, good]
+    if reader == "np.loadtxt":
+        block_3 = [*first_seen, good, good]  # in the next block, which np.loadtxt reads
     else:
         block_3 = [
             '0.5,TCP,80,22,7,532,".A....",normal',  # csv.reader takes the rest of the file
@@ -749,7 +747,7 @@ def test_tokens_of_refused_rows_name_no_error_and_no_dropped_class(
             *first_seen, good,
         ]
     path = tmp_path / "flows.csv"
-    lines = [",".join(FEATURE_NAMES) + ",class", *[good] * 8, *block_2, *block_3]
+    lines = [",".join(FEATURE_NAMES) + ",class", *[good] * 4, *block_2, *block_3]
     path.write_text("\n".join(lines) + "\n")
 
     table, messages = _oracle_parse(path, CANONICAL_COLUMN_MAP)
@@ -757,7 +755,7 @@ def test_tokens_of_refused_rows_name_no_error_and_no_dropped_class(
     with pytest.raises(ValueError, match="unseen protocol token 'SCTP'"):
         _frozen_encode(table)
     assert _assert_same_parse(path, tmp_path, caplog, CANONICAL_COLUMN_MAP) is None
-    assert reads[:4] == [(8, True), (8, False), (4, False), (4, True)]
+    assert reads == [(4, True), (4, False), (4, True)][: 3 if reader == "np.loadtxt" else 2]
 
 
 def _fast_path_only(monkeypatch):
@@ -820,7 +818,7 @@ def test_latin1_tokens_are_read_and_wider_characters_refuse_their_block(
     tmp_path, caplog, monkeypatch
 ):
     # np.loadtxt reads a token as latin-1 bytes: 'é' is one byte, read on the fast path,
-    # and '€' is none, so its block goes to the pieces and its piece row by row.
+    # and '€' is none, so its block goes row by row.
     header = ",".join(FEATURE_NAMES) + ",class"
     good = "0.5,TCP,80,22,7,532,.AP.SF,normal"
     path = tmp_path / "flows.csv"
@@ -832,7 +830,6 @@ def test_latin1_tokens_are_read_and_wider_characters_refuse_their_block(
             parse_flow_csv(path, CANONICAL_COLUMN_MAP)
 
     monkeypatch.setattr(flowdata, "_BLOCK_LINES", 4)
-    monkeypatch.setattr(flowdata, "_PIECE_LINES", 2)
     reads = _recorded_reads(monkeypatch)
     euro = good.replace("normal", " Normal€ ")
     lines = [header, *[good] * 4, good, good, euro, good.replace("normal", "Suspicious é")]
@@ -842,21 +839,20 @@ def test_latin1_tokens_are_read_and_wider_characters_refuse_their_block(
     assert caplog.messages[0] == (
         "dropped rows by unsupported class: {'normal€': 1, 'suspicious é': 1}"
     )
-    assert reads == [(4, True), (4, False), (2, True), (2, False), "row by row"]
+    assert reads == [(4, True), (4, False), "row by row"]
 
 
-def test_tokens_of_16_bytes_or_more_send_their_piece_row_by_row(
+def test_tokens_of_16_bytes_or_more_send_their_block_row_by_row(
     tmp_path, caplog, monkeypatch
 ):
     # np.loadtxt reads a token into 16 bytes and cuts a longer one silently, so a token
-    # that fills them refuses its piece: the row path names the 40-byte class whole.
+    # that fills them refuses its block: the row path names the 40-byte class whole.
     monkeypatch.setattr(flowdata, "_BLOCK_LINES", 8)
-    monkeypatch.setattr(flowdata, "_PIECE_LINES", 4)
     reads = _recorded_reads(monkeypatch)
     good = "0.5,TCP,80,22,7,532,.AP.SF,normal"
     classes = ["a" * 15, "b" * 16, "c" * 40]
     lines = [",".join(FEATURE_NAMES) + ",class"]
-    for name in classes:  # one block each, the token in its second piece
+    for name in classes:  # one block each, the token in its sixth line
         lines += [good] * 5 + [good.replace("normal", name)] + [good] * 2
     path = tmp_path / "flows.csv"
     path.write_text("\n".join(lines) + "\n")
@@ -865,7 +861,7 @@ def test_tokens_of_16_bytes_or_more_send_their_piece_row_by_row(
     assert caplog.messages[0] == (
         f"dropped rows by unsupported class: {dict.fromkeys(classes, 1)}"
     )
-    refused = [(8, False), (4, True), (4, False), "row by row"]
+    refused = [(8, False), "row by row"]
     assert reads == [(8, True), *refused, *refused]
 
 
@@ -929,7 +925,8 @@ def test_a_token_with_a_nul_codes_no_token_without_it(tmp_path, caplog, monkeypa
 
 def test_parse_scratch_memory_stays_under_one_large_block(tmp_path):
     # 40,000 rows fit one 65,536-line block, whose line list, record array and
-    # per-field strs need about 17 MiB beyond the shard; 16,384-line blocks about 8.
+    # per-field strs need about 17 MiB beyond the shard; 16,384-line blocks about 4,
+    # and 4,096-line blocks about 1.
     path = tmp_path / "flows.csv"
     write_flow_csv(to_records(generate(make_profile(), 40_000, seed=0)), path)
     tracemalloc.start()
@@ -939,7 +936,7 @@ def test_parse_scratch_memory_stays_under_one_large_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(shard) == 40_000
-    assert peak - (shard.features.nbytes + shard.labels.nbytes) < 10 * 2**20
+    assert peak - (shard.features.nbytes + shard.labels.nbytes) < 2 * 2**20
 
 
 def test_a_quoted_file_is_parsed_in_bounded_blocks(tmp_path):
@@ -963,16 +960,16 @@ def test_a_quoted_file_is_parsed_in_bounded_blocks(tmp_path):
 
 
 _DURATION = _ORACLE_SLOTS.index("duration")
+_PACKETS = _ORACLE_SLOTS.index("packets")
 
 
 @pytest.mark.parametrize("placement", ["block ends", "mid-block", "every 100th"])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_refused_blocks_are_read_again_in_fixed_pieces(
+def test_a_block_with_an_unconvertible_field_goes_row_by_row(
     placement, newline, tmp_path, caplog, monkeypatch
 ):
-    block, piece, n_rows = 64, 4, 700
+    block, n_rows = 64, 700
     monkeypatch.setattr(flowdata, "_BLOCK_LINES", block)
-    monkeypatch.setattr(flowdata, "_PIECE_LINES", piece)
     events = []  # (first row, row count, read by np.loadtxt), or "row by row"
     parse_block, coerce_rows = flowdata._parse_block, flowdata._coerce_rows
 
@@ -992,40 +989,42 @@ def test_refused_blocks_are_read_again_in_fixed_pieces(
         "mid-block": range(block // 2 + 5, n_rows, block),
         "every 100th": range(99, n_rows, 100),
     }[placement]
+    kind_of = {row: n % 4 for n, row in enumerate(bad)}  # each placement holds every kind
     rng = np.random.default_rng(len(placement))
     lines = [",".join(_ORACLE_HEADER)]
     for i in range(n_rows):
         fields = _good_fields(rng)
         fields[_ORACLE_SLOTS.index(None, 1)] = f"10.0.{i // 256}.{i % 256}"  # a unique line
-        kind = i % 3
-        if i in bad and kind == 0:
-            fields[_DURATION] = "abc"  # np.loadtxt refuses the piece
-        elif i in bad and kind == 1:
+        kind = kind_of.get(i)
+        if kind == 0:
+            fields[_DURATION] = "abc"  # np.loadtxt refuses the block
+        elif kind == 1:
             fields[_DURATION] = "-1"  # np.loadtxt reads it, and the row is skipped
-        elif i in bad:
+        elif kind == 2:
             fields = fields[:_DURATION + 2]  # a short row
+        elif kind == 3:
+            fields[_PACKETS] = "7 K"  # np.loadtxt refuses the block, and the row is kept
         lines.append(",".join(fields))
     row_of = {line + newline: i for i, line in enumerate(lines[1:])}
     path = tmp_path / "flows.csv"
     path.write_bytes((newline.join(lines) + newline).encode())
 
     shard = _assert_same_parse(path, tmp_path, caplog, _ORACLE_MAP)
-    assert len(shard) == n_rows - len(bad)
-    assert caplog.messages == [f"rejected {len(bad)} of {n_rows} data rows"]
-    # Each block is tried whole; a refused one is tried again as its consecutive
-    # pieces, and only a piece holding an unconvertible row goes row by row.
-    refusing = {i for i in bad if i % 3 != 1}  # the "abc" and short rows
-    expected = []
+    skipped = [i for i in bad if kind_of[i] != 3]  # the "abc", "-1" and short rows
+    assert len(shard) == n_rows - len(skipped)
+    assert caplog.messages == [f"rejected {len(skipped)} of {n_rows} data rows"]
+    # Each block is tried whole by np.loadtxt, and only a block holding an unconvertible
+    # field goes row by row; a "-1" duration refuses no block, nor do its neighbours.
+    refusing = {i for i in bad if kind_of[i] != 1}  # the "abc", short and "7 K" rows
+    expected, kept_minus_1 = [], 0
     for start in range(0, n_rows, block):
-        rows = range(start, min(start + block, n_rows))
-        expected.append((start, len(rows), not set(rows) & refusing))
-        if set(rows) & refusing:
-            for first in range(rows.start, rows.stop, piece):
-                held = range(first, min(first + piece, rows.stop))
-                expected.append((first, len(held), not set(held) & refusing))
-                expected += ["row by row"] * bool(set(held) & refusing)
+        rows = set(range(start, min(start + block, n_rows)))
+        expected.append((start, len(rows), not rows & refusing))
+        expected += ["row by row"] * bool(rows & refusing)
+        kept_minus_1 += bool(rows & set(bad)) and not rows & refusing
     assert events == expected
-    assert events.count("row by row") == len(refusing) > 0
+    assert events.count("row by row") == len({i // block for i in refusing}) > 0
+    assert kept_minus_1 > 0
 
 
 def test_rows_that_break_a_rule_are_skipped_alike_by_both_readers(

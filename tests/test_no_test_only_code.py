@@ -40,7 +40,6 @@ _DEFAULTS_PASSED_ELSEWHERE = {
     "cli.cmd_run.out": "main passes it through its variable `command`",
     "cli.cmd_compare.seed": "main passes it through its variable `command`",
     "cli.cmd_compare.out": "main passes it through its variable `command`",
-    "metrics.confusion.n_classes": "tests check the matrix for 1 to 5 classes",
 }
 
 
