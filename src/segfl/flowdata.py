@@ -336,8 +336,9 @@ class _TokenCodes(dict):
     def read(self, tokens: np.ndarray) -> np.ndarray:
         """The codes of ``tokens``, an ``S{_TOKEN_BYTES}`` field that np.loadtxt read: each
         token's two 8-byte words are found in a table of the raw tokens seen, and a token
-        not found is coded by ``self[...]``, once per distinct token.  ValueError for a token
-        that fills _TOKEN_BYTES, which np.loadtxt may have cut, or as ``__missing__`` raises."""
+        not found is coded by ``self[...]``, which cleans it at its first sighting only.
+        ValueError for a token that fills _TOKEN_BYTES, which np.loadtxt may have cut, or
+        as ``__missing__`` raises."""
         if tokens[:, None].view(np.uint8)[:, -1].any():
             raise ValueError(f"a token of {_TOKEN_BYTES} bytes or more")
         if self.table is None:  # the raw tokens np.loadtxt reads whole; a NUL reads as padding
@@ -352,12 +353,9 @@ class _TokenCodes(dict):
         words = tokens[:, None].view(np.uint64)  # a view: a length-1 axis may change itemsize
         at = np.minimum(np.searchsorted(first, words[:, 0]), len(first) - 1)
         found = codes[at]
-        missed = np.flatnonzero((first[at] != words[:, 0]) | (second[at] != words[:, 1]))
-        distinct, seen, inverse = np.unique(tokens[missed], return_index=True, return_inverse=True)
-        missed_codes = np.empty(len(distinct), np.int64)
-        for i in np.argsort(seen):  # in order of first appearance
-            missed_codes[i] = self[distinct[i].decode("latin-1")]
-        found[missed] = missed_codes[inverse]
+        missed = (first[at] != words[:, 0]) | (second[at] != words[:, 1])
+        for i in np.flatnonzero(missed).tolist():  # a repeat finds its first sighting's entry
+            found[i] = self[tokens[i].decode("latin-1")]
         return found
 
 

@@ -194,8 +194,8 @@ def mean_loss(params: ModelParams, data: LabeledDataset) -> float:
     return float(np.mean(losses))
 
 
-def _backprop(layers, grad_layers, x, y) -> np.ndarray:
-    """Overwrite all of ``grad_layers`` with the mean cross-entropy gradient; return logits."""
+def _backprop(layers, grad_layers, x, y) -> None:
+    """Overwrite all of ``grad_layers`` with the mean cross-entropy gradient."""
     activations, logits = _forward_cached(layers, x)
     delta = _softmax(logits)
     delta[np.arange(len(y)), y] -= 1.0
@@ -207,33 +207,6 @@ def _backprop(layers, grad_layers, x, y) -> np.ndarray:
         if i > 0:
             delta = delta @ layers[i][0].T
             np.multiply(delta, activations[i] > 0, out=delta)
-    return logits
-
-
-def loss_and_grad(
-    params: ModelParams, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient as a flat vector.
-
-    Args:
-        params: current model parameters.
-        features: (n, input_dim) float matrix.
-        labels: (n,) int vector of class codes in [0, output_dim).
-
-    Returns:
-        (loss, grad) where grad has the same layout and length as params.flat.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(features) == 0:
-        raise ValueError("cannot compute a gradient on zero samples")
-    if labels.min() < 0 or labels.max() >= params.spec.output_dim:
-        raise ValueError("labels out of range for output_dim")
-    grad = np.empty_like(params.flat)
-    logits = _backprop(
-        _layer_views(params.flat, params.spec), _layer_views(grad, params.spec), features, labels
-    )
-    return float(np.mean(_row_losses(logits, labels))), grad
 
 
 def train_local(

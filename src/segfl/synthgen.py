@@ -55,17 +55,6 @@ class FlowComponent:
     flags_probs: np.ndarray
 
 
-@dataclass(frozen=True)
-class ClassParams:
-    """Mixture of flow modes for one traffic class in one environment."""
-
-    components: tuple[FlowComponent, ...]
-
-    def weights(self) -> np.ndarray:
-        w = np.asarray([c.weight for c in self.components], dtype=np.float64)
-        return w / w.sum()
-
-
 # Base environment.  Every class is a two-mode mixture — a client-side mode
 # (high source port, low destination port) and a server-side mode (the
 # reverse) — so all three classes put mass in both port quadrants and the
@@ -120,77 +109,71 @@ _ATTACKER_PROTO = _probs(PROTOCOLS, {"TCP": 0.68, "UDP": 0.16, "ICMP": 0.16})
 _VICTIM_PROTO = _probs(PROTOCOLS, {"TCP": 0.72, "UDP": 0.16, "ICMP": 0.12})
 
 _BASE = (
-    ClassParams(  # normal: web clients plus ordinary server responses
-        components=(
-            FlowComponent(
-                weight=0.62,
-                log_duration=(np.log(1.2), 0.7),
-                src_port=(38000.0, 12000.0),
-                dst_port=(4500.0, 4000.0),
-                log_packets=(np.log(9.0), 0.7),
-                log_bytes=(np.log(3500.0), 0.8),
-                protocol_probs=_NORMAL_PROTO,
-                flags_probs=_NORMAL_FLAGS,
-            ),
-            FlowComponent(
-                weight=0.38,
-                log_duration=(np.log(0.4), 0.7),
-                src_port=(7500.0, 6500.0),
-                dst_port=(26000.0, 12000.0),
-                log_packets=(np.log(5.0), 0.7),
-                log_bytes=(np.log(1500.0), 0.9),
-                protocol_probs=_NORMAL_PROTO,
-                flags_probs=_NORMAL_FLAGS,
-            ),
-        )
+    (  # normal: web clients plus ordinary server responses
+        FlowComponent(
+            weight=0.62,
+            log_duration=(np.log(1.2), 0.7),
+            src_port=(38000.0, 12000.0),
+            dst_port=(4500.0, 4000.0),
+            log_packets=(np.log(9.0), 0.7),
+            log_bytes=(np.log(3500.0), 0.8),
+            protocol_probs=_NORMAL_PROTO,
+            flags_probs=_NORMAL_FLAGS,
+        ),
+        FlowComponent(
+            weight=0.38,
+            log_duration=(np.log(0.4), 0.7),
+            src_port=(7500.0, 6500.0),
+            dst_port=(26000.0, 12000.0),
+            log_packets=(np.log(5.0), 0.7),
+            log_bytes=(np.log(1500.0), 0.9),
+            protocol_probs=_NORMAL_PROTO,
+            flags_probs=_NORMAL_FLAGS,
+        ),
     ),
-    ClassParams(  # attacker: port scans plus low-port exploit traffic
-        components=(
-            FlowComponent(
-                weight=0.70,
-                log_duration=(np.log(0.02), 0.7),
-                src_port=(44000.0, 11000.0),
-                dst_port=(9000.0, 7000.0),
-                log_packets=(np.log(2.0), 0.5),
-                log_bytes=(np.log(120.0), 0.7),
-                protocol_probs=_ATTACKER_PROTO,
-                flags_probs=_ATTACKER_FLAGS,
-            ),
-            FlowComponent(
-                weight=0.30,
-                log_duration=(np.log(0.05), 0.7),
-                src_port=(9000.0, 7000.0),
-                dst_port=(33000.0, 13000.0),
-                log_packets=(np.log(3.0), 0.6),
-                log_bytes=(np.log(300.0), 0.8),
-                protocol_probs=_ATTACKER_PROTO,
-                flags_probs=_ATTACKER_FLAGS,
-            ),
-        )
+    (  # attacker: port scans plus low-port exploit traffic
+        FlowComponent(
+            weight=0.70,
+            log_duration=(np.log(0.02), 0.7),
+            src_port=(44000.0, 11000.0),
+            dst_port=(9000.0, 7000.0),
+            log_packets=(np.log(2.0), 0.5),
+            log_bytes=(np.log(120.0), 0.7),
+            protocol_probs=_ATTACKER_PROTO,
+            flags_probs=_ATTACKER_FLAGS,
+        ),
+        FlowComponent(
+            weight=0.30,
+            log_duration=(np.log(0.05), 0.7),
+            src_port=(9000.0, 7000.0),
+            dst_port=(33000.0, 13000.0),
+            log_packets=(np.log(3.0), 0.6),
+            log_bytes=(np.log(300.0), 0.8),
+            protocol_probs=_ATTACKER_PROTO,
+            flags_probs=_ATTACKER_FLAGS,
+        ),
     ),
-    ClassParams(  # victim: servers answering the scans, two response modes
-        components=(
-            FlowComponent(
-                weight=0.70,
-                log_duration=(np.log(0.5), 0.8),
-                src_port=(4500.0, 4500.0),
-                dst_port=(47000.0, 8000.0),
-                log_packets=(np.log(4.0), 0.7),
-                log_bytes=(np.log(1000.0), 0.8),
-                protocol_probs=_VICTIM_PROTO,
-                flags_probs=_VICTIM_FLAGS,
-            ),
-            FlowComponent(
-                weight=0.30,
-                log_duration=(np.log(0.8), 0.8),
-                src_port=(35000.0, 13000.0),
-                dst_port=(15000.0, 9000.0),
-                log_packets=(np.log(5.0), 0.7),
-                log_bytes=(np.log(1200.0), 0.9),
-                protocol_probs=_VICTIM_PROTO,
-                flags_probs=_VICTIM_FLAGS,
-            ),
-        )
+    (  # victim: servers answering the scans, two response modes
+        FlowComponent(
+            weight=0.70,
+            log_duration=(np.log(0.5), 0.8),
+            src_port=(4500.0, 4500.0),
+            dst_port=(47000.0, 8000.0),
+            log_packets=(np.log(4.0), 0.7),
+            log_bytes=(np.log(1000.0), 0.8),
+            protocol_probs=_VICTIM_PROTO,
+            flags_probs=_VICTIM_FLAGS,
+        ),
+        FlowComponent(
+            weight=0.30,
+            log_duration=(np.log(0.8), 0.8),
+            src_port=(35000.0, 13000.0),
+            dst_port=(15000.0, 9000.0),
+            log_packets=(np.log(5.0), 0.7),
+            log_bytes=(np.log(1200.0), 0.9),
+            protocol_probs=_VICTIM_PROTO,
+            flags_probs=_VICTIM_FLAGS,
+        ),
     ),
 )
 
@@ -219,7 +202,7 @@ class EnvironmentProfile:
     """One worker environment: class mix plus per-class distributions."""
 
     class_mix: tuple[float, float, float]
-    class_params: tuple[ClassParams, ...]
+    class_params: tuple[tuple[FlowComponent, ...], ...]  # each class's mixture of modes
 
     def __post_init__(self):
         check_class_mix(self.class_mix)
@@ -316,12 +299,7 @@ def make_profile(
     """Interpolate the built-in base and alternative environments."""
     t = check_divergence(divergence)
     params = tuple(
-        ClassParams(
-            components=tuple(
-                _lerp_component(a, b, t)
-                for a, b in zip(_BASE[c].components, _ALT[c].components, strict=True)
-            )
-        )
+        tuple(_lerp_component(a, b, t) for a, b in zip(_BASE[c], _ALT[c], strict=True))
         for c in range(len(CLASS_NAMES))
     )
     return EnvironmentProfile(class_mix=tuple(float(m) for m in class_mix), class_params=params)
@@ -347,9 +325,10 @@ def generate(profile: EnvironmentProfile, n: int, seed: int = 0) -> LabeledDatas
     for cls, (count, start) in enumerate(zip(counts, starts)):
         if count == 0:
             continue
-        params = profile.class_params[cls]
-        comp_idx = rng.choice(len(params.components), size=count, p=params.weights())
-        for k, comp in enumerate(params.components):
+        components = profile.class_params[cls]
+        weights = np.asarray([c.weight for c in components], dtype=np.float64)
+        comp_idx = rng.choice(len(components), size=count, p=weights / weights.sum())
+        for k, comp in enumerate(components):
             rows = start + np.flatnonzero(comp_idx == k)
             m = len(rows)
             if m == 0:

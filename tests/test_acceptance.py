@@ -27,7 +27,7 @@ from segfl.nnet import (
     ModelParams,
     TrainConfig,
     init_params,
-    loss_and_grad,
+    mean_loss,
     train_local,
 )
 from segfl.orchestrator import (
@@ -256,15 +256,18 @@ def test_gradient_finite_difference_check():
                 break
         else:
             pytest.fail(f"draw {draw}: could not find a kink-free draw")
-        _, analytic = loss_and_grad(params, features, labels)
+        # The gradient training follows: one full-batch SGD step at learning rate 1.
+        data = LabeledDataset(features, labels)
+        step = TrainConfig(epochs=1, batch_size=batch, learning_rate=1.0)
+        analytic = params.flat - train_local(params, data, step, seed=0).flat
 
         numeric = np.zeros_like(analytic)
         for i in range(len(params.flat)):
             plus, minus = params.flat.copy(), params.flat.copy()
             plus[i] += h
             minus[i] -= h
-            lp, _ = loss_and_grad(ModelParams(plus, spec), features, labels)
-            lm, _ = loss_and_grad(ModelParams(minus, spec), features, labels)
+            lp = mean_loss(ModelParams(plus, spec), data)
+            lm = mean_loss(ModelParams(minus, spec), data)
             numeric[i] = (lp - lm) / (2 * h)
 
         scale = np.maximum(1.0, np.abs(analytic) + np.abs(numeric))

@@ -900,6 +900,41 @@ def test_a_vocabulary_only_file_is_coded_without_a_missed_token(tmp_path, monkey
     _assert_same_bytes(parse_flow_csv(path, CANONICAL_COLUMN_MAP), _frozen_encode(table))
 
 
+def test_a_new_raw_token_is_cleaned_once_however_often_it_repeats(tmp_path, caplog, monkeypatch):
+    # The empty-token rule, the class filter and the code lookup run in __missing__, once
+    # per distinct raw token: a repeat in its own block or a later one finds that entry.
+    cleaned = []
+    missing = flowdata._TokenCodes.__missing__
+
+    def counted(self, raw):
+        cleaned.append(raw)
+        return missing(self, raw)
+
+    _fast_path_only(monkeypatch)
+    monkeypatch.setattr(flowdata, "_BLOCK_LINES", 4)  # 3 blocks
+    monkeypatch.setattr(flowdata._TokenCodes, "__missing__", counted)
+    protocols = ["TCP  ", "UDP", "TCP  ", "TCP"] * 3
+    classes = [
+        "suspicious", "normal", "Unknown", "suspicious",
+        "Unknown", "attacker", "suspicious", "Unknown",
+        "victim", "suspicious", "Unknown", "normal",
+    ]
+    lines = [",".join(FEATURE_NAMES) + ",class"] + [
+        f"0.5,{protocol},80,22,7,532,.AP.SF,{label}"
+        for protocol, label in zip(protocols, classes)
+    ]
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    shard = _assert_same_parse(path, tmp_path, caplog, CANONICAL_COLUMN_MAP)
+    assert sorted(cleaned) == sorted(["TCP  ", "suspicious", "Unknown"])
+    kept = ("normal", "attacker", "victim", "normal")
+    assert shard.labels.tolist() == [CLASS_CODES[c] for c in kept]
+    assert caplog.messages == [
+        "dropped rows by unsupported class: {'suspicious': 4, 'unknown': 4}",
+        "rejected 8 of 12 data rows",
+    ]
+
+
 def test_a_token_with_a_nul_codes_no_token_without_it(tmp_path, caplog, monkeypatch):
     # From Python 3.11 csv.reader keeps a NUL, so 'Normal' and a NUL is an unsupported
     # class.  np.loadtxt's 'Normal' in the next block has the same 16 bytes, padding

@@ -190,12 +190,12 @@ def test_scenario_validation():
 
 
 def test_divergence_stops_where_a_mixture_weight_reaches_zero():
-    weights = [w for c in make_profile(MAX_DIVERGENCE).class_params for w in c.weights()]
+    weights = [c.weight for cls in make_profile(MAX_DIVERGENCE).class_params for c in cls]
     assert min(weights) == 0.0
     assert generate(make_profile(MAX_DIVERGENCE), 500, seed=1).sample_count == 500
     # Just past the bound, the interpolation would make that weight negative.
     beyond = MAX_DIVERGENCE * (1 + 1e-9)
-    base, alt = synthgen._BASE[0].components[1], synthgen._ALT[0].components[1]
+    base, alt = synthgen._BASE[0][1], synthgen._ALT[0][1]
     assert synthgen._lerp(base.weight, alt.weight, beyond) < 0
     for value in (beyond, 5, 1e308, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="divergence must be"):
