@@ -1,10 +1,11 @@
 """Experiment orchestration: data preparation, round loop, regrouping.
 
-A round proceeds group by group (ascending id).  Every member first downloads
-its group's current global vector; a deterministic round-robin window of the
-member list then trains locally while the remaining members simply keep the
-downloaded vector, and the group's global is refreshed from the trainers'
-results plus a snapshot of the other groups' globals.  Trained workers carry
+In a round every member first downloads its group's current global vector; a
+deterministic round-robin window of each group's member list then trains
+locally, all groups' trainers in one lockstep call, while the remaining members
+simply keep the downloaded vector.  Group by group (ascending id), the global
+is refreshed from the trainers' results plus a snapshot of the other groups'
+globals taken at round start.  Trained workers carry
 their freshly trained vectors into the evaluation bookkeeping and only pick
 up the new global when the next round begins.
 
@@ -43,6 +44,7 @@ from segfl.flowdata import (
 from segfl.metrics import auroc_ovr_macro, confusion, macro_f1_score, prf1
 from segfl.nnet import (
     DEFAULT_HIDDEN,
+    Cohort,
     LayerSpec,
     ModelParams,
     TrainConfig,
@@ -363,25 +365,32 @@ def run_round(
     round_no: int,
     config: ExperimentConfig,
 ) -> RoundReport:
-    """Execute one federated round over every live group."""
+    """Execute one federated round over every live group.
+
+    Every live group's trainers train in one ``train_local`` call; each group's
+    global is then refreshed from the round-start snapshot of every global.
+    """
     live = _live_members(workers)
     peer_params = {gid: groups[gid] for gid in live}
-
+    chosen = {}
     for gid, members in live.items():
         for wid in members:
             workers[wid].params = groups[gid]
-        trainers = _round_robin_window(members, round_no, config.participants_per_round)
+        chosen[gid] = _round_robin_window(members, round_no, config.participants_per_round)
 
-        contributions = []
-        for wid in trainers:
-            worker = workers[wid]
-            seed = derive_seed(config.seed, "train", wid, round_no)
-            trained = train_local(worker.params, worker.train, config.train, seed)
-            _require_finite(trained.flat, f"worker {wid}", "parameters", round_no, config)
-            worker.params = trained
-            contributions.append(
-                LocalContribution(params=trained, sample_count=worker.sample_count)
-            )
+    trainers = [wid for gid in live for wid in chosen[gid]]
+    cohort = Cohort(tuple(workers[wid].train for wid in trainers))
+    seeds = [derive_seed(config.seed, "train", wid, round_no) for wid in trainers]
+    models = [workers[wid].params for wid in trainers]
+    for wid, trained in zip(trainers, train_local(models, cohort, config.train, seeds)):
+        _require_finite(trained.flat, f"worker {wid}", "parameters", round_no, config)
+        workers[wid].params = trained
+
+    for gid in live:
+        contributions = [
+            LocalContribution(params=workers[wid].params, sample_count=workers[wid].sample_count)
+            for wid in chosen[gid]
+        ]
         # Non-trainers keep the global they downloaded at round start, which
         # is exactly the pre-aggregation group vector.
         others = [peer_params[other] for other in peer_params if other != gid]
@@ -403,7 +412,7 @@ def _run_pooled_round(
     epochs), scored on every worker's shards after each block so learning curves line up.
     """
     seed = derive_seed(config.seed, "train", 0, round_no)
-    model = train_local(groups[1], pooled, config.train, seed)
+    (model,) = train_local([groups[1]], Cohort((pooled,)), config.train, [seed])
     _require_finite(model.flat, "the pooled model", "parameters", round_no, config)
     groups[1] = model
     for worker in workers.values():

@@ -23,6 +23,7 @@ from segfl.cli import cmd_run
 from segfl.flowdata import LabeledDataset, parse_flow_csv
 from segfl.metrics import auroc_ovr_macro, confusion, prf1
 from segfl.nnet import (
+    Cohort,
     LayerSpec,
     ModelParams,
     TrainConfig,
@@ -41,6 +42,12 @@ from segfl.orchestrator import (
 from segfl.resample import ResampleConfig, nearmiss3_undersample
 from segfl.segmentation import SegmentationConfig, eval_score, threshold
 from segfl.synthgen import DEFAULT_CLASS_MIX, generate, make_profile
+
+
+def _train_alone(params, data, config, seed):
+    """One model trained on its own: a one-shard cohort."""
+    (trained,) = train_local([params], Cohort((data,)), config, [seed])
+    return trained
 
 
 # --------------------------------------------------------------------------
@@ -259,7 +266,7 @@ def test_gradient_finite_difference_check():
         # The gradient training follows: one full-batch SGD step at learning rate 1.
         data = LabeledDataset(features, labels)
         step = TrainConfig(epochs=1, batch_size=batch, learning_rate=1.0)
-        analytic = params.flat - train_local(params, data, step, seed=0).flat
+        analytic = params.flat - _train_alone(params, data, step, seed=0).flat
 
         numeric = np.zeros_like(analytic)
         for i in range(len(params.flat)):
@@ -443,14 +450,14 @@ def test_federated_reduces_to_reference_averaging():
     reference = system
     for round_no in range(1, 6):
         trained = [
-            train_local(system, shard, train_cfg, derive_seed(0, "train", wid, round_no))
+            _train_alone(system, shard, train_cfg, derive_seed(0, "train", wid, round_no))
             for wid, shard in enumerate(shards3, start=1)
         ]
         system = weighted_aggregate(
             system, [LocalContribution(t, 8) for t in trained], [], weights
         )
         ref_trained = [
-            train_local(reference, shard, train_cfg, derive_seed(0, "train", wid, round_no))
+            _train_alone(reference, shard, train_cfg, derive_seed(0, "train", wid, round_no))
             for wid, shard in enumerate(shards3, start=1)
         ]
         reference = ModelParams(
@@ -491,7 +498,7 @@ def test_federated_reduces_to_reference_averaging():
     assert np.array_equal(groups[1].flat, reference.flat)
     for round_no in range(1, 6):
         ref_trained = [
-            train_local(
+            _train_alone(
                 reference,
                 workers[wid].train,
                 config.train,

@@ -17,7 +17,15 @@ import numpy as np
 import pytest
 
 from segfl import orchestrator
-from segfl.flowdata import CANONICAL_COLUMN_MAP, EncodingMap, default_encoding, parse_flow_csv
+from segfl.flowdata import (
+    CANONICAL_COLUMN_MAP,
+    EncodingMap,
+    LabeledDataset,
+    default_encoding,
+    parse_flow_csv,
+)
+from segfl.nnet import LayerSpec, TrainConfig, init_params
+from segfl.orchestrator import ExperimentConfig, WorkerState
 from segfl.synthgen import make_scenario, to_records
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -92,3 +100,41 @@ def test_ingest_generator_calls_round_trip(tmp_path, monkeypatch, caplog, worklo
     assert metrics["flowdata.parse_rows"] == rows * workloads.INGEST_WORKERS
     assert metrics["flowdata.reject_rows"] == workloads.INGEST_WORKERS
     assert [s.name for s in recorder.spans[:2]] == ["flowdata.parse_flow_csv", "flowdata.encode"]
+
+
+def test_sgd_counter_counts_every_trainers_rows(tracing):
+    # The light target counts epochs x args[1].sample_count per train_local call,
+    # so the round's one call must pass its cohort second and positionally, and a
+    # cohort's sample_count must be the rows every trainer in it visits.
+    rng = np.random.default_rng(3)
+    spec = LayerSpec(input_dim=2, hidden_dims=(4,), output_dim=3)
+    sizes = {1: 9, 2: 20, 3: 14, 4: 30, 5: 7}
+    group_of = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}
+    workers = {
+        wid: WorkerState(
+            worker_id=wid,
+            group_id=group_of[wid],
+            train=LabeledDataset(rng.random((n, 2)), np.arange(n) % 3),
+            validation=LabeledDataset(rng.random((6, 2)), np.arange(6) % 3),
+            test=LabeledDataset(rng.random((6, 2)), np.arange(6) % 3),
+            sample_count=n,
+        )
+        for wid, n in sizes.items()
+    }
+    groups = {1: init_params(spec, seed=1), 2: init_params(spec, seed=2)}
+    config = ExperimentConfig(
+        participants_per_round=2,
+        train=TrainConfig(epochs=2, batch_size=4),
+        hidden_dims=spec.hidden_dims,
+    )
+    recorder = tracing.Recorder()
+    rows = 0
+    with recorder.patched(tracing.light_targets()):
+        for round_no in (1, 2):
+            for members in ([1, 2, 3], [4, 5]):
+                trainers = orchestrator._round_robin_window(members, round_no, 2)
+                rows += sum(sizes[wid] for wid in trainers)
+            orchestrator.run_round(workers, groups, round_no, config)
+    spans = [s for s in recorder.spans if s.name == "nnet.train_local"]
+    assert len(spans) == 2  # one call per round, over both groups' trainers
+    assert sum(s.attrs["samples"] for s in spans) == config.train.epochs * rows

@@ -11,6 +11,7 @@ import pytest
 
 from segfl.flowdata import LabeledDataset
 from segfl.nnet import (
+    Cohort,
     LayerSpec,
     ModelParams,
     TrainConfig,
@@ -22,11 +23,17 @@ from segfl.nnet import (
 )
 
 
+def _train_alone(params, data, config, seed):
+    """One model trained on its own: a one-shard cohort."""
+    (trained,) = train_local([params], Cohort((data,)), config, [seed])
+    return trained
+
+
 def _step_gradient(params: ModelParams, features, labels) -> np.ndarray:
     """The gradient that training follows: the change one full-batch SGD step at
     learning rate 1 makes to the parameters."""
     config = TrainConfig(epochs=1, batch_size=len(labels), learning_rate=1.0)
-    return params.flat - train_local(params, LabeledDataset(features, labels), config, 0).flat
+    return params.flat - _train_alone(params, LabeledDataset(features, labels), config, 0).flat
 
 
 def _fd_gradient(params: ModelParams, features, labels, h: float = 1e-5) -> np.ndarray:
@@ -190,8 +197,84 @@ def test_in_place_core_is_bit_identical_to_the_allocating_oracle(hidden, kind):
         assert _bits(mean_loss(params, data)) == _bits(_oracle_cross_entropy(logits, y))
         for epochs, batch_size in ((1, 8), (1, 64), (2, 5)):  # 37 % 8 != 0; 37 < 64
             config = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.3)
-            got = train_local(params, data, config, 2).flat
+            got = _train_alone(params, data, config, 2).flat
             assert _bits(got) == _bits(_oracle_train_local(params, data, config, 2))
+
+
+# Lockstep training: each model of a stack must be the model its shard trains
+# alone, bit for bit.  The sizes give equal and unequal shards, a shard smaller
+# than one batch (3 < 5, 37 < 64) and one-row tails (65 at 64, 41 and 49 at 8,
+# 41 at 5); stacks of 2 or more take some steps stacked under every batch size.
+_STACKS = [(37,), (64, 65), (37, 3, 64), (70, 70, 70, 70), (41, 40, 40, 49)]
+
+
+@pytest.mark.parametrize("kind", sorted(_FEATURE_KINDS))
+@pytest.mark.parametrize("sizes", _STACKS, ids=lambda sizes: "-".join(map(str, sizes)))
+@pytest.mark.parametrize("hidden", [(), (5,), (64, 32)], ids=["linear", "5", "64-32"])
+def test_lockstep_training_is_bit_identical_to_training_alone(hidden, sizes, kind):
+    rng = np.random.default_rng(73)
+    spec = LayerSpec(input_dim=4, hidden_dims=hidden, output_dim=3)
+    models = [_noisy_init(spec, 9 + t, rng) for t in range(len(sizes))]
+    shards = [
+        LabeledDataset(_FEATURE_KINDS[kind](rng.normal(size=(n, 4))), rng.integers(0, 3, size=n))
+        for n in sizes
+    ]
+    seeds = [int(rng.integers(0, 1 << 30)) for _ in sizes]
+    for epochs in (1, 2):
+        for batch_size in (5, 8, 64):
+            config = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.3)
+            trained = train_local(models, Cohort(tuple(shards)), config, seeds)
+            assert len(trained) == len(models)
+            for t, (model, shard, seed) in enumerate(zip(models, shards, seeds)):
+                want = _oracle_train_local(model, shard, config, seed)
+                assert _bits(trained[t].flat) == _bits(want), (epochs, batch_size, t)
+
+
+def test_lockstep_results_own_their_memory_and_leave_the_inputs():
+    rng = np.random.default_rng(79)
+    spec = LayerSpec(input_dim=2, hidden_dims=(4,), output_dim=3)
+    model = init_params(spec, seed=4)
+    before = model.flat.copy()
+    shards = [LabeledDataset(rng.normal(size=(n, 2)), rng.integers(0, 3, size=n)) for n in (24, 24)]
+    # One model for both trainers, as a group's trainers share its global.
+    config = TrainConfig(batch_size=8)
+    trained = train_local([model, model], Cohort(tuple(shards)), config, [1, 2])
+    assert np.array_equal(model.flat, before)
+    assert not np.array_equal(trained[0].flat, trained[1].flat)
+    for result in trained:
+        assert result.flat.flags.owndata and not result.flat.flags.writeable
+        assert not np.shares_memory(result.flat, model.flat)
+    assert not np.shares_memory(trained[0].flat, trained[1].flat)
+
+
+def test_lockstep_skips_an_empty_shard_and_trains_the_others(caplog):
+    rng = np.random.default_rng(83)
+    spec = LayerSpec(input_dim=2, hidden_dims=(3,), output_dim=3)
+    models = [init_params(spec, seed=s) for s in (1, 2, 3)]
+    full = LabeledDataset(rng.normal(size=(20, 2)), rng.integers(0, 3, size=20))
+    empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+    config = TrainConfig(batch_size=4, learning_rate=0.2)
+    with caplog.at_level(logging.WARNING, logger="segfl.nnet"):
+        trained = train_local(models, Cohort((full, empty, full)), config, [5, 6, 7])
+    assert "empty data" in caplog.text
+    assert trained[1] is models[1]
+    for t in (0, 2):
+        assert _bits(trained[t].flat) == _bits(_oracle_train_local(models[t], full, config, 5 + t))
+
+
+def test_cohort_counts_its_rows_and_training_wants_one_model_and_seed_each():
+    spec = LayerSpec(input_dim=2, hidden_dims=(3,), output_dim=3)
+    data = LabeledDataset(np.zeros((6, 2)), np.arange(6) % 3)
+    cohort = Cohort((data, data.subset(range(4))))
+    assert cohort.sample_count == 10
+    model = init_params(spec, seed=0)
+    with pytest.raises(ValueError, match="one of each per trainer"):
+        train_local([model], cohort, TrainConfig(), [0, 1])
+    with pytest.raises(ValueError, match="one of each per trainer"):
+        train_local([model, model], cohort, TrainConfig(), [0])
+    other = init_params(LayerSpec(input_dim=2, hidden_dims=(4,), output_dim=3), seed=0)
+    with pytest.raises(ValueError, match="dims"):
+        train_local([model, other], cohort, TrainConfig(), [0, 1])
 
 
 # Evaluation walks the rows in blocks of 1,024; the one-call oracle is the
@@ -387,7 +470,7 @@ def test_zero_learning_rate_keeps_params():
     spec = LayerSpec(input_dim=2, hidden_dims=(3,), output_dim=3)
     params = init_params(spec, seed=1)
     data = LabeledDataset(rng.normal(size=(20, 2)), rng.integers(0, 3, size=20))
-    out = train_local(params, data, TrainConfig(epochs=3, batch_size=4, learning_rate=0.0), 5)
+    out = _train_alone(params, data, TrainConfig(epochs=3, batch_size=4, learning_rate=0.0), 5)
     assert np.array_equal(out.flat, params.flat)
 
 
@@ -399,8 +482,8 @@ def test_training_is_functional_and_deterministic():
     data = LabeledDataset(rng.normal(size=(30, 2)), rng.integers(0, 3, size=30))
     config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.1)
     data_before = (data.features.copy(), data.labels.copy())
-    first = train_local(params, data, config, 11)
-    second = train_local(params, data, config, 11)
+    first = _train_alone(params, data, config, 11)
+    second = _train_alone(params, data, config, 11)
     assert np.array_equal(params.flat, before), "input params were mutated"
     assert np.array_equal(data.features, data_before[0]), "features were mutated"
     assert np.array_equal(data.labels, data_before[1]), "labels were mutated"
@@ -419,7 +502,7 @@ def test_training_rejects_out_of_range_labels():
     features = np.zeros((6, 2))
     for bad in (np.array([0, 1, 2, 0, 1, 3]), np.array([0, -1, 2, 0, 1, 2])):
         with pytest.raises(ValueError, match="labels out of range for output_dim"):
-            train_local(params, LabeledDataset(features, bad), TrainConfig(batch_size=2), 0)
+            _train_alone(params, LabeledDataset(features, bad), TrainConfig(batch_size=2), 0)
 
 
 def test_training_learns_a_separable_toy_problem():
@@ -429,7 +512,8 @@ def test_training_learns_a_separable_toy_problem():
     features = centers[labels] + rng.normal(scale=0.4, size=(120, 2))
     data = LabeledDataset(features, labels)
     params = init_params(LayerSpec(input_dim=2, hidden_dims=(8,), output_dim=3), seed=0)
-    trained = train_local(params, data, TrainConfig(epochs=50, batch_size=16, learning_rate=0.2), 0)
+    config = TrainConfig(epochs=50, batch_size=16, learning_rate=0.2)
+    trained = _train_alone(params, data, config, 0)
     accuracy = float((predict(trained, features) == labels).mean())
     assert accuracy >= 0.95
 
@@ -440,13 +524,13 @@ def test_full_batch_step_is_invariant_to_sample_duplication():
     params = init_params(spec, seed=6)
     features = rng.normal(size=(10, 2))
     labels = rng.integers(0, 3, size=10)
-    single = train_local(
+    single = _train_alone(
         params,
         LabeledDataset(features, labels),
         TrainConfig(epochs=1, batch_size=10, learning_rate=0.5),
         0,
     )
-    doubled = train_local(
+    doubled = _train_alone(
         params,
         LabeledDataset(np.vstack([features, features]), np.concatenate([labels, labels])),
         TrainConfig(epochs=1, batch_size=20, learning_rate=0.5),
@@ -460,7 +544,7 @@ def test_empty_training_data_warns_and_returns_input(caplog):
     params = init_params(spec, seed=0)
     empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with caplog.at_level(logging.WARNING, logger="segfl.nnet"):
-        out = train_local(params, empty, TrainConfig(), 0)
+        out = _train_alone(params, empty, TrainConfig(), 0)
     assert "empty data" in caplog.text
     assert out is params
 
@@ -469,7 +553,7 @@ def test_params_stay_finite_after_aggressive_training():
     rng = np.random.default_rng(15)
     data = LabeledDataset(rng.normal(size=(60, 3)) * 5, rng.integers(0, 3, size=60))
     params = init_params(LayerSpec(input_dim=3, hidden_dims=(8,), output_dim=3), seed=2)
-    trained = train_local(params, data, TrainConfig(epochs=10, batch_size=8, learning_rate=1.0), 1)
+    trained = _train_alone(params, data, TrainConfig(epochs=10, batch_size=8, learning_rate=1.0), 1)
     assert np.all(np.isfinite(trained.flat))
 
 

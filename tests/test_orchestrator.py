@@ -17,7 +17,7 @@ from segfl.flowdata import (
     concat_datasets,
     write_flow_csv,
 )
-from segfl.nnet import LayerSpec, ModelParams, TrainConfig, init_params, train_local
+from segfl.nnet import Cohort, LayerSpec, ModelParams, TrainConfig, init_params, train_local
 from segfl import orchestrator, synthgen
 from segfl.config import load_config
 from segfl.orchestrator import (
@@ -38,6 +38,12 @@ from segfl.synthgen import DEFAULT_CLASS_MIX, generate, make_profile, to_records
 
 _REPO = Path(__file__).resolve().parents[1]
 _TOY_SPEC = LayerSpec(input_dim=2, hidden_dims=(), output_dim=3)
+
+
+def _train_alone(params, data, config, seed):
+    """One model trained on its own: a one-shard cohort."""
+    (trained,) = train_local([params], Cohort((data,)), config, [seed])
+    return trained
 
 
 def _toy_worker(wid: int, rng: np.random.Generator, n_train: int = 12) -> WorkerState:
@@ -286,7 +292,7 @@ def test_fl_rounds_match_a_reference_averaging_loop():
 
     for round_no in range(1, 6):
         trained = [
-            train_local(
+            _train_alone(
                 reference,
                 workers[wid].train,
                 config.train,
@@ -313,7 +319,7 @@ def test_peer_group_term_uses_pre_round_snapshot():
     config = _toy_config(weights=AggregationWeights(0.5, 0.3, 0.2), seed=77)
 
     def _trained(wid: int, start: ModelParams) -> np.ndarray:
-        out = train_local(
+        out = _train_alone(
             start, workers[wid].train, config.train, derive_seed(config.seed, "train", wid, 1)
         )
         return out.flat
@@ -499,7 +505,7 @@ def test_centralized_trains_one_shared_model():
     reports = []
     for round_no in range(1, config.rounds + 1):
         seed = derive_seed(config.seed, "train", 0, round_no)
-        model = train_local(model, pooled, config.train, seed)
+        model = _train_alone(model, pooled, config.train, seed)
         for worker in workers.values():
             worker.group_id, worker.params = 1, model
         reports.append(orchestrator._score_round(workers, round_no, config))
