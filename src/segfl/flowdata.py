@@ -49,6 +49,8 @@ FLAGS = tuple(
         for bits in product((False, True), repeat=len(_FLAG_LETTERS))
     )
 )
+PROTOCOL_CODES = {token: code for code, token in enumerate(PROTOCOLS)}
+FLAG_CODES = {token: code for code, token in enumerate(FLAGS)}
 
 
 # FlowTable column dtypes, in field order.
@@ -138,14 +140,9 @@ def concat_datasets(datasets: list[LabeledDataset]) -> LabeledDataset:
     )
 
 
-@dataclass(frozen=True)
 class EncodingMap:
-    """Token-to-code tables for the categorical attributes.  Labels are always coded
-    by the fixed ``CLASS_CODES`` table, never fitted.
-    """
-
-    protocol_codes: dict[str, int]
-    flags_codes: dict[str, int]
+    """Codes a ``FlowTable``'s tokens by ``PROTOCOL_CODES``, ``FLAG_CODES`` and
+    ``CLASS_CODES``, cleaned as ``parse_flow_csv`` cleans them."""
 
     def encode(self, table: FlowTable) -> LabeledDataset:
         """Turn a flow table into a numeric LabeledDataset, as parse_flow_csv encodes.
@@ -154,19 +151,11 @@ class EncodingMap:
             ValueError: naming the first protocol token without a code, else the
                 first such flags token, else the first such class token.
         """
-        rows, columns = _EncodedRows(self, len(table), (None,) * 3), table.columns()
+        rows, columns = _EncodedRows(len(table)), table.columns()
         for codes, i in zip(rows.codes, (1, 6, 7)):  # protocol, flags, label
             columns[i] = np.fromiter(map(codes.__getitem__, columns[i].tolist()), np.int64)
         rows.add(columns)
         return rows.result()
-
-
-def default_encoding() -> EncodingMap:
-    """The codes of ``PROTOCOLS`` and ``FLAGS``, used when all sources share one encoder."""
-    return EncodingMap(
-        protocol_codes={token: code for code, token in enumerate(PROTOCOLS)},
-        flags_codes={token: code for code, token in enumerate(FLAGS)},
-    )
 
 
 @dataclass(frozen=True)
@@ -222,8 +211,9 @@ def _parse_port(token: str) -> int:
 def parse_flow_csv(path, column_map: dict[str, str]) -> LabeledDataset:
     """Parse a delimited flow export into the encoded dataset of its accepted rows.
 
-    Each block of rows is encoded by ``default_encoding()`` as it is read, into one
-    feature matrix sized by a count of the file's lines.
+    Each block of rows is encoded by ``PROTOCOL_CODES``, ``FLAG_CODES`` and
+    ``CLASS_CODES`` as it is read, into one feature matrix sized by a count of the
+    file's lines.
 
     Args:
         path: CSV file with a header row.
@@ -249,7 +239,7 @@ def parse_flow_csv(path, column_map: dict[str, str]) -> LabeledDataset:
         if len(sources) > 1:
             raise ValueError(f"column_map maps more than one column to {canonical}: {sources}")
 
-    rows = _EncodedRows(default_encoding(), _line_bound(path), _CLEANERS)
+    rows = _EncodedRows(_line_bound(path))
     dropped: dict[str, int] = {}  # rows by unsupported class
     read = 0  # data rows, skipped ones included
 
@@ -316,9 +306,9 @@ def _line_bound(path) -> int:
 
 class _TokenCodes(dict):
     """A token column's code per raw token: ``__missing__`` cleans a raw token once, by
-    ``clean`` if any, and codes it by ``known``; the i-th cleaned token that ``known``
-    lacks, the i-th key of ``unknown``, gets code -1 - i.  Each token of ``known`` is
-    its own raw form from the start."""
+    ``clean``, and codes it by ``known``; the i-th cleaned token that ``known`` lacks,
+    the i-th key of ``unknown``, gets code -1 - i.  Each token of ``known`` is its own
+    raw form from the start."""
 
     def __init__(self, known: dict[str, int], clean):
         super().__init__(known)
@@ -326,7 +316,7 @@ class _TokenCodes(dict):
         self.table = None  # read()'s lookup table; None once __missing__ adds a token
 
     def __missing__(self, raw: str) -> int:
-        token = raw if self.clean is None else self.clean(raw)
+        token = self.clean(raw)
         if (code := self.known.get(token)) is None:
             code = self.unknown.setdefault(token, -1 - len(self.unknown))
         self[raw] = code
@@ -374,9 +364,9 @@ class _EncodedRows:
     """Coded block columns in one preallocated feature matrix and label vector, the
     columns in ``FEATURE_NAMES`` order as float64; ``codes`` codes the token columns."""
 
-    def __init__(self, encoding: EncodingMap, capacity: int, cleaners):
-        known = (encoding.protocol_codes, encoding.flags_codes, CLASS_CODES)
-        self.codes = [_TokenCodes(table, clean) for table, clean in zip(known, cleaners)]
+    def __init__(self, capacity: int):
+        known = (PROTOCOL_CODES, FLAG_CODES, CLASS_CODES)
+        self.codes = [_TokenCodes(table, clean) for table, clean in zip(known, _CLEANERS)]
         self.unseen: list[str | None] = [None] * 3  # each table's first token without a code
         self.features = np.empty((capacity, len(FEATURE_NAMES)))
         self.labels = np.empty(capacity, dtype=np.int64)

@@ -14,7 +14,6 @@ scratch memory does not grow with the number of rows.
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,17 +332,3 @@ def train_local(
         trained[t] = ModelParams(flat[i].copy(), spec)
     return trained
 
-
-# Binary layout: int32 dim count, int32 dims, uint64 vector length, float64
-# payload — everything little-endian.
-_HEADER_COUNT = struct.Struct("<i")
-_HEADER_LEN = struct.Struct("<Q")
-
-
-def write_params(params: ModelParams, path) -> None:
-    dims = params.spec.dims
-    with open(path, "wb") as fh:
-        fh.write(_HEADER_COUNT.pack(len(dims)))
-        fh.write(struct.pack(f"<{len(dims)}i", *dims))
-        fh.write(_HEADER_LEN.pack(len(params.flat)))
-        fh.write(params.flat.astype("<f8").tobytes())

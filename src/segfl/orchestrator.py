@@ -53,7 +53,6 @@ from segfl.nnet import (
     mean_loss,
     predict,
     train_local,
-    write_params,
 )
 from segfl.resample import ResampleConfig, nearmiss3_undersample
 from segfl.segmentation import SegmentationConfig, eval_score, segment, threshold
@@ -529,7 +528,8 @@ def write_checkpoint(
     workers: dict[int, WorkerState],
     groups: dict[int, ModelParams],
 ) -> Path:
-    """Persist group/worker parameters and memberships for resumability."""
+    """Persist memberships to ``meta.json`` and each group's and worker's parameter vector
+    to ``group_NNN.npy`` / ``worker_NNN.npy``, in ``round_NNNN`` under ``directory``."""
     target = Path(directory) / f"round_{round_no:04d}"
     target.mkdir(parents=True, exist_ok=True)
     live = _live_members(workers)
@@ -546,9 +546,9 @@ def write_checkpoint(
     }
     (target / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     for gid, params in sorted(groups.items()):
-        write_params(params, target / f"group_{gid:03d}.params")
+        np.save(target / f"group_{gid:03d}.npy", params.flat)
     for wid, worker in sorted(workers.items()):
-        write_params(worker.params, target / f"worker_{wid:03d}.params")
+        np.save(target / f"worker_{wid:03d}.npy", worker.params.flat)
     return target
 
 

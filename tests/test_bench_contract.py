@@ -21,7 +21,6 @@ from segfl.flowdata import (
     CANONICAL_COLUMN_MAP,
     EncodingMap,
     LabeledDataset,
-    default_encoding,
     parse_flow_csv,
 )
 from segfl.nnet import LayerSpec, TrainConfig, init_params
@@ -93,7 +92,7 @@ def test_ingest_generator_calls_round_trip(tmp_path, monkeypatch, caplog, worklo
             fh.write("-1,TCP,1,2,3,4,.A....,normal\n")
         with recorder.patched(targets):
             traced = orchestrator.parse_flow_csv(path, CANONICAL_COLUMN_MAP)
-            encoded = EncodingMap.encode(default_encoding(), to_records(traced))
+            encoded = EncodingMap().encode(to_records(traced))
         assert encoded.features.tobytes() == traced.features.tobytes()
         assert encoded.labels.tobytes() == traced.labels.tobytes()
     metrics = tracing.layer_metrics(recorder.spans, 0)

@@ -17,13 +17,14 @@ from segfl.flowdata import (
     CLASS_CODES,
     CLASS_NAMES,
     FEATURE_NAMES,
+    FLAG_CODES,
     FLAGS,
+    PROTOCOL_CODES,
     PROTOCOLS,
     EncodingMap,
     FlowTable,
     LabeledDataset,
     _largest_remainder_counts,
-    default_encoding,
     fit_scaler,
     parse_flow_csv,
     partition_workers,
@@ -87,14 +88,13 @@ def _one_row(**values) -> FlowTable:
 
 def test_parse_accepts_and_coerces_good_rows(flow_csv):
     shard = parse_flow_csv(flow_csv, _COLUMN_MAP)
-    enc = default_encoding()
     assert len(shard) == 4
     assert shard.labels.tolist() == [CLASS_CODES[c] for c in ("normal", "normal", "attacker", "victim")]
     assert shard.features[0].tolist() == [
-        0.5, enc.protocol_codes["TCP"], 52128, 80, 7, 532, enc.flags_codes[".AP.SF"],
+        0.5, PROTOCOL_CODES["TCP"], 52128, 80, 7, 532, FLAG_CODES[".AP.SF"],
     ]
     assert shard.features[3].tolist() == [
-        0.8, enc.protocol_codes["ICMP"], 0, 0, 2, 128, enc.flags_codes["......"],
+        0.8, PROTOCOL_CODES["ICMP"], 0, 0, 2, 128, FLAG_CODES["......"],
     ]
     assert (shard.features.dtype, shard.labels.dtype) == (np.float64, np.int64)
 
@@ -148,25 +148,37 @@ def test_parse_skips_a_utf8_byte_order_mark(flow_csv, tmp_path):
 
 
 def test_vocabulary_and_class_codes_are_fixed_and_roundtrip():
-    encoding = default_encoding()
-    assert encoding.protocol_codes == {"GRE": 0, "ICMP": 1, "IGMP": 2, "TCP": 3, "UDP": 4}
+    assert PROTOCOL_CODES == {"GRE": 0, "ICMP": 1, "IGMP": 2, "TCP": 3, "UDP": 4}
     # A token's code is its position in the shipped tuples, which are in lexicographic order.
-    assert list(encoding.protocol_codes.items()) == [(t, c) for c, t in enumerate(PROTOCOLS)]
-    assert list(encoding.flags_codes.items()) == [(t, c) for c, t in enumerate(FLAGS)]
+    assert list(PROTOCOL_CODES.items()) == [(t, c) for c, t in enumerate(PROTOCOLS)]
+    assert list(FLAG_CODES.items()) == [(t, c) for c, t in enumerate(FLAGS)]
     assert list(FLAGS) == sorted(FLAGS) and len(set(FLAGS)) == 64
     for name in CLASS_NAMES:
-        assert CLASS_NAMES[encoding.encode(_one_row(label=name)).labels[0]] == name
+        assert CLASS_NAMES[EncodingMap().encode(_one_row(label=name)).labels[0]] == name
     assert CLASS_CODES == {"normal": 0, "attacker": 1, "victim": 2}
 
 
 def test_unseen_token_is_an_error_not_a_silent_code():
-    encoding = EncodingMap(protocol_codes={"TCP": 0, "UDP": 1}, flags_codes={".A....": 0})
-    with pytest.raises(ValueError, match="unseen protocol token 'GRE'"):
-        encoding.encode(_one_row(protocol="GRE", flags=".A...."))
-    with pytest.raises(ValueError, match="unseen flags token '......'"):
-        encoding.encode(_one_row(protocol="TCP"))
+    encoding = EncodingMap()
+    with pytest.raises(ValueError, match="unseen protocol token 'SCTP'"):
+        encoding.encode(_one_row(protocol="SCTP", flags="U.....X"))
+    with pytest.raises(ValueError, match=re.escape("unseen flags token 'U.....X'")):
+        encoding.encode(_one_row(flags="U.....X", label="suspicious"))
     with pytest.raises(ValueError, match="unknown class token 'suspicious'"):
-        encoding.encode(_one_row(protocol="TCP", flags=".A....", label="suspicious"))
+        encoding.encode(_one_row(label="suspicious"))
+
+
+def test_encode_cleans_tokens_as_the_parser_does(tmp_path):
+    # Padded and mixed-case tokens: the parser strips every token and lower-cases the class.
+    table = FlowTable(
+        duration=[0.5, 1.0], protocol=[" TCP ", "UDP"], src_port=[1, 2], dst_port=[3, 4],
+        packets=[5, 6], bytes=[7, 8], flags=[".A....  ", "......"], label=[" Victim ", "NORMAL"],
+    )
+    path = tmp_path / "padded.csv"
+    write_flow_csv(table, path)
+    parsed = parse_flow_csv(path, CANONICAL_COLUMN_MAP)
+    assert parsed.labels.tolist() == [CLASS_CODES["victim"], CLASS_CODES["normal"]]
+    _assert_same_bytes(EncodingMap().encode(table), parsed)
 
 
 def _column_dataset(*columns):
@@ -354,10 +366,9 @@ def test_feature_layout_matches_declared_order():
         "bytes",
         "flags",
     )
-    encoded = default_encoding().encode(_one_row())
-    enc = default_encoding()
+    encoded = EncodingMap().encode(_one_row())
     assert encoded.features[0].tolist() == [
-        2.5, enc.protocol_codes["UDP"], 5, 6, 7, 8, enc.flags_codes["......"],
+        2.5, PROTOCOL_CODES["UDP"], 5, 6, 7, 8, FLAG_CODES["......"],
     ]
     assert encoded.labels[0] == 2
 
@@ -463,9 +474,10 @@ def _frozen_lookup(codes, tokens, what):
 
 
 def _frozen_encode(table):
-    encoding = default_encoding()
-    protocol = _frozen_lookup(encoding.protocol_codes, table.protocol, "unseen protocol")
-    flags = _frozen_lookup(encoding.flags_codes, table.flags, "unseen flags")
+    protocol_codes = {token: code for code, token in enumerate(PROTOCOLS)}
+    flag_codes = {token: code for code, token in enumerate(FLAGS)}
+    protocol = _frozen_lookup(protocol_codes, table.protocol, "unseen protocol")
+    flags = _frozen_lookup(flag_codes, table.flags, "unseen flags")
     ports_counts = [table.src_port, table.dst_port, table.packets, table.bytes]
     features = np.column_stack([table.duration, protocol, *ports_counts, flags])
     labels = _frozen_lookup(CLASS_CODES, table.label, "unknown class")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -30,6 +31,7 @@ from segfl.orchestrator import (
     evaluate_and_segment,
     run_experiment,
     run_round,
+    write_checkpoint,
     _round_robin_window,
 )
 from segfl.resample import ResampleConfig
@@ -352,6 +354,32 @@ def test_non_trainers_keep_the_downloaded_global():
     assert np.array_equal(workers[3].params.flat, old_global)
     assert not np.array_equal(workers[1].params.flat, old_global), "worker 1 trained"
     assert not np.array_equal(groups[1].flat, old_global), "global was refreshed"
+
+
+def test_a_checkpoint_loads_back_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(5)
+    workers = {wid: _toy_worker(wid, rng) for wid in (1, 2, 3)}
+    for wid, gid in ((1, 1), (2, 2), (3, 2)):
+        workers[wid].group_id = gid
+        workers[wid].params = init_params(_TOY_SPEC, seed=10 + wid)
+    groups = {gid: init_params(_TOY_SPEC, seed=gid) for gid in (1, 2)}
+
+    target = write_checkpoint(tmp_path, 7, workers, groups)
+
+    assert target == tmp_path / "round_0007"
+    assert sorted(f.name for f in target.iterdir()) == [
+        "group_001.npy", "group_002.npy", "meta.json",
+        "worker_001.npy", "worker_002.npy", "worker_003.npy",
+    ]
+    saved = [(f"group_{gid:03d}.npy", params) for gid, params in groups.items()]
+    saved += [(f"worker_{wid:03d}.npy", w.params) for wid, w in workers.items()]
+    for name, params in saved:
+        loaded = np.load(target / name)
+        assert loaded.dtype == params.flat.dtype
+        assert loaded.tobytes() == params.flat.tobytes()
+    meta = json.loads((target / "meta.json").read_text())
+    assert meta["round"] == 7
+    assert [g["members"] for g in meta["groups"]] == [[1], [2, 3]]
 
 
 def test_round_report_rows_are_ordered_and_scored():

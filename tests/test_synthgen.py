@@ -10,8 +10,9 @@ import pytest
 from segfl import synthgen
 
 from segfl.flowdata import (
+    FLAG_CODES,
+    PROTOCOL_CODES,
     LabeledDataset,
-    default_encoding,
     fit_scaler,
     parse_flow_csv,
     write_flow_csv,
@@ -56,14 +57,13 @@ def test_default_mix_is_seventeen_to_one_point_two_to_one():
 def test_feature_invariants_hold():
     data = generate(make_profile(divergence=0.8), 3_000, seed=7)
     duration, protocol, src, dst, packets, nbytes, flags = data.features.T
-    enc = default_encoding()
     assert np.all(duration >= 0)
     assert np.all((src >= 0) & (src <= 65535)) and np.all(src == np.round(src))
     assert np.all((dst >= 0) & (dst <= 65535)) and np.all(dst == np.round(dst))
     assert np.all(packets >= 0) and np.all(packets == np.round(packets))
     assert np.all(nbytes >= 0) and np.all(nbytes == np.round(nbytes))
-    assert np.all(np.isin(protocol, list(enc.protocol_codes.values())))
-    assert np.all(np.isin(flags, list(enc.flags_codes.values())))
+    assert np.all(np.isin(protocol, list(PROTOCOL_CODES.values())))
+    assert np.all(np.isin(flags, list(FLAG_CODES.values())))
     assert set(np.unique(data.labels)) <= {0, 1, 2}
 
 
